@@ -19,6 +19,7 @@ from .control import (
 from .errors import (
     DegenerateAlignment,
     DegenerateShape,
+    Divergence,
     EdgeCollapse,
     FormsimError,
     InsufficientDecay,
@@ -84,6 +85,7 @@ from .simulate import (
     centroid,
     decay_rate_fit,
     integrate,
+    integrate_batch,
     perturb_to_error_norm,
     steady_state_report,
 )

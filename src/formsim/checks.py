@@ -7,6 +7,7 @@ they are fixed, not calibrated per run.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +24,11 @@ from .motion import (
 from .rigidity import Framework, rigidity_report
 from .scenario import Scenario
 from .simulate import (
+    Trajectory,
+    apply_perturbation,
     body_frame_transform,
     decay_rate_fit,
-    integrate,
+    integrate_batch,
     perturb_to_error_norm,
 )
 
@@ -33,6 +36,7 @@ MEMBERSHIP_TOL = 1e-10
 IDENTITY_TOL = 1e-12
 GRADIENT_TOL = 1e-6
 INVARIANCE_TOL = 1e-6
+INVARIANCE_HORIZON = 20.0
 CONVERGENCE_R2 = 0.99
 TRACKING_REL_TOL = 0.01
 VELOCITY_REL_TOL = 0.01
@@ -148,64 +152,58 @@ def check_gradient_consistency(scenario: Scenario, trials: int = 100) -> CheckRe
     return _guard(name, run)
 
 
-def check_shape_invariance(scenario: Scenario) -> CheckResult:
+def _trajectory(run):
+    """The run's trajectory, or its failure raised inside the check's guard."""
+    if isinstance(run, FormsimError):
+        raise run
+    return run
+
+
+def check_shape_invariance(scenario: Scenario, run) -> CheckResult:
+    """run starts on the reference shape and lasts at most 20 time units."""
     name = "shape-invariance"
 
-    def run():
-        ref = scenario.reference_shape()
-        cfg = scenario.controller_config(ref)
-        sim = scenario.sim
-        from .simulate import SimConfig
-
-        horizon = min(sim.duration, 20.0)
-        quiet = SimConfig(dt=sim.dt, duration=horizon, integrator=sim.integrator,
-                          record_stride=sim.record_stride, perturbation=None)
-        traj = integrate(ref.framework, ref, cfg, quiet)
+    def run_check():
+        traj = _trajectory(run)
+        horizon = min(scenario.sim.duration, INVARIANCE_HORIZON)
         worst = float(np.abs(traj.errors).max())
         return _result(name, worst <= INVARIANCE_TOL,
                        f"max distance error {worst:.2e} over {horizon:g} time units")
 
-    return _guard(name, run)
+    return _guard(name, run_check)
 
 
-def check_exponential_convergence(scenario: Scenario) -> CheckResult:
+def check_exponential_convergence(scenario: Scenario, run) -> CheckResult:
+    """run starts from a perturbation of a tenth of the shortest distance."""
     name = "exponential-convergence"
 
-    def run():
-        ref = scenario.reference_shape()
-        cfg = scenario.controller_config(ref)
-        seed = scenario.sim.perturbation.seed if scenario.sim.perturbation else 7
-        start = perturb_to_error_norm(ref.framework, ref.distances, seed,
-                                      0.1 * float(ref.distances.min()))
-        from .simulate import SimConfig
-
-        quiet = SimConfig(dt=scenario.sim.dt, duration=scenario.sim.duration,
-                          integrator=scenario.sim.integrator,
-                          record_stride=scenario.sim.record_stride, perturbation=None)
-        traj = integrate(start, ref, cfg, quiet)
+    def run_check():
+        traj = _trajectory(run)
         rate, r_squared, decades = decay_rate_fit(traj.times, traj.error_norms())
         ok = rate > 0.0 and r_squared >= CONVERGENCE_R2 and decades >= 1.0
         return _result(name, ok, (
             f"rate={rate:.3f} r_squared={r_squared:.4f} decades={decades:.2f}"
         ))
 
-    return _guard(name, run)
+    return _guard(name, run_check)
 
 
-def check_motion_tracking(scenario: Scenario) -> CheckResult:
-    """Distance tracking for scaling runs, velocity match for steady runs."""
+def check_motion_tracking(scenario: Scenario, run) -> CheckResult:
+    """Distance tracking for scaling runs, velocity match for steady runs.
+
+    run starts from the scenario's initial positions.
+    """
     if scenario.schedule.kind == "none":
-        return _check_steady_velocities(scenario)
-    return _check_distance_tracking(scenario)
+        return _check_steady_velocities(scenario, run)
+    return _check_distance_tracking(scenario, run)
 
 
-def _check_distance_tracking(scenario: Scenario, transient: float = 3.0) -> CheckResult:
+def _check_distance_tracking(scenario: Scenario, run, transient: float = 3.0) -> CheckResult:
     name = "distance-tracking"
 
-    def run():
+    def run_check():
         ref = scenario.reference_shape()
-        cfg = scenario.controller_config(ref)
-        traj = integrate(scenario.initial_framework(), ref, cfg, scenario.sim)
+        traj = _trajectory(run)
         mask = traj.times >= transient
         if not mask.any():
             return _result(name, False, "horizon shorter than the transient window")
@@ -214,13 +212,13 @@ def _check_distance_tracking(scenario: Scenario, transient: float = 3.0) -> Chec
         return _result(name, worst <= TRACKING_REL_TOL,
                        f"max |length - scheduled| = {worst * 100:.3f}% of reference")
 
-    return _guard(name, run)
+    return _guard(name, run_check)
 
 
-def _check_steady_velocities(scenario: Scenario) -> CheckResult:
+def _check_steady_velocities(scenario: Scenario, run) -> CheckResult:
     name = "steady-velocity"
 
-    def run():
+    def run_check():
         ref = scenario.reference_shape()
         cfg = scenario.controller_config(ref)
         designed = (
@@ -230,7 +228,7 @@ def _check_steady_velocities(scenario: Scenario) -> CheckResult:
         speed_floor = float(np.linalg.norm(designed, axis=1).max())
         if speed_floor < 1e-9:
             return _result(name, True, "no motion designed, nothing to track")
-        traj = integrate(scenario.initial_framework(), ref, cfg, scenario.sim)
+        traj = _trajectory(run)
         norms = traj.error_norms()
         converged = np.nonzero(norms < CONVERGED_NORM)[0]
         if converged.size == 0:
@@ -252,24 +250,54 @@ def _check_steady_velocities(scenario: Scenario) -> CheckResult:
         return _result(name, worst <= VELOCITY_REL_TOL,
                        f"max per-agent velocity mismatch {worst * 100:.3f}%")
 
-    return _guard(name, run)
+    return _guard(name, run_check)
 
 
 def _subsample(traj, idx):
-    from .simulate import Trajectory
-
     return Trajectory(traj.times[idx], traj.positions[idx], traj.errors[idx],
                       traj.potential[idx], traj.distances[idx])
 
 
+def _closed_loop_runs(scenario: Scenario) -> list:
+    """The three closed-loop runs verify checks, integrated as one batch.
+
+    In order: from the reference shape, cut at min(duration, 20); from a
+    perturbation of a tenth of the shortest distance; from the scenario's
+    initial positions.  Each entry is a Trajectory or the FormsimError
+    that ended that run.
+    """
+    try:
+        ref = scenario.reference_shape()
+        cfg = scenario.controller_config(ref)
+        sim = scenario.sim
+        seed = sim.perturbation.seed if sim.perturbation else 7
+        converging = perturb_to_error_norm(ref.framework, ref.distances, seed,
+                                           0.1 * float(ref.distances.min()))
+        tracking = scenario.initial_framework()
+        if sim.perturbation is not None:
+            tracking = apply_perturbation(tracking, sim.perturbation.seed,
+                                          sim.perturbation.magnitude)
+        runs = integrate_batch([ref.framework, converging, tracking], ref, cfg,
+                               dataclasses.replace(sim, perturbation=None))
+    except FormsimError as exc:
+        return [exc] * 3
+    if isinstance(runs[0], Trajectory):
+        horizon_steps = int(round(min(sim.duration, INVARIANCE_HORIZON) / sim.dt))
+        runs[0] = _subsample(runs[0], slice(0, horizon_steps // sim.record_stride + 1))
+    return runs
+
+
 def run_verification(scenario: Scenario) -> list[CheckResult]:
     """Run every check that applies to the scenario."""
-    return [
+    results = [
         check_reference_rigidity(scenario),
         check_motion_spaces(scenario),
         check_velocity_map_identity(scenario),
         check_gradient_consistency(scenario),
-        check_shape_invariance(scenario),
-        check_exponential_convergence(scenario),
-        check_motion_tracking(scenario),
+    ]
+    invariant, converging, tracking = _closed_loop_runs(scenario)
+    return results + [
+        check_shape_invariance(scenario, invariant),
+        check_exponential_convergence(scenario, converging),
+        check_motion_tracking(scenario, tracking),
     ]

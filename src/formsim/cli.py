@@ -100,7 +100,10 @@ def _load(args) -> Scenario:
         else:
             overrides["perturbation"] = Perturbation(args.seed, sim.perturbation.magnitude)
     if overrides:
-        scenario.sim = dataclasses.replace(sim, **overrides)
+        try:
+            scenario.sim = dataclasses.replace(sim, **overrides)
+        except ValueError as exc:
+            raise SchemaError(f"command-line override: {exc}") from None
         if scenario.schedule.min_scale_factor(scenario.sim.duration) <= 0.0:
             raise PositivityError("override duration reaches a non-positive scale factor")
     return scenario

@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonPositiveDistance
-from .motion import MotionParameters, ReferenceShape, _bearing_diagonal, induced_velocities
+from .errors import EdgeCollapse, NonPositiveDistance
+from .motion import MotionParameters, ReferenceShape, _bearing_diagonal
 from .rigidity import Framework, _graph_arrays, edge_vectors, unit_edge_vectors
+
+# Agents closer than this along an edge count as collided.
+COLLAPSE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -133,6 +137,73 @@ def elastic_potential(fw: Framework, d_t: np.ndarray) -> float:
     return 0.5 * float(e @ e)
 
 
+class ControlKernel:
+    """The control law on stacked positions shaped (batch, vertex_count * dim).
+
+    Edge k contributes its unit vector u_k to both endpoints, weighted by
+    tail_coef_k - gain * e_k at the tail and head_coef_k + gain * e_k at
+    the head, where e_k is its distance error.  One bincount over a flat
+    index, cached per batch size, sums the contributions into the agents.
+    Each agent's velocity depends only on its own edges, and each row of
+    the batch is computed exactly as it would be alone.
+    """
+
+    def __init__(self, graph, dim: int):
+        _, _, _, tails, heads = _graph_arrays(graph)
+        self.tails, self.heads, self.dim = tails, heads, dim
+        self.width = graph.vertex_count * dim
+        self._ends = np.concatenate([tails, heads])
+        # Flat target of every (edge end, axis) pair in one row.
+        self._slots = (self._ends[:, None] * dim + np.arange(dim)).reshape(-1)
+        self._index: dict[int, np.ndarray] = {}
+
+    def _scatter_index(self, batch: int) -> np.ndarray:
+        index = self._index.get(batch)
+        if index is None:
+            offsets = np.arange(batch)[:, None] * self.width
+            index = (offsets + self._slots).reshape(-1)
+            self._index[batch] = index
+        return index
+
+    def edge_units(self, p: np.ndarray):
+        """Unit edge vectors (batch, E, dim) and edge lengths (batch, E).
+
+        Raises EdgeCollapse naming the rows with an edge shorter than
+        COLLAPSE_TOL.
+        """
+        ends = p.reshape(p.shape[0], -1, self.dim)[:, self._ends]
+        ecount = self.tails.size
+        vecs = ends[:, :ecount] - ends[:, ecount:]
+        lengths = np.sqrt(np.add.reduce(vecs * vecs, axis=2))
+        if np.minimum.reduce(lengths, axis=None) < COLLAPSE_TOL:
+            rows = np.flatnonzero(lengths.min(axis=1) < COLLAPSE_TOL)
+            raise EdgeCollapse(f"edge shorter than {COLLAPSE_TOL:g}", rows)
+        return vecs / lengths[:, :, None], lengths
+
+    def scatter(self, units: np.ndarray, tail_weight: np.ndarray,
+                head_weight: np.ndarray) -> np.ndarray:
+        """Sum the weighted unit vectors into the agents, (batch, width)."""
+        batch = units.shape[0]
+        weights = np.empty((batch, 2, units.shape[1], 1))
+        weights[:, 0, :, 0] = tail_weight
+        weights[:, 1, :, 0] = head_weight
+        values = weights * units[:, None]
+        summed = np.bincount(self._scatter_index(batch), weights=values.reshape(-1),
+                             minlength=batch * self.width)
+        return summed.reshape(batch, self.width)
+
+    def __call__(self, p: np.ndarray, d_t, tail_coef, head_coef, gain: float) -> np.ndarray:
+        """Agent velocities for every row of p at scheduled distances d_t."""
+        units, lengths = self.edge_units(p)
+        pull = gain * (lengths - d_t)
+        return self.scatter(units, tail_coef - pull, head_coef + pull)
+
+
+@lru_cache(maxsize=128)
+def control_kernel(graph, dim: int) -> ControlKernel:
+    return ControlKernel(graph, dim)
+
+
 def control_law(fw: Framework, d_t: np.ndarray, pv: MotionParameters, gain: float) -> np.ndarray:
     """Stacked agent velocity commands.
 
@@ -140,33 +211,27 @@ def control_law(fw: Framework, d_t: np.ndarray, pv: MotionParameters, gain: floa
     offset term adds the bearing-aligned motion contributions.  Each
     agent's block depends only on bearings and errors of its own edges.
     """
-    return control_law_with_errors(fw, distance_errors(fw, d_t), pv, gain)
+    d_t = np.asarray(d_t, dtype=float).reshape(-1)
+    if np.any(d_t <= 0.0):
+        raise NonPositiveDistance("scheduled distances must be positive")
+    kernel = control_kernel(fw.graph, fw.dim)
+    return kernel(fw.positions[None, :], d_t, pv.tail, pv.head, gain)[0]
 
 
 def error_dynamics_rhs(errors: np.ndarray, fw: Framework, pv: MotionParameters,
                        ddot_t: np.ndarray, gain: float) -> np.ndarray:
     """Time derivative of the distance errors under the control law.
 
-    Used for analysis only; the simulator integrates positions and
-    recomputes errors from them.
+    The law is evaluated with the supplied errors.  Used for analysis
+    only; the simulator integrates positions and recomputes errors from
+    them.
     """
-    units = unit_edge_vectors(fw)
-    velocities = control_law_with_errors(fw, errors, pv, gain)
-    _, _, _, tails, heads = _graph_arrays(fw.graph)
-    vel_pts = velocities.reshape(fw.graph.vertex_count, fw.dim)
-    edge_rates = ((vel_pts[tails] - vel_pts[heads]) * units).sum(axis=1)
+    kernel = control_kernel(fw.graph, fw.dim)
+    units, _ = kernel.edge_units(fw.positions[None, :])
+    pull = gain * np.asarray(errors, dtype=float).reshape(-1)
+    vel_pts = kernel.scatter(units, pv.tail - pull, pv.head + pull).reshape(-1, fw.dim)
+    edge_rates = ((vel_pts[kernel.tails] - vel_pts[kernel.heads]) * units[0]).sum(axis=1)
     return edge_rates - np.asarray(ddot_t, dtype=float).reshape(-1)
-
-
-def control_law_with_errors(fw: Framework, errors: np.ndarray,
-                                pv: MotionParameters, gain: float) -> np.ndarray:
-    """Control law evaluated with externally supplied errors (analysis helper)."""
-    units = unit_edge_vectors(fw)
-    errors = np.asarray(errors, dtype=float).reshape(-1)
-    incidence, _, _, _, _ = _graph_arrays(fw.graph)
-    grad = incidence @ (errors[:, None] * units)
-    motion = induced_velocities(pv, fw.graph, units.reshape(-1))
-    return -gain * grad.reshape(-1) + motion
 
 
 def stiffness_matrix(fw: Framework) -> np.ndarray:

@@ -26,7 +26,18 @@ class NonPositiveDistance(FormsimError):
 
 
 class EdgeCollapse(FormsimError):
-    """Two neighboring agents collided during simulation."""
+    """Two neighboring agents collided during simulation.
+
+    rows names the batch rows (runs) whose edge collapsed, when known.
+    """
+
+    def __init__(self, message: str, rows=()):
+        super().__init__(message)
+        self.rows = tuple(int(r) for r in rows)
+
+
+class Divergence(FormsimError):
+    """The state of a run stopped being finite."""
 
 
 class DegenerateAlignment(FormsimError):

@@ -120,13 +120,20 @@ def induced_velocity_matrix(bearing_vec: np.ndarray, graph: SensingGraph) -> np.
     return out
 
 
+def _svd(matrix: np.ndarray, full_matrices: bool = True):
+    try:
+        return np.linalg.svd(matrix, full_matrices=full_matrices)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateShape(f"motion-space decomposition failed: {exc}") from None
+
+
 def null_space(matrix: np.ndarray, tol: float = NULLSPACE_TOL) -> np.ndarray:
     """Orthonormal basis (as columns) of the kernel of matrix.
 
     Singular values below tol times the largest one count as zero.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    _, sigma, vh = np.linalg.svd(matrix)
+    _, sigma, vh = _svd(matrix)
     if sigma.size and sigma[0] > 0.0:
         rank = int(np.count_nonzero(sigma > tol * sigma[0]))
     else:
@@ -150,7 +157,7 @@ def project_out(away_basis: np.ndarray, candidates: np.ndarray, tol: float = PRO
         # Projecting twice restores orthogonality lost to rounding.
         residual -= away @ (away.T @ residual)
         residual -= away @ (away.T @ residual)
-    u, sigma, _ = np.linalg.svd(residual, full_matrices=False)
+    u, sigma, _ = _svd(residual, full_matrices=False)
     return u[:, sigma > tol].copy()
 
 

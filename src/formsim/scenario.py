@@ -37,7 +37,7 @@ zero within the declared duration raise PositivityError.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -72,12 +72,21 @@ class Scenario:
     omega: float | np.ndarray
     schedule: ScalingSchedule
     sim: SimConfig
+    _reference: ReferenceShape | None = field(default=None, init=False, repr=False)
 
     def graph(self) -> SensingGraph:
         return SensingGraph(len(self.reference_positions), self.edges)
 
     def reference_shape(self) -> ReferenceShape:
-        return ReferenceShape(Framework.from_points(self.graph(), self.reference_positions))
+        """The validated reference shape, built once per scenario.
+
+        Its motion spaces and velocity map are cached on it, so every
+        command and check shares one set of decompositions.
+        """
+        if self._reference is None:
+            self._reference = ReferenceShape(
+                Framework.from_points(self.graph(), self.reference_positions))
+        return self._reference
 
     def initial_framework(self) -> Framework:
         points = self.initial_positions

@@ -9,18 +9,24 @@ spin, and scaling rates directly measurable by line fits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .control import ControllerConfig, ScalingSchedule, scheduled_distances
-from .errors import DegenerateAlignment, EdgeCollapse, InsufficientDecay, NonPositiveDistance
+from .control import ControllerConfig, ScalingSchedule, control_kernel
+from .errors import (
+    DegenerateAlignment,
+    Divergence,
+    EdgeCollapse,
+    FormsimError,
+    InsufficientDecay,
+    NonPositiveDistance,
+)
 from .motion import ReferenceShape
 from .rigidity import Framework, _graph_arrays, edge_vectors
 
-# Agents closer than this along an edge count as collided.
-COLLAPSE_TOL = 1e-9
 # Error norms below this are treated as already converged.
 DECAY_FLOOR = 1e-8
 
@@ -42,10 +48,11 @@ class SimConfig:
     perturbation: Perturbation | None = None
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.duration < self.dt:
-            raise ValueError("duration must cover at least one step")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.duration) and self.duration >= self.dt):
+            raise ValueError(f"duration must be finite and cover at least one step, "
+                             f"got {self.duration}")
         if self.integrator not in ("rk4", "euler"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.record_stride < 1:
@@ -146,12 +153,13 @@ def perturb_to_error_norm(fw: Framework, distances: np.ndarray, seed: int,
 def make_rhs(ref: ReferenceShape, cfg: ControllerConfig):
     """Velocity field of the controlled dynamics as a plain function of (t, p).
 
-    Hoists every per-run constant; the arithmetic mirrors control_law
-    applied to time_varying_params and scheduled_distances exactly, so
-    both paths produce identical floating-point values.
+    p stacks one run per row, shape (batch, vertex_count * dim); the
+    batch size is read from p.  Hoists every per-run constant and
+    evaluates the same kernel as control_law applied to
+    time_varying_params and scheduled_distances, so both paths produce
+    identical floating-point values.
     """
-    graph, m = ref.graph, ref.dim
-    incidence, tail_sel, head_sel, tails, heads = _graph_arrays(graph)
+    kernel = control_kernel(ref.graph, ref.dim)
     base_tail = cfg.translation_part.tail + cfg.rotation_part.tail
     base_head = cfg.translation_part.head + cfg.rotation_part.head
     scale_tail = cfg.scaling_part.tail
@@ -159,22 +167,14 @@ def make_rhs(ref: ReferenceShape, cfg: ControllerConfig):
     schedule, gain, distances = cfg.schedule, cfg.gain, ref.distances
 
     def rhs(t: float, p: np.ndarray) -> np.ndarray:
-        pts = p.reshape(-1, m)
-        vecs = pts[tails] - pts[heads]
-        lengths = np.linalg.norm(vecs, axis=1)
-        if np.any(lengths < COLLAPSE_TOL):
-            raise EdgeCollapse(f"edge collapsed at t={t:.6g}")
-        d_t = (1.0 + schedule.value(t)) * distances
-        if np.any(d_t <= 0.0):
+        # Reference distances are positive, so the scale factor decides
+        # the sign of every scheduled distance.
+        factor = 1.0 + schedule.value(t)
+        if factor <= 0.0:
             raise NonPositiveDistance(f"scheduled distance is not positive at t={t:.6g}")
-        units = vecs / lengths[:, None]
-        e = lengths - d_t
-        grad = incidence @ (e[:, None] * units)
         rate = schedule.value_rate(t)
-        coef_tail = base_tail + rate * scale_tail
-        coef_head = base_head + rate * scale_head
-        motion = tail_sel @ (coef_tail[:, None] * units) + head_sel @ (coef_head[:, None] * units)
-        return -gain * grad.reshape(-1) + motion.reshape(-1)
+        return kernel(p, factor * distances, base_tail + rate * scale_tail,
+                      base_head + rate * scale_head, gain)
 
     return rhs
 
@@ -185,50 +185,105 @@ def integrate(fw0: Framework, ref: ReferenceShape, cfg: ControllerConfig,
 
     Time-varying offsets and scheduled distances are evaluated at every
     integrator stage time.  Halts with EdgeCollapse as soon as any edge
-    drops below the collapse tolerance.
+    drops below the collapse tolerance, and with Divergence when the
+    state stops being finite.
+    """
+    (out,) = integrate_batch([fw0], ref, cfg, sim)
+    if isinstance(out, FormsimError):
+        raise out
+    return out
+
+
+def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
+                    sim: SimConfig) -> list[Trajectory | FormsimError]:
+    """Integrate one run per start framework, all in one step loop.
+
+    Every run shares the controller and the simulation settings; the
+    perturbation, if any, is applied to each start.  Entry i is
+    bit-identical to integrate(starts[i], ...).  A run whose edge
+    collapses or whose state stops being finite leaves the batch: its
+    entry holds the EdgeCollapse or Divergence instead of a Trajectory,
+    and the other runs carry on.
     """
     _check_schedule(cfg.schedule, sim.duration)
-    graph, m = fw0.graph, fw0.dim
-    start = fw0
     if sim.perturbation is not None:
-        start = apply_perturbation(fw0, sim.perturbation.seed, sim.perturbation.magnitude)
-
+        starts = [apply_perturbation(fw, sim.perturbation.seed, sim.perturbation.magnitude)
+                  for fw in starts]
     rhs = make_rhs(ref, cfg)
 
     n_steps = int(round(sim.duration / sim.dt))
-    dt = sim.dt
-    p = start.positions.copy()
-    times, positions = [], []
+    dt, stride = sim.dt, sim.record_stride
+    p = np.array([fw.positions for fw in starts])
+    positions = np.empty((p.shape[0], n_steps // stride + 1, p.shape[1]))
+    positions[:, 0] = p
+    live = np.arange(p.shape[0])
+    failures: dict[int, FormsimError] = {}
 
-    def record(k: int, p: np.ndarray):
-        times.append(k * dt)
-        positions.append(p.copy())
+    def drop(rows, error: type, message: str):
+        nonlocal p, live
+        for row in rows:
+            failures[int(live[row])] = error(message)
+        keep = np.ones(live.size, dtype=bool)
+        keep[list(rows)] = False
+        p, live = p[keep], live[keep]
 
-    record(0, p)
-    for k in range(n_steps):
-        t = k * dt
-        if sim.integrator == "rk4":
-            k1 = rhs(t, p)
-            k2 = rhs(t + dt / 2.0, p + (dt / 2.0) * k1)
-            k3 = rhs(t + dt / 2.0, p + (dt / 2.0) * k2)
-            k4 = rhs(t + dt, p + dt * k3)
-            p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            p = p + dt * rhs(t, p)
-        if (k + 1) % sim.record_stride == 0:
-            record(k + 1, p)
+    # Overflow in a diverging run is caught by the finiteness check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            t = k * dt
+            while live.size:
+                try:
+                    p_next = _step(rhs, sim.integrator, t, dt, p)
+                    break
+                except EdgeCollapse as exc:
+                    drop(exc.rows, EdgeCollapse, f"edge collapsed at t={t:.6g}")
+            if not live.size:
+                break
+            p = p_next
+            if (k + 1) % stride == 0:
+                positions[live, (k + 1) // stride] = p
+                finite = np.isfinite(p).all(axis=1)
+                if not finite.all():
+                    drop(np.flatnonzero(~finite), Divergence,
+                         f"state is not finite at t={(k + 1) * dt:.6g}")
 
-    times_arr = np.array(times)
-    pos_arr = np.array(positions)
-    errors = np.empty((times_arr.size, graph.edge_count))
-    dists = np.empty_like(errors)
-    for j, (t, row) in enumerate(zip(times_arr, pos_arr)):
-        fw = Framework(graph, m, row)
-        d_t, _ = scheduled_distances(ref, cfg.schedule, t)
-        dists[j] = d_t
-        errors[j] = np.linalg.norm(edge_vectors(fw), axis=1) - d_t
-    potential = 0.5 * (errors * errors).sum(axis=1)
-    return Trajectory(times_arr, pos_arr, errors, potential, dists)
+    times = (np.arange(positions.shape[1]) * stride) * dt
+    distances = np.array([1.0 + cfg.schedule.value(t) for t in times])[:, None] * ref.distances
+    out: list[Trajectory | FormsimError] = [failures.get(i) for i in range(len(starts))]
+    for row in live:
+        errors, potential = _edge_errors(positions[row], ref, distances)
+        out[row] = Trajectory(times, positions[row], errors, potential, distances)
+    return out
+
+
+def _step(rhs, integrator: str, t: float, dt: float, p: np.ndarray) -> np.ndarray:
+    if integrator == "rk4":
+        k1 = rhs(t, p)
+        k2 = rhs(t + dt / 2.0, p + (dt / 2.0) * k1)
+        k3 = rhs(t + dt / 2.0, p + (dt / 2.0) * k2)
+        k4 = rhs(t + dt, p + dt * k3)
+        return p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return p + dt * rhs(t, p)
+
+
+# Samples per post-processing chunk; bounds the (samples, E, dim) temporaries.
+_CHUNK = 256
+
+
+def _edge_errors(positions: np.ndarray, ref: ReferenceShape, distances: np.ndarray):
+    """Distance errors (samples, E) and potential (samples,) of one run."""
+    samples = positions.shape[0]
+    _, _, _, tails, heads = _graph_arrays(ref.graph)
+    errors = np.empty((samples, tails.size))
+    potential = np.empty(samples)
+    for j0 in range(0, samples, _CHUNK):
+        j1 = min(j0 + _CHUNK, samples)
+        pts = positions[j0:j1].reshape(j1 - j0, -1, ref.dim)
+        vecs = pts[:, tails] - pts[:, heads]
+        err = errors[j0:j1]
+        np.subtract(np.sqrt((vecs * vecs).sum(axis=2)), distances[j0:j1], out=err)
+        potential[j0:j1] = 0.5 * (err * err).sum(axis=1)
+    return errors, potential
 
 
 def _check_schedule(schedule: ScalingSchedule, duration: float):

@@ -2,7 +2,9 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from formsim import DegenerateShape, null_space
 from formsim.cli import main
 
 
@@ -254,7 +256,59 @@ class TestNumericalFailures:
         assert "DegenerateShape" in capsys.readouterr().err
 
 
+    def test_diverging_run_exits_with_numerical_code(self, tmp_path, capsys):
+        # RK4 is unstable at this gain and step, so the state overflows.
+        path = write_scenario(tmp_path, gain=200.0,
+                              sim={"dt": 0.05, "duration": 20.0, "record_stride": 1,
+                                   "perturbation": {"seed": 7, "magnitude": 0.5}})
+        code = main(["simulate", str(path), "-o", str(tmp_path / "diverge")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Divergence" in err
+        assert "Traceback" not in err
+
+    def test_failed_decomposition_exits_with_numerical_code(self, tmp_path, capsys,
+                                                            monkeypatch):
+        real_svd = np.linalg.svd
+
+        def failing_svd(a, full_matrices=True, compute_uv=True, **kwargs):
+            # Rank counts (no singular vectors) still work, so the shape
+            # loads; the motion-space decomposition fails.
+            if compute_uv:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, full_matrices=full_matrices, compute_uv=False, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(DegenerateShape):
+            null_space(np.eye(3))
+        code = main(["design", str(write_scenario(tmp_path))])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "DegenerateShape" in err
+
+    def test_collapsing_run_fails_only_its_verify_check(self, tmp_path, capsys):
+        # Agents 1 and 2 start on top of each other, which ends only the
+        # run that starts from the initial positions.
+        path = write_scenario(tmp_path,
+                              initial_positions=[[0, 0], [0, 0], [15, 15], [0, 15]],
+                              sim={"dt": 0.002, "duration": 8.0, "record_stride": 5,
+                                   "perturbation": None})
+        assert main(["verify", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "PASS shape-invariance" in out
+        assert "PASS exponential-convergence" in out
+        assert "FAIL distance-tracking: EdgeCollapse" in out
+
+
 class TestOverrides:
+    def test_bad_step_or_horizon_is_validation_error(self, tmp_path, capsys):
+        path = write_scenario(tmp_path)
+        for flags in (["--dt", "-1"], ["--dt", "nan"], ["--duration", "-2"],
+                      ["--duration", "inf"]):
+            assert main(["simulate", str(path), *flags]) == 1, flags
+            assert "Traceback" not in capsys.readouterr().err
+
+
     def test_duration_override_validates_schedule(self, tmp_path, capsys):
         path = write_scenario(tmp_path, targets={
             "v_body": [0.0, 0.0], "omega": 0.0,

@@ -194,6 +194,22 @@ class TestControlLaw:
             worst = max(worst, np.linalg.norm(analytic - fd) / np.linalg.norm(fd))
         assert worst <= 1e-6
 
+    def test_matches_per_edge_loop(self, square_ref):
+        rng = np.random.default_rng(5)
+        pv = MotionParameters(rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 5))
+        pts = SQUARE_POINTS + rng.uniform(-2.0, 2.0, SQUARE_POINTS.shape)
+        fw = Framework.from_points(square_ref.graph, pts)
+        d_t = 1.2 * square_ref.distances
+        expected = np.zeros_like(pts)
+        for k, (i, j) in enumerate(square_ref.graph.edges):
+            vec = pts[i - 1] - pts[j - 1]
+            length = np.linalg.norm(vec)
+            unit = vec / length
+            expected[i - 1] += (pv.tail[k] - 5.0 * (length - d_t[k])) * unit
+            expected[j - 1] += (pv.head[k] + 5.0 * (length - d_t[k])) * unit
+        u = control_law(fw, d_t, pv, 5.0)
+        np.testing.assert_allclose(u, expected.reshape(-1), rtol=1e-13, atol=1e-13)
+
     def test_agent_block_depends_only_on_incident_edges(self, square_ref):
         rng = np.random.default_rng(3)
         pv = MotionParameters(rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 5))

@@ -48,6 +48,7 @@ class TestParseScenario:
         assert scenario.schedule.frequency == 1.5
         # Parsing already ran the rigidity check.
         assert scenario.reference_shape().distances.min() == pytest.approx(15.0)
+        assert scenario.reference_shape() is scenario.reference_shape()
 
     def test_invalid_json_reports_position(self):
         with pytest.raises(SchemaError, match="line"):

@@ -4,6 +4,7 @@ import pytest
 from formsim import (
     ControllerConfig,
     DegenerateAlignment,
+    Divergence,
     EdgeCollapse,
     Framework,
     InsufficientDecay,
@@ -16,10 +17,13 @@ from formsim import (
     body_frame_transform,
     centroid,
     decay_rate_fit,
+    distance_errors,
     integrate,
+    integrate_batch,
     perturb_to_error_norm,
     rotation_params,
     scaling_params,
+    scheduled_distances,
     steady_state_report,
     translation_params,
 )
@@ -73,6 +77,16 @@ class TestIntegrate:
         np.testing.assert_allclose(
             traj.potential, 0.5 * (traj.errors ** 2).sum(axis=1), rtol=1e-14
         )
+
+    def test_errors_match_per_sample_reference(self, square_ref):
+        cfg = motion_config(square_ref, omega=1.0, schedule=ScalingSchedule.periodic(0.25, 1.5))
+        start = apply_perturbation(square_ref.framework, 5, 0.5)
+        traj = integrate(start, square_ref, cfg, SimConfig(dt=1e-3, duration=0.5, record_stride=7))
+        for t, row, errors, dists in zip(traj.times, traj.positions, traj.errors,
+                                         traj.distances):
+            d_t, _ = scheduled_distances(square_ref, cfg.schedule, t)
+            assert np.array_equal(dists, d_t)
+            assert np.array_equal(errors, distance_errors(Framework(square_ref.graph, 2, row), d_t))
 
     def test_deterministic_given_seed(self, square_ref):
         sim = SimConfig(dt=1e-3, duration=0.5, perturbation=Perturbation(11, 0.4))
@@ -134,6 +148,66 @@ class TestIntegrate:
         err_coarse = np.linalg.norm(final_state(8e-3) - reference)
         err_fine = np.linalg.norm(final_state(4e-3) - reference)
         assert 1.5 <= err_coarse / err_fine <= 3.0
+
+
+def assert_same_run(batched, single):
+    for field in ("times", "positions", "errors", "potential", "distances"):
+        assert np.array_equal(getattr(batched, field), getattr(single, field)), field
+
+
+class TestIntegrateBatch:
+    def test_rows_match_single_runs_square_periodic(self, square_ref):
+        cfg = motion_config(square_ref, v=(0.5, 0.3), omega=1.0,
+                            schedule=ScalingSchedule.periodic(0.25, 1.5))
+        sim = SimConfig(dt=1e-3, duration=1.0, record_stride=10)
+        starts = [square_ref.framework, apply_perturbation(square_ref.framework, 2, 0.5),
+                  apply_perturbation(square_ref.framework, 3, 1.0)]
+        runs = integrate_batch(starts, square_ref, cfg, sim)
+        for start, run in zip(starts, runs):
+            assert_same_run(run, integrate(start, square_ref, cfg, sim))
+
+    def test_rows_match_single_runs_tetrahedron(self, tetra_ref):
+        spaces = tetra_ref.spaces
+        cfg = ControllerConfig(
+            5.0,
+            translation_params(tetra_ref, spaces, [0.2, -0.1, 0.15]),
+            rotation_params(tetra_ref, spaces, [0.3, 0.2, 1.0]),
+            MotionParameters.zero(6),
+            ScalingSchedule.none(),
+        )
+        sim = SimConfig(dt=1e-3, duration=0.5, record_stride=5, perturbation=Perturbation(4, 0.1))
+        starts = [tetra_ref.framework, apply_perturbation(tetra_ref.framework, 9, 0.2)]
+        runs = integrate_batch(starts, tetra_ref, cfg, sim)
+        for start, run in zip(starts, runs):
+            assert_same_run(run, integrate(start, tetra_ref, cfg, sim))
+
+    def test_collapsing_row_fails_alone(self, square_ref, square_graph):
+        cfg = quiet_config(square_ref)
+        sim = SimConfig(dt=1e-3, duration=0.5, record_stride=10)
+        collapsed_pts = SQUARE_POINTS.copy()
+        collapsed_pts[1] = collapsed_pts[0]
+        starts = [apply_perturbation(square_ref.framework, 5, 0.5),
+                  Framework.from_points(square_graph, collapsed_pts),
+                  apply_perturbation(square_ref.framework, 6, 0.5)]
+        runs = integrate_batch(starts, square_ref, cfg, sim)
+        assert isinstance(runs[1], EdgeCollapse)
+        with pytest.raises(EdgeCollapse):
+            integrate(starts[1], square_ref, cfg, sim)
+        assert_same_run(runs[0], integrate(starts[0], square_ref, cfg, sim))
+        assert_same_run(runs[2], integrate(starts[2], square_ref, cfg, sim))
+
+    def test_diverging_row_fails_alone(self, square_ref):
+        # RK4 is unstable at this gain and step: any perturbation grows
+        # until it overflows, while the reference shape stays a fixed point.
+        cfg = quiet_config(square_ref, gain=200.0)
+        sim = SimConfig(dt=0.05, duration=20.0)
+        perturbed = apply_perturbation(square_ref.framework, 1, 0.1)
+        with pytest.raises(Divergence):
+            integrate(perturbed, square_ref, cfg, sim)
+        still, diverged = integrate_batch([square_ref.framework, perturbed],
+                                          square_ref, cfg, sim)
+        assert isinstance(diverged, Divergence)
+        assert_same_run(still, integrate(square_ref.framework, square_ref, cfg, sim))
 
 
 class TestPerturbations:
