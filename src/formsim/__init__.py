@@ -35,21 +35,15 @@ from .motion import (
     MotionParameters,
     MotionSpaces,
     ReferenceShape,
-    distance_rate_map,
+    distance_rates,
     induced_velocities,
     induced_velocity_matrix,
     membership_residuals,
     motion_spaces,
-    null_space,
-    parameter_matrix,
-    project_out,
     rotation_field,
     rotation_params,
-    rotation_space,
     scaling_params,
-    scaling_space,
     translation_params,
-    translation_space,
 )
 from .rigidity import (
     Framework,

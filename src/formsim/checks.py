@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import control_law, elastic_potential, scheduled_distances, time_varying_params
+from .control import (
+    ControllerConfig,
+    control_kernel,
+    control_law,
+    elastic_potential,
+    time_varying_params,
+)
 from .errors import FormsimError
 from .motion import (
     MotionParameters,
@@ -188,13 +194,14 @@ def check_exponential_convergence(scenario: Scenario, run) -> CheckResult:
     return _guard(name, run_check)
 
 
-def check_motion_tracking(scenario: Scenario, run) -> CheckResult:
+def check_motion_tracking(scenario: Scenario, run, cfg: ControllerConfig) -> CheckResult:
     """Distance tracking for scaling runs, velocity match for steady runs.
 
-    run starts from the scenario's initial positions.
+    run starts from the scenario's initial positions and was integrated
+    under cfg.
     """
     if scenario.schedule.kind == "none":
-        return _check_steady_velocities(scenario, run)
+        return _check_steady_velocities(scenario, run, cfg)
     return _check_distance_tracking(scenario, run)
 
 
@@ -215,12 +222,13 @@ def _check_distance_tracking(scenario: Scenario, run, transient: float = 3.0) ->
     return _guard(name, run_check)
 
 
-def _check_steady_velocities(scenario: Scenario, run) -> CheckResult:
+def _check_steady_velocities(scenario: Scenario, run, cfg: ControllerConfig) -> CheckResult:
+    """The run's controller moves every agent at the designed body-frame
+    velocity once the shape has converged."""
     name = "steady-velocity"
 
     def run_check():
         ref = scenario.reference_shape()
-        cfg = scenario.controller_config(ref)
         designed = (
             np.tile(scenario.v_body, ref.graph.vertex_count)
             + rotation_field(ref.centered_points(), scenario.omega)
@@ -236,17 +244,14 @@ def _check_steady_velocities(scenario: Scenario, run) -> CheckResult:
                            f"error norm never fell below {CONVERGED_NORM:g}")
         idx = converged[:50]
         body = body_frame_transform(_subsample(traj, idx), ref)
-        worst = 0.0
-        for row, t, rot in zip(traj.positions[idx], traj.times[idx], body.rotations):
-            fw = Framework(ref.graph, ref.dim, row)
-            d_t, _ = scheduled_distances(ref, cfg.schedule, t)
-            u = control_law(fw, d_t, time_varying_params(cfg, t), cfg.gain)
-            measured = (u.reshape(-1, ref.dim) @ rot.T)
-            for i in range(designed.shape[0]):
-                denom = max(np.linalg.norm(designed[i]), 1e-300)
-                worst = max(worst, float(
-                    np.linalg.norm(measured[i] - designed[i]) / denom
-                ))
+        # The schedule is flat, so distances and offsets stay constant.
+        pv = time_varying_params(cfg, 0.0)
+        kernel = control_kernel(ref.graph, ref.dim)
+        u = kernel(traj.positions[idx], ref.distances, pv.tail, pv.head, cfg.gain)
+        measured = u.reshape(idx.size, -1, ref.dim) @ body.rotations.transpose(0, 2, 1)
+        mismatch = np.linalg.norm(measured - designed, axis=2)
+        denom = np.maximum(np.linalg.norm(designed, axis=1), 1e-300)
+        worst = float((mismatch / denom).max())
         return _result(name, worst <= VELOCITY_REL_TOL,
                        f"max per-agent velocity mismatch {worst * 100:.3f}%")
 
@@ -258,14 +263,16 @@ def _subsample(traj, idx):
                       traj.potential[idx], traj.distances[idx])
 
 
-def _closed_loop_runs(scenario: Scenario) -> list:
-    """The three closed-loop runs verify checks, integrated as one batch.
+def _closed_loop_runs(scenario: Scenario):
+    """The controller and the three closed-loop runs verify checks.
 
-    In order: from the reference shape, cut at min(duration, 20); from a
-    perturbation of a tenth of the shortest distance; from the scenario's
-    initial positions.  Each entry is a Trajectory or the FormsimError
-    that ended that run.
+    The runs are integrated as one batch.  In order: from the reference
+    shape, cut at min(duration, 20); from a perturbation of a tenth of
+    the shortest distance; from the scenario's initial positions.  Each
+    entry is a Trajectory or the FormsimError that ended that run; the
+    controller is None when calibration failed.
     """
+    cfg = None
     try:
         ref = scenario.reference_shape()
         cfg = scenario.controller_config(ref)
@@ -280,11 +287,11 @@ def _closed_loop_runs(scenario: Scenario) -> list:
         runs = integrate_batch([ref.framework, converging, tracking], ref, cfg,
                                dataclasses.replace(sim, perturbation=None))
     except FormsimError as exc:
-        return [exc] * 3
+        return cfg, [exc] * 3
     if isinstance(runs[0], Trajectory):
         horizon_steps = int(round(min(sim.duration, INVARIANCE_HORIZON) / sim.dt))
         runs[0] = _subsample(runs[0], slice(0, horizon_steps // sim.record_stride + 1))
-    return runs
+    return cfg, runs
 
 
 def run_verification(scenario: Scenario) -> list[CheckResult]:
@@ -295,9 +302,9 @@ def run_verification(scenario: Scenario) -> list[CheckResult]:
         check_velocity_map_identity(scenario),
         check_gradient_consistency(scenario),
     ]
-    invariant, converging, tracking = _closed_loop_runs(scenario)
+    cfg, (invariant, converging, tracking) = _closed_loop_runs(scenario)
     return results + [
         check_shape_invariance(scenario, invariant),
         check_exponential_convergence(scenario, converging),
-        check_motion_tracking(scenario, tracking),
+        check_motion_tracking(scenario, tracking, cfg),
     ]

@@ -28,7 +28,7 @@ from .errors import (
 from .checks import run_verification
 from .control import ControllerConfig
 from .motion import (
-    distance_rate_map,
+    distance_rates,
     induced_velocities,
     rotation_field,
     rotation_params,
@@ -123,9 +123,9 @@ def _design_document(scenario: Scenario) -> dict:
     ref = scenario.reference_shape()
     spaces = ref.spaces
     parts = {
-        "translation": translation_params(ref, spaces, scenario.v_body),
-        "rotation": rotation_params(ref, spaces, scenario.omega),
-        "scaling_unit_rate": scaling_params(ref, spaces, 1.0),
+        "translation": translation_params(ref, scenario.v_body),
+        "rotation": rotation_params(ref, scenario.omega),
+        "scaling_unit_rate": scaling_params(ref, 1.0),
     }
     unit_vec = bearings(ref.framework)
     residuals = {}
@@ -136,9 +136,8 @@ def _design_document(scenario: Scenario) -> dict:
     for name in ("translation", "rotation"):
         induced = induced_velocities(parts[name], ref.graph, unit_vec)
         residuals[name] = float(np.linalg.norm(induced - targets[name]))
-    rate_map = distance_rate_map(ref)
     residuals["scaling_unit_rate"] = float(
-        np.linalg.norm(rate_map @ parts["scaling_unit_rate"].stacked() - ref.distances)
+        np.linalg.norm(distance_rates(ref, parts["scaling_unit_rate"]) - ref.distances)
     )
     dims = {
         "translation": int(spaces.translation_basis.shape[1]),

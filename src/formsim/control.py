@@ -17,8 +17,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EdgeCollapse, NonPositiveDistance
-from .motion import MotionParameters, ReferenceShape, _bearing_diagonal
-from .rigidity import Framework, _graph_arrays, edge_vectors, unit_edge_vectors
+from .motion import MotionParameters, ReferenceShape
+from .rigidity import (
+    Framework,
+    _graph_arrays,
+    _place_edge_rows,
+    edge_vectors,
+    unit_edge_vectors,
+)
 
 # Agents closer than this along an edge count as collided.
 COLLAPSE_TOL = 1e-9
@@ -149,7 +155,7 @@ class ControlKernel:
     """
 
     def __init__(self, graph, dim: int):
-        _, _, _, tails, heads = _graph_arrays(graph)
+        _, tails, heads = _graph_arrays(graph)
         self.tails, self.heads, self.dim = tails, heads, dim
         self.width = graph.vertex_count * dim
         self._ends = np.concatenate([tails, heads])
@@ -237,10 +243,9 @@ def error_dynamics_rhs(errors: np.ndarray, fw: Framework, pv: MotionParameters,
 def stiffness_matrix(fw: Framework) -> np.ndarray:
     """Gram matrix of the error gradient directions, edge_count square.
 
-    Positive definite near a minimally rigid shape; its smallest
-    eigenvalue scales the exponential convergence rate.
+    R_n R_n^T, where R_n is the rigidity matrix with unit rows.  Positive
+    definite near a minimally rigid shape; its smallest eigenvalue scales
+    the exponential convergence rate.
     """
-    units = unit_edge_vectors(fw)
-    incidence, _, _, _, _ = _graph_arrays(fw.graph)
-    half = np.kron(incidence, np.eye(fw.dim)) @ _bearing_diagonal(units)
-    return half.T @ half
+    unit_rows = _place_edge_rows(fw.graph, unit_edge_vectors(fw))
+    return unit_rows @ unit_rows.T

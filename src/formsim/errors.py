@@ -14,7 +14,8 @@ class ZeroVector(FormsimError):
 
 
 class DegenerateShape(FormsimError):
-    """A motion-parameter space came out with an unexpected dimension."""
+    """Some agent's bearings do not span the space, so no offsets can
+    move it in every direction."""
 
 
 class Unreachable(FormsimError):

@@ -3,14 +3,15 @@
 Each edge carries a pair of distance offsets, one applied by the tail
 agent and one by the head agent.  At the desired shape the offsets act
 through the unit edge vectors, so the map from offset pairs to agent
-velocities is linear once the shape is fixed.  This module builds that
-map, splits its input space into directions that produce no motion,
-rigid translations, rigid rotations about the centroid, and uniform
-scaling, and calibrates offset vectors that realize requested velocity,
-spin, and growth-rate targets.
+velocities is linear once the shape is fixed.  Every offset moves only
+the agent that applies it, so the map decouples by agent: the
+minimum-norm offsets realizing any velocity field take one dim x dim
+solve per agent, with the Gram matrix of that agent's own bearings.
+This module calibrates offsets for a common velocity, a spin about the
+centroid and a uniform growth about the centroid that way.
 
-All spaces are computed centrally and once per reference shape; the
-resulting offsets are what the per-agent control law consumes.
+The offsets are computed once per reference shape; they are what the
+per-agent control law consumes.
 """
 
 from __future__ import annotations
@@ -31,11 +32,9 @@ from .rigidity import (
     unit_edge_vectors,
 )
 
-# Relative singular-value cutoff for kernel extraction; shapes loaded
-# from scenario files are exact to double precision.
-NULLSPACE_TOL = 1e-9
-# Basis vectors whose projection residual falls below this are dependent.
-PROJECTION_DROP_TOL = 1e-9
+# An agent's bearings span R^dim when the smallest eigenvalue of their
+# Gram matrix exceeds this fraction of the largest one.
+RANK_TOL = 1e-12
 # Largest acceptable residual when fitting a motion target.
 CALIBRATION_TOL = 1e-9
 
@@ -78,15 +77,6 @@ class MotionParameters:
         return MotionParameters(factor * self.tail, factor * self.head)
 
 
-def parameter_matrix(pv: MotionParameters, graph: SensingGraph) -> np.ndarray:
-    """Vertex-by-edge matrix holding each edge's tail offset at its tail
-    row and head offset at its head row, zero elsewhere."""
-    if pv.tail.size != graph.edge_count:
-        raise ValueError(f"expected {graph.edge_count} offsets, got {pv.tail.size}")
-    _, tail_sel, head_sel, _, _ = _graph_arrays(graph)
-    return tail_sel * pv.tail[None, :] + head_sel * pv.head[None, :]
-
-
 def induced_velocities(pv: MotionParameters, graph: SensingGraph, bearing_vec: np.ndarray) -> np.ndarray:
     """Stacked agent velocities produced by the offsets at the given bearings.
 
@@ -94,71 +84,30 @@ def induced_velocities(pv: MotionParameters, graph: SensingGraph, bearing_vec: n
     incident edges, tail offset when i is the tail and head offset when
     it is the head.
     """
-    ecount = graph.edge_count
-    units = np.asarray(bearing_vec, dtype=float).reshape(ecount, -1)
-    _, tail_sel, head_sel, _, _ = _graph_arrays(graph)
-    vel = tail_sel @ (pv.tail[:, None] * units) + head_sel @ (pv.head[:, None] * units)
+    units = np.asarray(bearing_vec, dtype=float).reshape(graph.edge_count, -1)
+    _, tails, heads = _graph_arrays(graph)
+    vel = np.zeros((graph.vertex_count, units.shape[1]))
+    np.add.at(vel, tails, pv.tail[:, None] * units)
+    np.add.at(vel, heads, pv.head[:, None] * units)
     return vel.reshape(-1)
 
 
 def induced_velocity_matrix(bearing_vec: np.ndarray, graph: SensingGraph) -> np.ndarray:
     """Matrix form of induced_velocities at fixed bearings.
 
-    Built by probing with the 2 * edge_count unit offset vectors, so the
-    identity  matrix @ stacked_offsets == induced_velocities(offsets)
-    holds by construction.  Shape (vertex_count * dim, 2 * edge_count).
+    Column k (tail offset of edge k) holds u_k in the tail agent's block
+    and column edge_count + k (its head offset) holds u_k in the head
+    agent's block, so  matrix @ stacked_offsets == induced_velocities(offsets).
+    Shape (vertex_count * dim, 2 * edge_count).
     """
     ecount = graph.edge_count
-    bearing_vec = np.asarray(bearing_vec, dtype=float).reshape(-1)
-    dim = bearing_vec.size // ecount
+    units = np.asarray(bearing_vec, dtype=float).reshape(ecount, -1)
+    dim = units.shape[1]
+    _, tails, heads = _graph_arrays(graph)
+    rows = np.concatenate([tails, heads])[:, None] * dim + np.arange(dim)
     out = np.zeros((graph.vertex_count * dim, 2 * ecount))
-    probe = np.zeros(2 * ecount)
-    for col in range(2 * ecount):
-        probe[col] = 1.0
-        out[:, col] = induced_velocities(MotionParameters.from_stacked(probe), graph, bearing_vec)
-        probe[col] = 0.0
+    out[rows, np.arange(2 * ecount)[:, None]] = np.concatenate([units, units])
     return out
-
-
-def _svd(matrix: np.ndarray, full_matrices: bool = True):
-    try:
-        return np.linalg.svd(matrix, full_matrices=full_matrices)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateShape(f"motion-space decomposition failed: {exc}") from None
-
-
-def null_space(matrix: np.ndarray, tol: float = NULLSPACE_TOL) -> np.ndarray:
-    """Orthonormal basis (as columns) of the kernel of matrix.
-
-    Singular values below tol times the largest one count as zero.
-    """
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    _, sigma, vh = _svd(matrix)
-    if sigma.size and sigma[0] > 0.0:
-        rank = int(np.count_nonzero(sigma > tol * sigma[0]))
-    else:
-        rank = 0
-    return vh[rank:].T.copy()
-
-
-def project_out(away_basis: np.ndarray, candidates: np.ndarray, tol: float = PROJECTION_DROP_TOL) -> np.ndarray:
-    """Orthonormal basis of the candidate span with the away span removed.
-
-    away_basis must have orthonormal columns (possibly zero of them);
-    candidate columns need not be normalized.  Components whose singular
-    value drops below tol after projection are discarded.
-    """
-    away = np.atleast_2d(np.asarray(away_basis, dtype=float))
-    cands = np.atleast_2d(np.asarray(candidates, dtype=float))
-    if cands.shape[1] == 0:
-        return cands.copy()
-    residual = cands.copy()
-    if away.shape[1]:
-        # Projecting twice restores orthogonality lost to rounding.
-        residual -= away @ (away.T @ residual)
-        residual -= away @ (away.T @ residual)
-    u, sigma, _ = _svd(residual, full_matrices=False)
-    return u[:, sigma > tol].copy()
 
 
 @dataclass(eq=False)
@@ -208,163 +157,119 @@ class ReferenceShape:
         return pts - pts.mean(axis=0)
 
 
+def _min_norm_offsets(ref: ReferenceShape, fields: np.ndarray) -> np.ndarray:
+    """Minimum-norm stacked offsets (2E, m) realizing each column of fields.
+
+    fields holds one stacked velocity field per column, (n * dim, m).
+    The offset at an edge end moves only the agent at that end, along
+    the edge's unit vector u_k, so velocity_map @ velocity_map.T is block
+    diagonal with the d x d block M_i = sum of u_k u_k^T over agent i's
+    edge ends.  The offset at an end of agent i is u_k . M_i^-1 f_i.
+    Raises DegenerateShape naming the first agent whose bearings do not
+    span R^dim.
+    """
+    graph, dim = ref.graph, ref.dim
+    _, tails, heads = _graph_arrays(graph)
+    ends = np.concatenate([tails, heads])
+    units = unit_edge_vectors(ref.framework)
+    units = np.concatenate([units, units])
+    gram = np.zeros((graph.vertex_count, dim, dim))
+    np.add.at(gram, ends, units[:, :, None] * units[:, None, :])
+    try:
+        eig = np.linalg.eigvalsh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateShape(f"bearing Gram decomposition failed: {exc}") from None
+    flat = np.flatnonzero(eig[:, 0] <= RANK_TOL * eig[:, -1])
+    if flat.size:
+        raise DegenerateShape(
+            f"the bearings at agent {flat[0] + 1} do not span R^{dim}, so its "
+            f"offsets cannot move it in every direction"
+        )
+    solved = np.linalg.solve(gram, fields.reshape(graph.vertex_count, dim, -1))
+    return np.einsum("kd,kdm->km", units, solved[ends])
+
+
 @dataclass(frozen=True, eq=False)
 class MotionSpaces:
-    """Orthonormal bases (columns) of the offset subspaces of one shape.
+    """Orthonormal bases (columns) of the offsets producing each rigid motion.
 
-    zero_motion_basis spans offsets that move no agent at all; the other
-    three are mutually consistent complements inside the offsets that
-    keep every agent velocity a rigid translation, a rigid rotation about
-    the centroid, or a uniform scaling of the shape.
+    Each basis spans the minimum-norm offsets of its generator velocity
+    fields: dim translations, 1 (plane) or 3 (space) rotations about the
+    centroid, and one uniform scaling about the centroid.
     """
 
-    zero_motion_basis: np.ndarray
     translation_basis: np.ndarray
     rotation_basis: np.ndarray
     scaling_basis: np.ndarray
 
 
-def _incidence_expanded(graph: SensingGraph, dim: int) -> np.ndarray:
-    incidence, _, _, _, _ = _graph_arrays(graph)
-    return np.kron(incidence, np.eye(dim))
-
-
-def _bearing_diagonal(units: np.ndarray) -> np.ndarray:
-    """Block diagonal of unit edge vectors as columns, (E*dim, E)."""
-    ecount, dim = units.shape
-    out = np.zeros((ecount * dim, ecount))
-    for k in range(ecount):
-        out[k * dim:(k + 1) * dim, k] = units[k]
-    return out
-
-
-def _projector_diagonal(units: np.ndarray) -> np.ndarray:
-    """Block diagonal of bearing-orthogonal projectors, (E*dim, E*dim)."""
-    ecount, dim = units.shape
-    out = np.zeros((ecount * dim, ecount * dim))
-    eye = np.eye(dim)
-    for k in range(ecount):
-        out[k * dim:(k + 1) * dim, k * dim:(k + 1) * dim] = eye - np.outer(units[k], units[k])
-    return out
-
-
-def distance_rate_map(ref: ReferenceShape) -> np.ndarray:
-    """Matrix sending stacked offsets to the induced distance rates.
-
-    Row k gives d/dt of edge length k when the offsets act at the
-    reference bearings.  Shape (edge_count, 2 * edge_count).
-    """
-    units = unit_edge_vectors(ref.framework)
-    incidence_exp = _incidence_expanded(ref.graph, ref.dim)
-    return _bearing_diagonal(units).T @ incidence_exp.T @ ref.velocity_map
-
-
-def translation_space(ref: ReferenceShape) -> np.ndarray:
-    """Offset directions inducing a common velocity for every agent.
-
-    Kernel directions of the velocity map itself are projected away, so
-    each basis vector actually moves the formation.  The dimension
-    equals the ambient dimension or DegenerateShape is raised.
-    """
-    vmap = ref.velocity_map
-    incidence_exp = _incidence_expanded(ref.graph, ref.dim)
-    zero_motion = null_space(vmap)
-    basis = project_out(zero_motion, null_space(incidence_exp.T @ vmap))
-    if basis.shape[1] != ref.dim:
-        raise DegenerateShape(
-            f"translation space has dimension {basis.shape[1]}, expected {ref.dim}"
-        )
-    return basis
-
-
-def rotation_space(ref: ReferenceShape, translation_basis: np.ndarray) -> np.ndarray:
-    """Offset directions spinning the shape about its centroid.
-
-    Starts from all offsets that preserve every edge length and removes
-    the zero-motion and translation directions.  Expected dimension is 1
-    in the plane and 3 in space.
-    """
-    vmap = ref.velocity_map
-    units = unit_edge_vectors(ref.framework)
-    incidence_exp = _incidence_expanded(ref.graph, ref.dim)
-    length_preserving = null_space(_bearing_diagonal(units).T @ incidence_exp.T @ vmap)
-    away = np.hstack([null_space(vmap), translation_basis])
-    basis = project_out(away, length_preserving)
-    expected = 1 if ref.dim == 2 else 3
-    if basis.shape[1] != expected:
-        raise DegenerateShape(
-            f"rotation space has dimension {basis.shape[1]}, expected {expected}"
-        )
-    return basis
-
-
-def scaling_space(ref: ReferenceShape, translation_basis: np.ndarray) -> np.ndarray:
-    """Offset directions growing or shrinking the shape uniformly.
-
-    Starts from all offsets that preserve every bearing and removes the
-    zero-motion and translation directions.  Expected dimension is 1 for
-    bearing-rigid shapes.
-    """
-    vmap = ref.velocity_map
-    units = unit_edge_vectors(ref.framework)
-    incidence_exp = _incidence_expanded(ref.graph, ref.dim)
-    bearing_preserving = null_space(_projector_diagonal(units).T @ incidence_exp.T @ vmap)
-    away = np.hstack([null_space(vmap), translation_basis])
-    basis = project_out(away, bearing_preserving)
-    if basis.shape[1] != 1:
-        raise DegenerateShape(
-            f"scaling space has dimension {basis.shape[1]}, expected 1"
-        )
-    return basis
-
-
 def motion_spaces(ref: ReferenceShape) -> MotionSpaces:
-    """All four offset subspaces of a reference shape."""
-    translation = translation_space(ref)
-    return MotionSpaces(
-        zero_motion_basis=null_space(ref.velocity_map),
-        translation_basis=translation,
-        rotation_basis=rotation_space(ref, translation),
-        scaling_basis=scaling_space(ref, translation),
+    """Translation, rotation and scaling offset bases of a reference shape.
+
+    A diagnostic: calibration does not use it.  Raises DegenerateShape
+    like the calibrations do.
+    """
+    dim, n = ref.dim, ref.graph.vertex_count
+    centered = ref.centered_points()
+    axes = np.eye(dim)
+    spins = [1.0] if dim == 2 else list(axes)
+    fields = np.column_stack(
+        [np.tile(axis, n) for axis in axes]
+        + [rotation_field(centered, omega) for omega in spins]
+        + [centered.reshape(-1)]
     )
+    groups = np.split(_min_norm_offsets(ref, fields), [dim, dim + len(spins)], axis=1)
+    return MotionSpaces(*(np.linalg.qr(group)[0] for group in groups))
+
+
+def _edge_rates(ref: ReferenceShape, offsets: np.ndarray) -> np.ndarray:
+    """Edge-vector rates v_tail - v_head, (E, dim, m), of offset columns (2E, m)."""
+    _, tails, heads = _graph_arrays(ref.graph)
+    vel = (ref.velocity_map @ offsets).reshape(ref.graph.vertex_count, ref.dim, -1)
+    return vel[tails] - vel[heads]
+
+
+def distance_rates(ref: ReferenceShape, pv: MotionParameters) -> np.ndarray:
+    """Rate of change of every edge length when the offsets act at the
+    reference bearings, u_k . (v_tail - v_head)."""
+    units = unit_edge_vectors(ref.framework)
+    return np.einsum("kd,kd->k", units, _edge_rates(ref, pv.stacked()[:, None])[:, :, 0])
 
 
 def membership_residuals(ref: ReferenceShape, spaces: MotionSpaces) -> dict:
-    """Worst defining-constraint violation of each moving subspace.
+    """Worst defining-constraint violation of each basis.
 
     Translation offsets must induce zero edge-vector rates, rotation
     offsets zero distance rates, and scaling offsets zero bearing rates.
     All three should sit at rounding level for a valid basis.
     """
-    units = unit_edge_vectors(ref.framework)
-    edge_rate_map = _incidence_expanded(ref.graph, ref.dim).T @ ref.velocity_map
+    units = unit_edge_vectors(ref.framework)[:, :, None]
+    rotation = _edge_rates(ref, spaces.rotation_basis)
+    scaling = _edge_rates(ref, spaces.scaling_basis)
+    along = (units * scaling).sum(axis=1, keepdims=True)
     return {
-        "translation": float(np.abs(edge_rate_map @ spaces.translation_basis).max()),
-        "rotation": float(np.abs(_bearing_diagonal(units).T @ edge_rate_map
-                                 @ spaces.rotation_basis).max()),
-        "scaling": float(np.abs(_projector_diagonal(units).T @ edge_rate_map
-                                @ spaces.scaling_basis).max()),
+        "translation": float(np.abs(_edge_rates(ref, spaces.translation_basis)).max()),
+        "rotation": float(np.abs((units * rotation).sum(axis=1)).max()),
+        "scaling": float(np.abs(scaling - units * along).max()),
     }
 
 
-def _fit_in_span(basis: np.ndarray, target_map: np.ndarray,
-                 target: np.ndarray, what: str) -> MotionParameters:
-    """Least-squares offsets in span(basis) mapping to target under target_map."""
-    design = target_map @ basis
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    residual = float(np.linalg.norm(design @ coef - target))
+def _calibrate(ref: ReferenceShape, target: np.ndarray, what: str) -> MotionParameters:
+    """Minimum-norm offsets inducing the stacked velocity field target."""
+    pv = MotionParameters.from_stacked(_min_norm_offsets(ref, target[:, None]))
+    induced = induced_velocities(pv, ref.graph, unit_edge_vectors(ref.framework))
+    residual = float(np.linalg.norm(induced - target))
     if residual > CALIBRATION_TOL * max(1.0, float(np.linalg.norm(target))):
         raise Unreachable(f"{what} target unreachable, residual {residual:.3e}")
-    return MotionParameters.from_stacked(basis @ coef)
+    return pv
 
 
-def translation_params(ref: ReferenceShape, spaces: MotionSpaces, velocity) -> MotionParameters:
+def translation_params(ref: ReferenceShape, velocity) -> MotionParameters:
     """Offsets giving every agent the common velocity (body coordinates)."""
     velocity = np.asarray(velocity, dtype=float).reshape(-1)
     if velocity.size != ref.dim:
         raise ValueError(f"velocity must have {ref.dim} components")
-    target = np.tile(velocity, ref.graph.vertex_count)
-    return _fit_in_span(spaces.translation_basis, ref.velocity_map, target, "translation")
+    return _calibrate(ref, np.tile(velocity, ref.graph.vertex_count), "translation")
 
 
 def rotation_field(centered_points: np.ndarray, angular_velocity) -> np.ndarray:
@@ -385,17 +290,18 @@ def rotation_field(centered_points: np.ndarray, angular_velocity) -> np.ndarray:
     return field_pts.reshape(-1)
 
 
-def rotation_params(ref: ReferenceShape, spaces: MotionSpaces, angular_velocity) -> MotionParameters:
+def rotation_params(ref: ReferenceShape, angular_velocity) -> MotionParameters:
     """Offsets spinning the shape about its centroid at the given rate."""
     target = rotation_field(ref.centered_points(), angular_velocity)
-    return _fit_in_span(spaces.rotation_basis, ref.velocity_map, target, "rotation")
+    return _calibrate(ref, target, "rotation")
 
 
-def scaling_params(ref: ReferenceShape, spaces: MotionSpaces, rate: float) -> MotionParameters:
-    """Offsets growing every desired distance at rate times its value.
+def scaling_params(ref: ReferenceShape, rate: float) -> MotionParameters:
+    """Offsets growing the shape uniformly about its centroid.
 
-    A unit rate means each edge length grows by its own reference length
-    per unit time, i.e. the scale factor grows by one per unit time.
+    The target moves every agent at rate times its offset from the
+    centroid, so each desired distance grows at rate times its value: a
+    unit rate grows the scale factor by one per unit time.
     """
-    target = float(rate) * ref.distances
-    return _fit_in_span(spaces.scaling_basis, distance_rate_map(ref), target, "scaling")
+    target = float(rate) * ref.centered_points().reshape(-1)
+    return _calibrate(ref, target, "scaling")

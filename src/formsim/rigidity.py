@@ -68,23 +68,16 @@ class SensingGraph:
 
 @lru_cache(maxsize=128)
 def _graph_arrays(graph: SensingGraph):
-    """Read-only incidence matrix and endpoint index/selector arrays."""
-    n, ecount = graph.vertex_count, graph.edge_count
-    incidence = np.zeros((n, ecount))
-    tail_sel = np.zeros((n, ecount))
-    head_sel = np.zeros((n, ecount))
-    tails = np.empty(ecount, dtype=np.intp)
-    heads = np.empty(ecount, dtype=np.intp)
-    for k, (i, j) in enumerate(graph.edges):
-        incidence[i - 1, k] = 1.0
-        incidence[j - 1, k] = -1.0
-        tail_sel[i - 1, k] = 1.0
-        head_sel[j - 1, k] = 1.0
-        tails[k] = i - 1
-        heads[k] = j - 1
-    for arr in (incidence, tail_sel, head_sel, tails, heads):
+    """Read-only incidence matrix and 0-based tail and head index arrays."""
+    ends = np.array(graph.edges, dtype=np.intp) - 1
+    tails, heads = ends[:, 0].copy(), ends[:, 1].copy()
+    cols = np.arange(graph.edge_count)
+    incidence = np.zeros((graph.vertex_count, graph.edge_count))
+    incidence[tails, cols] = 1.0
+    incidence[heads, cols] = -1.0
+    for arr in (incidence, tails, heads):
         arr.setflags(write=False)
-    return incidence, tail_sel, head_sel, tails, heads
+    return incidence, tails, heads
 
 
 def incidence_matrix(graph: SensingGraph) -> np.ndarray:
@@ -130,7 +123,7 @@ class Framework:
 
 def edge_vectors(fw: Framework) -> np.ndarray:
     """Tail-minus-head position differences, one row per edge."""
-    _, _, _, tails, heads = _graph_arrays(fw.graph)
+    _, tails, heads = _graph_arrays(fw.graph)
     pts = fw.points
     return pts[tails] - pts[heads]
 
@@ -165,14 +158,18 @@ def rigidity_matrix(fw: Framework) -> np.ndarray:
     Row k carries the edge vector in the tail block and its negative in
     the head block, shape (edge_count, vertex_count * dim).
     """
-    n, m = fw.graph.vertex_count, fw.dim
-    _, _, _, tails, heads = _graph_arrays(fw.graph)
-    vecs = edge_vectors(fw)
-    rows = np.zeros((fw.graph.edge_count, n * m))
-    for k in range(fw.graph.edge_count):
-        rows[k, tails[k] * m:(tails[k] + 1) * m] = vecs[k]
-        rows[k, heads[k] * m:(heads[k] + 1) * m] = -vecs[k]
-    return rows
+    return _place_edge_rows(fw.graph, edge_vectors(fw))
+
+
+def _place_edge_rows(graph: SensingGraph, vecs: np.ndarray) -> np.ndarray:
+    """(edge_count, vertex_count * dim) matrix with row k holding vecs[k]
+    in the tail block and -vecs[k] in the head block."""
+    _, tails, heads = _graph_arrays(graph)
+    ecount, m = vecs.shape
+    rows = np.zeros((ecount, graph.vertex_count, m))
+    rows[np.arange(ecount), tails] = vecs
+    rows[np.arange(ecount), heads] = -vecs
+    return rows.reshape(ecount, -1)
 
 
 def orthogonal_projector(x) -> np.ndarray:
@@ -192,17 +189,15 @@ def bearing_rigidity_matrix(fw: Framework) -> np.ndarray:
     edge length, placed with opposite signs at the tail and head blocks.
     Shape (dim * edge_count, vertex_count * dim).
     """
-    n, m = fw.graph.vertex_count, fw.dim
-    _, _, _, tails, heads = _graph_arrays(fw.graph)
+    n, m, ecount = fw.graph.vertex_count, fw.dim, fw.graph.edge_count
+    _, tails, heads = _graph_arrays(fw.graph)
     units = unit_edge_vectors(fw)
     norms = np.linalg.norm(edge_vectors(fw), axis=1)
-    jac = np.zeros((fw.graph.edge_count * m, n * m))
-    eye = np.eye(m)
-    for k in range(fw.graph.edge_count):
-        block = (eye - np.outer(units[k], units[k])) / norms[k]
-        jac[k * m:(k + 1) * m, tails[k] * m:(tails[k] + 1) * m] = block
-        jac[k * m:(k + 1) * m, heads[k] * m:(heads[k] + 1) * m] = -block
-    return jac
+    blocks = (np.eye(m) - units[:, :, None] * units[:, None, :]) / norms[:, None, None]
+    jac = np.zeros((ecount, m, n, m))
+    jac[np.arange(ecount), :, tails, :] = blocks
+    jac[np.arange(ecount), :, heads, :] = -blocks
+    return jac.reshape(ecount * m, n * m)
 
 
 def numerical_rank(matrix: np.ndarray, rel_tol: float) -> int:

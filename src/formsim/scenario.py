@@ -37,6 +37,7 @@ zero within the declared duration raise PositivityError.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -81,7 +82,7 @@ class Scenario:
         """The validated reference shape, built once per scenario.
 
         Its motion spaces and velocity map are cached on it, so every
-        command and check shares one set of decompositions.
+        command and check shares them.
         """
         if self._reference is None:
             self._reference = ReferenceShape(
@@ -97,14 +98,33 @@ class Scenario:
     def controller_config(self, ref: ReferenceShape | None = None) -> ControllerConfig:
         """Calibrate all offset parts for this scenario's targets."""
         ref = ref or self.reference_shape()
-        spaces = ref.spaces
         return ControllerConfig(
             gain=self.gain,
-            translation_part=translation_params(ref, spaces, self.v_body),
-            rotation_part=rotation_params(ref, spaces, self.omega),
-            scaling_part=scaling_params(ref, spaces, 1.0),
+            translation_part=translation_params(ref, self.v_body),
+            rotation_part=rotation_params(ref, self.omega),
+            scaling_part=scaling_params(ref, 1.0),
             schedule=self.schedule,
         )
+
+
+def _number(value, path) -> float:
+    """A finite JSON number as a float, else SchemaError naming path."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"{path}: must be finite, got {value}")
+    return number
+
+
+def _numbers(raw, count, path) -> np.ndarray:
+    """A JSON list of count finite numbers."""
+    if not isinstance(raw, list) or len(raw) != count:
+        raise SchemaError(f"{path}: expected a list of {count} numbers")
+    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(raw)])
 
 
 def _expect(mapping, key, kind, path):
@@ -114,9 +134,7 @@ def _expect(mapping, key, kind, path):
         raise SchemaError(f"{path}.{key}: missing")
     value = mapping[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"{path}.{key}: expected a number, got {type(value).__name__}")
-        return float(value)
+        return _number(value, f"{path}.{key}")
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaError(f"{path}.{key}: expected an integer, got {type(value).__name__}")
@@ -129,17 +147,7 @@ def _expect(mapping, key, kind, path):
 def _point_array(raw, count, dim, path) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != count:
         raise SchemaError(f"{path}: expected {count} points")
-    points = np.empty((count, dim))
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != dim:
-            raise SchemaError(f"{path}[{i}]: expected {dim} coordinates")
-        try:
-            points[i] = [float(v) for v in row]
-        except (TypeError, ValueError):
-            raise SchemaError(f"{path}[{i}]: coordinates must be numbers") from None
-    if not np.all(np.isfinite(points)):
-        raise SchemaError(f"{path}: coordinates must be finite")
-    return points
+    return np.array([_numbers(row, dim, f"{path}[{i}]") for i, row in enumerate(raw)])
 
 
 def _parse_schedule(raw, path) -> ScalingSchedule:
@@ -198,25 +206,15 @@ def parse_scenario(text: str) -> Scenario:
         raise SchemaError("$.gain: must be positive")
 
     targets = _expect(doc, "targets", dict, "$")
-    raw_v = _expect(targets, "v_body", list, "$.targets")
-    if len(raw_v) != dim:
-        raise SchemaError(f"$.targets.v_body: expected {dim} components")
-    try:
-        v_body = np.array([float(v) for v in raw_v])
-    except (TypeError, ValueError):
-        raise SchemaError("$.targets.v_body: components must be numbers") from None
+    v_body = _numbers(_expect(targets, "v_body", list, "$.targets"), dim, "$.targets.v_body")
 
-    raw_omega = targets.get("omega")
-    if raw_omega is None:
-        raise SchemaError("$.targets.omega: missing")
     if dim == 2:
-        if isinstance(raw_omega, bool) or not isinstance(raw_omega, (int, float)):
-            raise SchemaError("$.targets.omega: expected a number for planar scenarios")
-        omega: float | np.ndarray = float(raw_omega)
+        omega: float | np.ndarray = _expect(targets, "omega", float, "$.targets")
     else:
+        raw_omega = _expect(targets, "omega", object, "$.targets")
         if not isinstance(raw_omega, list) or len(raw_omega) != 3:
             raise SchemaError("$.targets.omega: expected a 3-vector for spatial scenarios")
-        omega = np.array([float(v) for v in raw_omega])
+        omega = _numbers(raw_omega, 3, "$.targets.omega")
 
     schedule = _parse_schedule(_expect(targets, "schedule", dict, "$.targets"), "$.targets.schedule")
 
@@ -224,9 +222,12 @@ def parse_scenario(text: str) -> Scenario:
     perturbation = None
     if raw_sim.get("perturbation") is not None:
         raw_pert = raw_sim["perturbation"]
+        magnitude = _expect(raw_pert, "magnitude", float, "$.sim.perturbation")
+        if magnitude < 0.0:
+            raise SchemaError("$.sim.perturbation.magnitude: must not be negative")
         perturbation = Perturbation(
             seed=_expect(raw_pert, "seed", int, "$.sim.perturbation"),
-            magnitude=_expect(raw_pert, "magnitude", float, "$.sim.perturbation"),
+            magnitude=magnitude,
         )
     try:
         sim = SimConfig(
@@ -360,5 +361,6 @@ def parse_design(text: str, edge_count: int) -> dict:
         head = _expect(entry, "head", list, f"$.parameters.{name}")
         if len(tail) != edge_count or len(head) != edge_count:
             raise SchemaError(f"$.parameters.{name}: expected {edge_count} offsets per side")
-        parts[name] = MotionParameters(np.array(tail, dtype=float), np.array(head, dtype=float))
+        parts[name] = MotionParameters(_numbers(tail, edge_count, f"$.parameters.{name}.tail"),
+                                       _numbers(head, edge_count, f"$.parameters.{name}.head"))
     return parts

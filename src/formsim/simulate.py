@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .control import ControllerConfig, ScalingSchedule, control_kernel
 from .errors import (
@@ -273,7 +272,7 @@ _CHUNK = 256
 def _edge_errors(positions: np.ndarray, ref: ReferenceShape, distances: np.ndarray):
     """Distance errors (samples, E) and potential (samples,) of one run."""
     samples = positions.shape[0]
-    _, _, _, tails, heads = _graph_arrays(ref.graph)
+    _, tails, heads = _graph_arrays(ref.graph)
     errors = np.empty((samples, tails.size))
     potential = np.empty(samples)
     for j0 in range(0, samples, _CHUNK):
@@ -398,6 +397,10 @@ def steady_state_report(traj: Trajectory, ref: ReferenceShape, window) -> Steady
              -sin_a * increments[:, 0] + cos_a * increments[:, 1]], axis=1,
         )
     else:
+        # Imported here and below, not at module load, so that planar
+        # runs never pay for loading SciPy.
+        from scipy.spatial.transform import Rotation
+
         rotated = np.empty_like(increments)
         for j in range(increments.shape[0]):
             first = Rotation.from_matrix(body.rotations[j])
@@ -418,6 +421,8 @@ def steady_state_report(traj: Trajectory, ref: ReferenceShape, window) -> Steady
         omega, _, omega_rms = _line_fit(sub.times, angles)
         omega_out: float | np.ndarray = omega
     else:
+        from scipy.spatial.transform import Rotation
+
         rates = np.empty((sub.sample_count - 1, 3))
         dt_samples = np.diff(sub.times)
         for j in range(rates.shape[0]):
@@ -428,7 +433,7 @@ def steady_state_report(traj: Trajectory, ref: ReferenceShape, window) -> Steady
         omega_rms = float(np.linalg.norm(rates - omega_out, axis=1).mean())
     residuals["omega_fit_rms"] = float(omega_rms)
 
-    _, _, _, tails, heads = _graph_arrays(ref.graph)
+    _, tails, heads = _graph_arrays(ref.graph)
     sample_pts = sub.positions.reshape(sub.sample_count, -1, m)
     lengths = np.linalg.norm(sample_pts[:, tails] - sample_pts[:, heads], axis=2)
     scale = (lengths / ref.distances[None, :]).mean(axis=1)

@@ -57,6 +57,39 @@ def tetra_ref(tetra_framework):
     return ReferenceShape(tetra_framework)
 
 
+def null_space(matrix, tol=1e-9):
+    """Orthonormal kernel basis (columns) of matrix from its SVD.
+
+    The tests' oracle for offsets that move no agent: singular values
+    below tol times the largest one count as zero.
+    """
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    _, sigma, vh = np.linalg.svd(matrix)
+    rank = int(np.count_nonzero(sigma > tol * sigma[0])) if sigma.size and sigma[0] > 0 else 0
+    return vh[rank:].T
+
+
+def henneberg_framework(n, dim, seed):
+    """Seeded Henneberg type-I framework: minimally rigid for generic points.
+
+    The first dim agents form a complete graph and every later agent
+    links to its dim nearest predecessors.  Agents are redrawn while they
+    land within 2 length units of one already placed.
+    """
+    rng = np.random.default_rng(seed)
+    side = 10.0 * n ** (1.0 / dim)
+    points = np.empty((n, dim))
+    edges = []
+    for k in range(n):
+        while True:
+            points[k] = rng.uniform(0.0, side, dim)
+            dist = np.linalg.norm(points[:k] - points[k], axis=1)
+            if k == 0 or dist.min() >= 2.0:
+                break
+        edges.extend((int(j) + 1, k + 1) for j in np.argsort(dist, kind="stable")[:min(k, dim)])
+    return Framework.from_points(SensingGraph(n, tuple(edges)), points)
+
+
 def random_planar_framework(rng, vertex_count=4):
     """Non-degenerate random framework over the square's topology."""
     graph = SensingGraph(4, SQUARE_EDGES)

@@ -37,7 +37,7 @@ from formsim import (
     translation_params,
 )
 from formsim.simulate import _frame_angles
-from conftest import SCALE_PATTERN, SPIN_PATTERN
+from conftest import SCALE_PATTERN, SPIN_PATTERN, null_space
 
 
 def _report(num, title, passed, detail):
@@ -48,12 +48,11 @@ def _report(num, title, passed, detail):
 
 @pytest.fixture(scope="module")
 def full_config(square_ref):
-    spaces = square_ref.spaces
     return ControllerConfig(
         gain=5.0,
-        translation_part=translation_params(square_ref, spaces, [0.5, 0.3]),
-        rotation_part=rotation_params(square_ref, spaces, 1.0),
-        scaling_part=scaling_params(square_ref, spaces, 1.0),
+        translation_part=translation_params(square_ref, [0.5, 0.3]),
+        rotation_part=rotation_params(square_ref, 1.0),
+        scaling_part=scaling_params(square_ref, 1.0),
         schedule=ScalingSchedule.periodic(0.25, 1.5),
     )
 
@@ -114,8 +113,8 @@ def test_criterion_04_reference_offset_vectors(square_ref):
         for i in range(4)
     )
 
-    calibrated = scaling_params(square_ref, square_ref.spaces, 1.0).stacked()
-    zero_basis = square_ref.spaces.zero_motion_basis
+    calibrated = scaling_params(square_ref, 1.0).stacked()
+    zero_basis = null_space(square_ref.velocity_map)
     moving_part = SCALE_PATTERN - zero_basis @ (zero_basis.T @ SCALE_PATTERN)
     cosine_moving = abs(calibrated @ moving_part) / (
         np.linalg.norm(calibrated) * np.linalg.norm(moving_part)
@@ -178,13 +177,12 @@ def test_criterion_06_exponential_convergence(square_ref):
 
 
 def test_criterion_07_steady_state_velocity(square_ref):
-    spaces = square_ref.spaces
     v_target = np.array([0.5, 0.3])
     omega_target = 1.0
     cfg = ControllerConfig(
         gain=5.0,
-        translation_part=translation_params(square_ref, spaces, v_target),
-        rotation_part=rotation_params(square_ref, spaces, omega_target),
+        translation_part=translation_params(square_ref, v_target),
+        rotation_part=rotation_params(square_ref, omega_target),
         scaling_part=MotionParameters.zero(5),
         schedule=ScalingSchedule.none(),
     )

@@ -1,10 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from formsim import DegenerateShape, null_space
 from formsim.cli import main
 
 
@@ -60,6 +62,30 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_bad_number_is_validation_error(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, gain=float("nan"))
+        assert main(["analyze", str(path)]) == 1
+        assert "$.gain" in capsys.readouterr().err
+        doc = json.loads(path.read_text())
+        doc.update(dimension=3, edges=[[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]],
+                   reference_positions=[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                   gain=5.0)
+        doc["targets"].update(v_body=[0, 0, 0], omega=[0, "x", 0])
+        path.write_text(json.dumps(doc))
+        assert main(["design", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "$.targets.omega[1]" in err
+        assert "Traceback" not in err
+
+    def test_import_leaves_scipy_unloaded(self):
+        # SciPy serves only the spatial steady-state fit.
+        code = "import sys, formsim.cli; print('scipy' in sys.modules)"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestDesign:
     def test_space_dimensions_and_spin_direction(self, tmp_path, capsys):
@@ -73,6 +99,15 @@ class TestDesign:
         pattern = np.array([-1.0, -1.0, 0.0, 1.0, -1.0] * 2)
         cosine = abs(rotation @ pattern) / (np.linalg.norm(rotation) * np.linalg.norm(pattern))
         assert cosine >= 1.0 - 1e-9
+        assert max(doc["residuals"].values()) <= 1e-9
+
+    def test_asymmetric_quad_designs(self, tmp_path, capsys):
+        path = write_scenario(tmp_path,
+                              reference_positions=[[0, 0], [15, 0], [17, 14], [0, 15]])
+        out = tmp_path / "design.json"
+        assert main(["design", str(path), "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["space_dimensions"] == {"translation": 2, "rotation": 1, "scaling": 1}
         assert max(doc["residuals"].values()) <= 1e-9
 
     def test_zero_targets_give_zero_vectors(self, tmp_path, capsys):
@@ -166,6 +201,25 @@ class TestVerify:
         assert code == 2
         assert "FAIL exponential-convergence" in out
 
+    def test_steady_velocity_check_rejects_doubled_offsets(self, tmp_path):
+        from formsim import ControllerConfig, SimConfig, integrate, load_scenario
+        from formsim.checks import check_motion_tracking
+
+        scenario = load_scenario(write_scenario(tmp_path, targets={
+            "v_body": [0.3, 0.0], "omega": 1.0, "schedule": {"kind": "none"},
+        }))
+        ref = scenario.reference_shape()
+        cfg = scenario.controller_config(ref)
+        doubled = ControllerConfig(cfg.gain, cfg.translation_part.scaled(2.0),
+                                   cfg.rotation_part.scaled(2.0), cfg.scaling_part,
+                                   cfg.schedule)
+        sim = SimConfig(dt=0.002, duration=1.0, record_stride=5)
+        for controller, passed in ((cfg, True), (doubled, False)):
+            run = integrate(ref.framework, ref, controller, sim)
+            result = check_motion_tracking(scenario, run, controller)
+            assert result.name == "steady-velocity"
+            assert result.passed is passed, result.detail
+
     def test_trivial_scenario_passes(self, tmp_path, capsys):
         path = write_scenario(
             tmp_path,
@@ -237,24 +291,23 @@ class TestNumericalFailures:
         assert "EdgeCollapse" in capsys.readouterr().err
 
     def test_degenerate_design_space_exits_with_numerical_code(self, tmp_path, capsys):
-        # A two-agent segment is minimally rigid but its offsets can only
-        # push along the edge axis, so no full translation space exists.
-        doc = {
-            "name": "segment",
-            "dimension": 2,
-            "edges": [[1, 2]],
-            "reference_positions": [[0.0, 0.0], [1.0, 0.0]],
-            "initial_positions": None,
-            "gain": 5.0,
-            "targets": {"v_body": [0.0, 0.0], "omega": 0.0, "schedule": {"kind": "none"}},
-            "sim": {"dt": 0.001, "duration": 0.5, "record_stride": 1, "perturbation": None},
+        # A two-agent segment and a triangle in space are minimally rigid,
+        # but some agent's bearings do not span the space, so its offsets
+        # cannot move it in every direction.
+        still = {"v_body": [0.0, 0.0], "omega": 0.0, "schedule": {"kind": "none"}}
+        shapes = {
+            "segment": (2, [[1, 2]], [[0.0, 0.0], [1.0, 0.0]], still),
+            "triangle": (3, [[1, 2], [2, 3], [3, 1]],
+                         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                         {**still, "v_body": [0.0, 0.0, 0.0], "omega": [0.0, 0.0, 0.0]}),
         }
-        path = tmp_path / "segment.json"
-        path.write_text(json.dumps(doc))
-        code = main(["design", str(path)])
-        assert code == 2
-        assert "DegenerateShape" in capsys.readouterr().err
-
+        for name, (dim, edges, points, targets) in shapes.items():
+            path = write_scenario(tmp_path, name=f"{name}.json", dimension=dim, edges=edges,
+                                  reference_positions=points, targets=targets)
+            assert main(["design", str(path)]) == 2, name
+            err = capsys.readouterr().err
+            assert "DegenerateShape" in err and "agent 1 " in err, name
+            assert "Traceback" not in err
 
     def test_diverging_run_exits_with_numerical_code(self, tmp_path, capsys):
         # RK4 is unstable at this gain and step, so the state overflows.
@@ -269,18 +322,12 @@ class TestNumericalFailures:
 
     def test_failed_decomposition_exits_with_numerical_code(self, tmp_path, capsys,
                                                             monkeypatch):
-        real_svd = np.linalg.svd
+        def failing_eigvalsh(a, UPLO="L"):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        def failing_svd(a, full_matrices=True, compute_uv=True, **kwargs):
-            # Rank counts (no singular vectors) still work, so the shape
-            # loads; the motion-space decomposition fails.
-            if compute_uv:
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return real_svd(a, full_matrices=full_matrices, compute_uv=False, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", failing_svd)
-        with pytest.raises(DegenerateShape):
-            null_space(np.eye(3))
+        # Rank counts use the SVD, so the shape still loads; the per-agent
+        # bearing decomposition of the calibration fails.
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
         code = main(["design", str(write_scenario(tmp_path))])
         err = capsys.readouterr().err
         assert code == 2

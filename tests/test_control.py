@@ -23,12 +23,11 @@ from conftest import SQUARE_POINTS
 
 def full_config(ref, gain=5.0, v=(0.0, 0.0), omega=1.0,
                 schedule=ScalingSchedule.periodic(0.25, 1.5)):
-    spaces = ref.spaces
     return ControllerConfig(
         gain=gain,
-        translation_part=translation_params(ref, spaces, v),
-        rotation_part=rotation_params(ref, spaces, omega),
-        scaling_part=scaling_params(ref, spaces, 1.0),
+        translation_part=translation_params(ref, v),
+        rotation_part=rotation_params(ref, omega),
+        scaling_part=scaling_params(ref, 1.0),
         schedule=schedule,
     )
 
@@ -167,7 +166,7 @@ class TestControlLaw:
 
     def test_translation_offsets_give_common_velocity(self, square_ref):
         target = np.array([0.7, -0.2])
-        pv = translation_params(square_ref, square_ref.spaces, target)
+        pv = translation_params(square_ref, target)
         u = control_law(square_ref.framework, square_ref.distances, pv, 5.0)
         np.testing.assert_allclose(u.reshape(4, 2), np.tile(target, (4, 1)), atol=1e-9)
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formsim import (
+    DegenerateShape,
     Framework,
     MotionParameters,
     ReferenceShape,
@@ -11,19 +12,25 @@ from formsim import (
     SensingGraph,
     Unreachable,
     bearings,
-    distance_rate_map,
+    distance_rates,
     induced_velocities,
     induced_velocity_matrix,
+    membership_residuals,
     motion_spaces,
-    null_space,
-    parameter_matrix,
-    project_out,
     rotation_field,
     rotation_params,
     scaling_params,
     translation_params,
 )
-from conftest import SCALE_PATTERN, SPIN_PATTERN, SQUARE_EDGES, SQUARE_POINTS
+import formsim.motion as motion
+from conftest import (
+    SCALE_PATTERN,
+    SPIN_PATTERN,
+    SQUARE_EDGES,
+    SQUARE_POINTS,
+    henneberg_framework,
+    null_space,
+)
 
 
 def subspace_projector(basis):
@@ -48,30 +55,6 @@ class TestMotionParameters:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MotionParameters([1.0, 2.0], [3.0])
-
-
-class TestParameterMatrix:
-    def test_zero_offsets(self, square_graph):
-        mat = parameter_matrix(MotionParameters.zero(5), square_graph)
-        assert np.array_equal(mat, np.zeros((4, 5)))
-
-    def test_spin_pattern_placement(self, square_graph):
-        pv = MotionParameters.from_stacked(SPIN_PATTERN)
-        mat = parameter_matrix(pv, square_graph)
-        for k, (i, j) in enumerate(SQUARE_EDGES):
-            assert mat[i - 1, k] == pv.tail[k]
-            assert mat[j - 1, k] == pv.head[k]
-        # Exactly two slots per column, matching the incidence support.
-        assert np.count_nonzero(mat[:, 0]) == 2
-        assert np.count_nonzero(mat[:, 2]) == 0  # idle edge in this pattern
-
-    def test_support_matches_incidence(self, square_graph):
-        rng = np.random.default_rng(1)
-        pv = MotionParameters(rng.uniform(1, 2, 5), rng.uniform(1, 2, 5))
-        from formsim import incidence_matrix
-
-        mat = parameter_matrix(pv, square_graph)
-        assert np.array_equal(mat != 0.0, incidence_matrix(square_graph) != 0.0)
 
 
 class TestInducedVelocityMatrix:
@@ -105,6 +88,8 @@ class TestInducedVelocityMatrix:
 
 
 class TestNullSpace:
+    """The SVD kernel oracle that the minimum-norm tests compare against."""
+
     def test_identity_has_empty_kernel(self):
         assert null_space(np.eye(3)).shape == (3, 0)
 
@@ -137,33 +122,6 @@ class TestNullSpace:
         np.testing.assert_allclose(basis.T @ basis, np.eye(3), atol=1e-12)
 
 
-class TestProjectOut:
-    def test_removes_first_axis(self):
-        away = np.array([[1.0], [0.0]])
-        candidate = np.array([[1.0], [1.0]])
-        result = project_out(away, candidate)
-        assert result.shape == (2, 1)
-        np.testing.assert_allclose(np.abs(result[:, 0]), [0.0, 1.0], atol=1e-12)
-
-    def test_contained_candidates_vanish(self):
-        away = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        candidate = np.array([[2.0], [-1.0], [0.0]])
-        assert project_out(away, candidate).shape == (3, 0)
-
-    @given(st.integers(0, 200))
-    @settings(max_examples=25, deadline=None)
-    def test_output_orthogonal_to_away(self, seed):
-        rng = np.random.default_rng(seed)
-        away, _ = np.linalg.qr(rng.standard_normal((8, 3)))
-        candidates = rng.standard_normal((8, 4))
-        result = project_out(away, candidates)
-        if result.shape[1]:
-            assert np.abs(away.T @ result).max() <= 1e-10
-            np.testing.assert_allclose(
-                result.T @ result, np.eye(result.shape[1]), atol=1e-10
-            )
-
-
 class TestReferenceShape:
     def test_distances_are_edge_lengths(self, square_ref):
         expected = [15.0, 15.0, 15.0 * np.sqrt(2.0), 15.0, 15.0]
@@ -181,27 +139,27 @@ class TestReferenceShape:
 
 
 class TestMotionSpaces:
-    def test_dimensions_square(self, square_spaces):
-        assert square_spaces.zero_motion_basis.shape[1] == 2
+    def test_dimensions_square(self, square_ref, square_spaces):
+        assert null_space(square_ref.velocity_map).shape[1] == 2
         assert square_spaces.translation_basis.shape[1] == 2
         assert square_spaces.rotation_basis.shape[1] == 1
         assert square_spaces.scaling_basis.shape[1] == 1
 
     def test_dimensions_tetrahedron(self, tetra_ref):
         spaces = tetra_ref.spaces
-        assert spaces.zero_motion_basis.shape[1] == 0
+        assert null_space(tetra_ref.velocity_map).shape[1] == 0
         assert spaces.translation_basis.shape[1] == 3
         assert spaces.rotation_basis.shape[1] == 3
         assert spaces.scaling_basis.shape[1] == 1
 
     def test_bases_orthonormal(self, square_spaces):
-        for basis in (square_spaces.zero_motion_basis, square_spaces.translation_basis,
-                      square_spaces.rotation_basis, square_spaces.scaling_basis):
+        for basis in (square_spaces.translation_basis, square_spaces.rotation_basis,
+                      square_spaces.scaling_basis):
             gram = basis.T @ basis
             np.testing.assert_allclose(gram, np.eye(basis.shape[1]), atol=1e-10)
 
-    def test_moving_bases_orthogonal_to_zero_motion(self, square_spaces):
-        zero = square_spaces.zero_motion_basis
+    def test_moving_bases_orthogonal_to_zero_motion(self, square_ref, square_spaces):
+        zero = null_space(square_ref.velocity_map)
         for basis in (square_spaces.translation_basis, square_spaces.rotation_basis,
                       square_spaces.scaling_basis):
             assert np.abs(zero.T @ basis).max() <= 1e-10
@@ -212,15 +170,11 @@ class TestMotionSpaces:
         assert np.abs(trans.T @ square_spaces.scaling_basis).max() <= 1e-10
 
     def test_membership_residuals(self, square_ref, square_spaces):
-        from formsim import membership_residuals
-
         residuals = membership_residuals(square_ref, square_spaces)
         assert set(residuals) == {"translation", "rotation", "scaling"}
         assert max(residuals.values()) <= 1e-10
 
     def test_membership_residuals_tetrahedron(self, tetra_ref):
-        from formsim import membership_residuals
-
         assert max(membership_residuals(tetra_ref, tetra_ref.spaces).values()) <= 1e-10
 
     def test_translation_moves_all_agents_equally(self, square_ref, square_spaces):
@@ -239,13 +193,10 @@ class TestMotionSpaces:
         centered = square_ref.centered_points()
         cross = field[:, 0] * centered[:, 1] - field[:, 1] * centered[:, 0]
         assert np.abs(cross).max() <= 1e-9
-        from formsim.motion import _incidence_expanded, _projector_diagonal
-        from formsim.rigidity import unit_edge_vectors
-
-        units = unit_edge_vectors(square_ref.framework)
-        edge_rates = _incidence_expanded(square_ref.graph, 2).T @ field.reshape(-1)
-        residual = _projector_diagonal(units) @ edge_rates
-        assert np.abs(residual).max() <= 1e-9
+        units = bearings(square_ref.framework).reshape(5, 2)
+        for k, (i, j) in enumerate(SQUARE_EDGES):
+            rate = field[i - 1] - field[j - 1]
+            assert np.abs(rate - (rate @ units[k]) * units[k]).max() <= 1e-9
 
     def test_dimensions_invariant_under_rotation(self, square_graph):
         angle = 0.83
@@ -272,62 +223,111 @@ class TestMotionSpaces:
 class TestCalibration:
     def test_zero_targets_give_zero_offsets(self, square_ref, square_spaces):
         for pv in (
-            translation_params(square_ref, square_spaces, [0.0, 0.0]),
-            rotation_params(square_ref, square_spaces, 0.0),
-            scaling_params(square_ref, square_spaces, 0.0),
+            translation_params(square_ref, [0.0, 0.0]),
+            rotation_params(square_ref, 0.0),
+            scaling_params(square_ref, 0.0),
         ):
             assert np.abs(pv.stacked()).max() == 0.0
 
     def test_translation_round_trip(self, square_ref, square_spaces):
         target = np.array([1.2, -0.4])
-        pv = translation_params(square_ref, square_spaces, target)
+        pv = translation_params(square_ref, target)
         field = induced_velocities(pv, square_ref.graph, bearings(square_ref.framework))
         np.testing.assert_allclose(field.reshape(4, 2), np.tile(target, (4, 1)), atol=1e-9)
 
     def test_translation_linearity(self, square_ref, square_spaces):
-        one = translation_params(square_ref, square_spaces, [0.3, 0.7])
-        two = translation_params(square_ref, square_spaces, [0.6, 1.4])
+        one = translation_params(square_ref, [0.3, 0.7])
+        two = translation_params(square_ref, [0.6, 1.4])
         np.testing.assert_allclose(two.stacked(), 2.0 * one.stacked(), atol=1e-12)
 
     def test_rotation_round_trip(self, square_ref, square_spaces):
-        pv = rotation_params(square_ref, square_spaces, 0.8)
+        pv = rotation_params(square_ref, 0.8)
         field = induced_velocities(pv, square_ref.graph, bearings(square_ref.framework))
         expected = rotation_field(square_ref.centered_points(), 0.8)
         np.testing.assert_allclose(field, expected, atol=1e-9)
 
     def test_rotation_matches_spin_pattern_direction(self, square_ref, square_spaces):
-        pv = rotation_params(square_ref, square_spaces, 1.0).stacked()
+        pv = rotation_params(square_ref, 1.0).stacked()
         cosine = abs(pv @ SPIN_PATTERN) / (np.linalg.norm(pv) * np.linalg.norm(SPIN_PATTERN))
         assert cosine >= 1.0 - 1e-12
 
     def test_rotation_round_trip_3d(self, tetra_ref):
-        spaces = tetra_ref.spaces
         omega = np.array([0.3, -0.5, 1.0])
-        pv = rotation_params(tetra_ref, spaces, omega)
+        pv = rotation_params(tetra_ref, omega)
         field = induced_velocities(pv, tetra_ref.graph, bearings(tetra_ref.framework))
         expected = rotation_field(tetra_ref.centered_points(), omega)
         np.testing.assert_allclose(field, expected, atol=1e-9)
 
     def test_scaling_round_trip(self, square_ref, square_spaces):
         rate = 0.25
-        pv = scaling_params(square_ref, square_spaces, rate)
-        rates = distance_rate_map(square_ref) @ pv.stacked()
+        pv = scaling_params(square_ref, rate)
+        rates = distance_rates(square_ref, pv)
         np.testing.assert_allclose(rates, rate * square_ref.distances, atol=1e-9)
 
-    def test_scaling_parallel_to_scale_pattern_modulo_zero_motion(
-        self, square_ref, square_spaces
-    ):
-        pv = scaling_params(square_ref, square_spaces, 1.0).stacked()
-        zero = square_spaces.zero_motion_basis
+    def test_scaling_parallel_to_scale_pattern_modulo_zero_motion(self, square_ref):
+        pv = scaling_params(square_ref, 1.0).stacked()
+        zero = null_space(square_ref.velocity_map)
         moving_part = SCALE_PATTERN - zero @ (zero.T @ SCALE_PATTERN)
         cosine = abs(pv @ moving_part) / (np.linalg.norm(pv) * np.linalg.norm(moving_part))
         assert cosine >= 1.0 - 1e-9
 
-    def test_unreachable_translation_raises(self, square_ref, square_spaces):
-        # A rotation target cannot be produced from the translation span.
-        target = rotation_field(square_ref.centered_points(), 1.0)
-        from formsim.motion import _fit_in_span
+    def test_unreachable_translation_raises(self, square_ref, monkeypatch):
+        # Offsets that realize only half the target fail the residual gate.
+        solve = motion._min_norm_offsets
+        monkeypatch.setattr(motion, "_min_norm_offsets",
+                            lambda ref, fields: 0.5 * solve(ref, fields))
+        with pytest.raises(Unreachable, match="translation"):
+            translation_params(square_ref, [1.0, 0.0])
 
-        with pytest.raises(Unreachable):
-            _fit_in_span(square_spaces.translation_basis,
-                         square_ref.velocity_map, target, "translation")
+    def test_scaling_is_about_the_centroid(self, square_graph):
+        # An asymmetric quad: its scaling offsets move every agent
+        # radially from the centroid at the growth rate.
+        quad = np.array([[0.0, 0.0], [15.0, 0.0], [17.0, 14.0], [0.0, 15.0]])
+        ref = ReferenceShape(Framework.from_points(square_graph, quad))
+        pv = scaling_params(ref, 0.4)
+        field = induced_velocities(pv, ref.graph, bearings(ref.framework))
+        np.testing.assert_allclose(field, 0.4 * ref.centered_points().reshape(-1), atol=1e-12)
+        np.testing.assert_allclose(distance_rates(ref, pv), 0.4 * ref.distances, atol=1e-12)
+
+
+def _frameworks(dims=(2, 3)):
+    return st.builds(henneberg_framework, st.integers(4, 12), st.sampled_from(dims),
+                     st.integers(0, 2**32 - 1))
+
+
+class TestMinimumNormOffsets:
+    @given(_frameworks())
+    @settings(max_examples=40, deadline=None)
+    def test_design_is_exact_and_minimum_norm(self, fw):
+        ref = ReferenceShape(fw)
+        dim, n = ref.dim, ref.graph.vertex_count
+        v = np.arange(1.0, dim + 1.0)
+        omega = 0.7 if dim == 2 else np.array([0.3, -0.5, 1.0])
+        fields = {
+            "translation": (translation_params(ref, v), np.tile(v, n)),
+            "rotation": (rotation_params(ref, omega),
+                         rotation_field(ref.centered_points(), omega)),
+            "scaling": (scaling_params(ref, 1.0), ref.centered_points().reshape(-1)),
+        }
+        kernel = null_space(ref.velocity_map)
+        assert kernel.shape[1] == 2 * ref.graph.edge_count - n * dim
+        for name, (pv, target) in fields.items():
+            offsets = pv.stacked()
+            mismatch = np.linalg.norm(ref.velocity_map @ offsets - target)
+            assert mismatch <= 1e-9 * max(1.0, np.linalg.norm(target)), name
+            # Minimum norm: nothing in the offsets lies in the kernel.
+            assert np.linalg.norm(kernel.T @ offsets) <= 1e-9 * np.linalg.norm(offsets), name
+        spaces = motion_spaces(ref)
+        dims = tuple(b.shape[1] for b in (spaces.translation_basis, spaces.rotation_basis,
+                                          spaces.scaling_basis))
+        assert dims == (dim, 1 if dim == 2 else 3, 1)
+        assert max(membership_residuals(ref, spaces).values()) <= 1e-9
+
+    def test_triangle_in_space_is_degenerate(self):
+        # Minimally rigid, but each agent sees only two bearings in R^3.
+        graph = SensingGraph(3, ((1, 2), (2, 3), (3, 1)))
+        ref = ReferenceShape(Framework.from_points(graph, [[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
+        for calibrate in (lambda: translation_params(ref, [0.0, 0.0, 1.0]),
+                          lambda: motion_spaces(ref)):
+            with pytest.raises(DegenerateShape, match="agent 1 "):
+                calibrate()

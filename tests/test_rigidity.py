@@ -11,13 +11,15 @@ from formsim import (
     bearing_rigidity_matrix,
     bearings,
     edge_lengths,
+    edge_vectors,
     incidence_matrix,
     orthogonal_projector,
     relative_positions,
     rigidity_matrix,
     rigidity_report,
+    unit_edge_vectors,
 )
-from conftest import SQUARE_EDGES, SQUARE_POINTS, random_planar_framework
+from conftest import SQUARE_EDGES, SQUARE_POINTS, henneberg_framework, random_planar_framework
 
 
 @st.composite
@@ -149,6 +151,16 @@ class TestRigidityMatrix:
             err = np.linalg.norm(analytic - fd) / np.linalg.norm(analytic)
             assert err <= 1e-6
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_per_edge_loop(self, dim):
+        fw = henneberg_framework(9, dim, 5)
+        vecs = edge_vectors(fw)
+        expected = np.zeros((fw.graph.edge_count, fw.positions.size))
+        for k, (i, j) in enumerate(fw.graph.edges):
+            expected[k, (i - 1) * dim:i * dim] = vecs[k]
+            expected[k, (j - 1) * dim:j * dim] = -vecs[k]
+        assert np.array_equal(rigidity_matrix(fw), expected)
+
 
 class TestBearings:
     def test_three_four_five(self):
@@ -193,6 +205,17 @@ class TestBearingRigidityMatrix:
                 fd[:, col] = (b_plus - b_minus) / (2.0 * h)
             worst = max(worst, np.linalg.norm(analytic - fd) / np.linalg.norm(analytic))
         assert worst <= 1e-6
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_per_edge_loop(self, dim):
+        fw = henneberg_framework(9, dim, 5)
+        units, lengths = unit_edge_vectors(fw), edge_lengths(fw)
+        expected = np.zeros((fw.graph.edge_count * dim, fw.positions.size))
+        for k, (i, j) in enumerate(fw.graph.edges):
+            block = (np.eye(dim) - np.outer(units[k], units[k])) / lengths[k]
+            expected[k * dim:(k + 1) * dim, (i - 1) * dim:i * dim] = block
+            expected[k * dim:(k + 1) * dim, (j - 1) * dim:j * dim] = -block
+        assert np.array_equal(bearing_rigidity_matrix(fw), expected)
 
     def test_translations_in_kernel(self, square_framework):
         jac = bearing_rigidity_matrix(square_framework)

@@ -100,6 +100,24 @@ class TestParseScenario:
         doc["sim"]["duration"] = 1.0
         assert parse_scenario(json.dumps(doc)).schedule.rate == -0.2
 
+    @pytest.mark.parametrize("edit, path", [
+        (lambda d: d.update(gain=float("nan")), r"\$\.gain"),
+        (lambda d: d["targets"].update(omega=float("nan")), r"\$\.targets\.omega"),
+        (lambda d: d["targets"].update(v_body=[0.0, float("inf")]),
+         r"\$\.targets\.v_body\[1\]"),
+        (lambda d: d["targets"].update(schedule={"kind": "linear", "rate": float("nan")}),
+         r"\$\.targets\.schedule\.rate"),
+        (lambda d: d["sim"].update(perturbation={"seed": 1, "magnitude": -0.5}),
+         r"\$\.sim\.perturbation\.magnitude"),
+        (lambda d: d["reference_positions"][2].__setitem__(0, "15"),
+         r"\$\.reference_positions\[2\]\[0\]"),
+    ])
+    def test_bad_number_reports_path(self, edit, path):
+        doc = minimal_doc()
+        edit(doc)
+        with pytest.raises(SchemaError, match=path):
+            parse_scenario(json.dumps(doc))
+
     def test_gain_must_be_positive(self):
         with pytest.raises(SchemaError, match=r"\$\.gain"):
             parse_scenario(json.dumps(minimal_doc(gain=-1.0)))

@@ -36,12 +36,11 @@ def quiet_config(ref, gain=5.0):
 
 
 def motion_config(ref, gain=5.0, v=(0.0, 0.0), omega=0.0, schedule=None):
-    spaces = ref.spaces
     return ControllerConfig(
         gain=gain,
-        translation_part=translation_params(ref, spaces, v),
-        rotation_part=rotation_params(ref, spaces, omega),
-        scaling_part=scaling_params(ref, spaces, 1.0),
+        translation_part=translation_params(ref, v),
+        rotation_part=rotation_params(ref, omega),
+        scaling_part=scaling_params(ref, 1.0),
         schedule=schedule or ScalingSchedule.none(),
     )
 
@@ -167,11 +166,10 @@ class TestIntegrateBatch:
             assert_same_run(run, integrate(start, square_ref, cfg, sim))
 
     def test_rows_match_single_runs_tetrahedron(self, tetra_ref):
-        spaces = tetra_ref.spaces
         cfg = ControllerConfig(
             5.0,
-            translation_params(tetra_ref, spaces, [0.2, -0.1, 0.15]),
-            rotation_params(tetra_ref, spaces, [0.3, 0.2, 1.0]),
+            translation_params(tetra_ref, [0.2, -0.1, 0.15]),
+            rotation_params(tetra_ref, [0.3, 0.2, 1.0]),
             MotionParameters.zero(6),
             ScalingSchedule.none(),
         )
@@ -346,9 +344,8 @@ class TestSteadyStateReport:
 
     def test_spin_round_trip_3d(self, tetra_ref):
         omega = np.array([0.0, 0.0, 1.1])
-        spaces = tetra_ref.spaces
         zero = MotionParameters.zero(6)
-        cfg = ControllerConfig(5.0, zero, rotation_params(tetra_ref, spaces, omega),
+        cfg = ControllerConfig(5.0, zero, rotation_params(tetra_ref, omega),
                                zero, ScalingSchedule.none())
         traj = integrate(tetra_ref.framework, tetra_ref, cfg,
                          SimConfig(dt=1e-3, duration=3.0, record_stride=10))
@@ -358,11 +355,10 @@ class TestSteadyStateReport:
     def test_translation_with_spin_round_trip_3d(self, tetra_ref):
         v = np.array([0.2, -0.1, 0.15])
         omega = np.array([0.3, 0.2, 1.0])
-        spaces = tetra_ref.spaces
         cfg = ControllerConfig(
             5.0,
-            translation_params(tetra_ref, spaces, v),
-            rotation_params(tetra_ref, spaces, omega),
+            translation_params(tetra_ref, v),
+            rotation_params(tetra_ref, omega),
             MotionParameters.zero(6),
             ScalingSchedule.none(),
         )
