@@ -29,7 +29,6 @@ from .errors import (
     SchemaError,
     Unreachable,
     ZeroEdge,
-    ZeroVector,
 )
 from .motion import (
     MotionParameters,
@@ -54,8 +53,6 @@ from .rigidity import (
     edge_lengths,
     edge_vectors,
     incidence_matrix,
-    orthogonal_projector,
-    relative_positions,
     rigidity_matrix,
     rigidity_report,
     unit_edge_vectors,
@@ -76,7 +73,6 @@ from .simulate import (
     Trajectory,
     apply_perturbation,
     body_frame_transform,
-    centroid,
     decay_rate_fit,
     integrate,
     integrate_batch,

@@ -27,7 +27,7 @@ from .motion import (
     membership_residuals,
     rotation_field,
 )
-from .rigidity import Framework, rigidity_report
+from .rigidity import Framework
 from .scenario import Scenario
 from .simulate import (
     Trajectory,
@@ -71,8 +71,7 @@ def check_reference_rigidity(scenario: Scenario) -> CheckResult:
     name = "reference-rigidity"
 
     def run():
-        ref = scenario.reference_shape()
-        report = rigidity_report(ref.framework)
+        report = scenario.reference_shape().report
         ok = report.is_minimally_rigid and report.is_bearing_rigid
         return _result(name, ok, (
             f"rank={report.rank_rigidity} minimally_rigid={report.is_minimally_rigid} "
@@ -289,7 +288,7 @@ def _closed_loop_runs(scenario: Scenario):
     except FormsimError as exc:
         return cfg, [exc] * 3
     if isinstance(runs[0], Trajectory):
-        horizon_steps = int(round(min(sim.duration, INVARIANCE_HORIZON) / sim.dt))
+        horizon_steps = min(sim.steps, int(round(INVARIANCE_HORIZON / sim.dt)))
         runs[0] = _subsample(runs[0], slice(0, horizon_steps // sim.record_stride + 1))
     return cfg, runs
 

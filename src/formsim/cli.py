@@ -35,7 +35,7 @@ from .motion import (
     scaling_params,
     translation_params,
 )
-from .rigidity import bearings, rigidity_report
+from .rigidity import bearings
 from .scenario import (
     Scenario,
     design_to_document,
@@ -104,14 +104,15 @@ def _load(args) -> Scenario:
             scenario.sim = dataclasses.replace(sim, **overrides)
         except ValueError as exc:
             raise SchemaError(f"command-line override: {exc}") from None
-        if scenario.schedule.min_scale_factor(scenario.sim.duration) <= 0.0:
-            raise PositivityError("override duration reaches a non-positive scale factor")
+        if scenario.schedule.min_scale_factor(scenario.sim.horizon) <= 0.0:
+            raise PositivityError("command-line override: scale factor reaches zero by the end "
+                                  "of the last step")
     return scenario
 
 
 def cmd_analyze(args) -> int:
     scenario = _load(args)
-    report = rigidity_report(scenario.reference_shape().framework)
+    report = scenario.reference_shape().report
     doc = json.dumps(dataclasses.asdict(report), indent=2) + "\n"
     sys.stdout.write(doc)
     if args.output:

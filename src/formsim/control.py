@@ -155,7 +155,7 @@ class ControlKernel:
     """
 
     def __init__(self, graph, dim: int):
-        _, tails, heads = _graph_arrays(graph)
+        tails, heads = _graph_arrays(graph)
         self.tails, self.heads, self.dim = tails, heads, dim
         self.width = graph.vertex_count * dim
         self._ends = np.concatenate([tails, heads])

@@ -9,10 +9,6 @@ class ZeroEdge(FormsimError):
     """An edge has coincident endpoints, so its bearing is undefined."""
 
 
-class ZeroVector(FormsimError):
-    """A projector was requested for the zero vector."""
-
-
 class DegenerateShape(FormsimError):
     """Some agent's bearings do not span the space, so no offsets can
     move it in every direction."""

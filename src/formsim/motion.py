@@ -24,10 +24,12 @@ import numpy as np
 from .errors import DegenerateShape, RigidityError, Unreachable
 from .rigidity import (
     Framework,
+    RigidityReport,
     SensingGraph,
     _graph_arrays,
     edge_lengths,
     rigid_rank_target,
+    rigidity_rank,
     rigidity_report,
     unit_edge_vectors,
 )
@@ -85,7 +87,7 @@ def induced_velocities(pv: MotionParameters, graph: SensingGraph, bearing_vec: n
     it is the head.
     """
     units = np.asarray(bearing_vec, dtype=float).reshape(graph.edge_count, -1)
-    _, tails, heads = _graph_arrays(graph)
+    tails, heads = _graph_arrays(graph)
     vel = np.zeros((graph.vertex_count, units.shape[1]))
     np.add.at(vel, tails, pv.tail[:, None] * units)
     np.add.at(vel, heads, pv.head[:, None] * units)
@@ -103,7 +105,7 @@ def induced_velocity_matrix(bearing_vec: np.ndarray, graph: SensingGraph) -> np.
     ecount = graph.edge_count
     units = np.asarray(bearing_vec, dtype=float).reshape(ecount, -1)
     dim = units.shape[1]
-    _, tails, heads = _graph_arrays(graph)
+    tails, heads = _graph_arrays(graph)
     rows = np.concatenate([tails, heads])[:, None] * dim + np.arange(dim)
     out = np.zeros((graph.vertex_count * dim, 2 * ecount))
     out[rows, np.arange(2 * ecount)[:, None]] = np.concatenate([units, units])
@@ -116,20 +118,21 @@ class ReferenceShape:
 
     The framework's own coordinates define the body pose used for all
     calibration targets.  Desired distances are the framework's edge
-    lengths.  Raises RigidityError when the shape is not minimally rigid.
+    lengths.  Raises RigidityError unless the rank of the rigidity matrix
+    and the edge count both equal 2n-3 (plane) or 3n-6 (space).
     """
 
     framework: Framework
     distances: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        report = rigidity_report(self.framework)
-        if not report.is_minimally_rigid:
-            target = rigid_rank_target(self.framework.graph.vertex_count, self.framework.dim)
+        rank = rigidity_rank(self.framework)
+        edge_count = self.framework.graph.edge_count
+        target = rigid_rank_target(self.framework.graph.vertex_count, self.framework.dim)
+        if not rank == edge_count == target:
             raise RigidityError(
                 f"reference shape is not minimally rigid "
-                f"(rank {report.rank_rigidity}, "
-                f"{self.framework.graph.edge_count} edges, target {target})"
+                f"(rank {rank}, {edge_count} edges, target {target})"
             )
         dist = edge_lengths(self.framework)
         dist.setflags(write=False)
@@ -142,6 +145,11 @@ class ReferenceShape:
     @property
     def dim(self) -> int:
         return self.framework.dim
+
+    @cached_property
+    def report(self) -> RigidityReport:
+        """Full rigidity report, bearing rigidity included, built on first use."""
+        return rigidity_report(self.framework)
 
     @cached_property
     def spaces(self) -> "MotionSpaces":
@@ -169,7 +177,7 @@ def _min_norm_offsets(ref: ReferenceShape, fields: np.ndarray) -> np.ndarray:
     span R^dim.
     """
     graph, dim = ref.graph, ref.dim
-    _, tails, heads = _graph_arrays(graph)
+    tails, heads = _graph_arrays(graph)
     ends = np.concatenate([tails, heads])
     units = unit_edge_vectors(ref.framework)
     units = np.concatenate([units, units])
@@ -224,7 +232,7 @@ def motion_spaces(ref: ReferenceShape) -> MotionSpaces:
 
 def _edge_rates(ref: ReferenceShape, offsets: np.ndarray) -> np.ndarray:
     """Edge-vector rates v_tail - v_head, (E, dim, m), of offset columns (2E, m)."""
-    _, tails, heads = _graph_arrays(ref.graph)
+    tails, heads = _graph_arrays(ref.graph)
     vel = (ref.velocity_map @ offsets).reshape(ref.graph.vertex_count, ref.dim, -1)
     return vel[tails] - vel[heads]
 
@@ -255,11 +263,21 @@ def membership_residuals(ref: ReferenceShape, spaces: MotionSpaces) -> dict:
 
 
 def _calibrate(ref: ReferenceShape, target: np.ndarray, what: str) -> MotionParameters:
-    """Minimum-norm offsets inducing the stacked velocity field target."""
+    """Minimum-norm offsets inducing the stacked velocity field target.
+
+    The Gram blocks square the conditioning of an agent's bearings, so on
+    a nearly flat shape the first solve can miss the gate.  One more solve
+    on what it missed then recovers the lost digits.
+    """
+    units = unit_edge_vectors(ref.framework)
+    gate = CALIBRATION_TOL * max(1.0, float(np.linalg.norm(target)))
     pv = MotionParameters.from_stacked(_min_norm_offsets(ref, target[:, None]))
-    induced = induced_velocities(pv, ref.graph, unit_edge_vectors(ref.framework))
-    residual = float(np.linalg.norm(induced - target))
-    if residual > CALIBRATION_TOL * max(1.0, float(np.linalg.norm(target))):
+    missed = target - induced_velocities(pv, ref.graph, units)
+    if np.linalg.norm(missed) > gate:
+        pv = pv + MotionParameters.from_stacked(_min_norm_offsets(ref, missed[:, None]))
+        missed = target - induced_velocities(pv, ref.graph, units)
+    residual = float(np.linalg.norm(missed))
+    if residual > gate:
         raise Unreachable(f"{what} target unreachable, residual {residual:.3e}")
     return pv
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ZeroEdge, ZeroVector
+from .errors import ZeroEdge
 
 # Edges shorter than this have no usable bearing direction.
 ZERO_EDGE_TOL = 1e-12
@@ -68,21 +68,20 @@ class SensingGraph:
 
 @lru_cache(maxsize=128)
 def _graph_arrays(graph: SensingGraph):
-    """Read-only incidence matrix and 0-based tail and head index arrays."""
-    ends = np.array(graph.edges, dtype=np.intp) - 1
-    tails, heads = ends[:, 0].copy(), ends[:, 1].copy()
-    cols = np.arange(graph.edge_count)
-    incidence = np.zeros((graph.vertex_count, graph.edge_count))
-    incidence[tails, cols] = 1.0
-    incidence[heads, cols] = -1.0
-    for arr in (incidence, tails, heads):
-        arr.setflags(write=False)
-    return incidence, tails, heads
+    """Read-only 0-based tail and head index arrays, one entry per edge."""
+    ends = (np.array(graph.edges, dtype=np.intp) - 1).T.copy()
+    ends.setflags(write=False)
+    return ends[0], ends[1]
 
 
 def incidence_matrix(graph: SensingGraph) -> np.ndarray:
     """Vertex-by-edge matrix with +1 at each edge's tail and -1 at its head."""
-    return _graph_arrays(graph)[0].copy()
+    tails, heads = _graph_arrays(graph)
+    cols = np.arange(graph.edge_count)
+    incidence = np.zeros((graph.vertex_count, graph.edge_count))
+    incidence[tails, cols] = 1.0
+    incidence[heads, cols] = -1.0
+    return incidence
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,14 +122,9 @@ class Framework:
 
 def edge_vectors(fw: Framework) -> np.ndarray:
     """Tail-minus-head position differences, one row per edge."""
-    _, tails, heads = _graph_arrays(fw.graph)
+    tails, heads = _graph_arrays(fw.graph)
     pts = fw.points
     return pts[tails] - pts[heads]
-
-
-def relative_positions(fw: Framework) -> np.ndarray:
-    """Stacked vector of tail-minus-head differences, length dim * edge_count."""
-    return edge_vectors(fw).reshape(-1)
 
 
 def edge_lengths(fw: Framework) -> np.ndarray:
@@ -164,22 +158,12 @@ def rigidity_matrix(fw: Framework) -> np.ndarray:
 def _place_edge_rows(graph: SensingGraph, vecs: np.ndarray) -> np.ndarray:
     """(edge_count, vertex_count * dim) matrix with row k holding vecs[k]
     in the tail block and -vecs[k] in the head block."""
-    _, tails, heads = _graph_arrays(graph)
+    tails, heads = _graph_arrays(graph)
     ecount, m = vecs.shape
     rows = np.zeros((ecount, graph.vertex_count, m))
     rows[np.arange(ecount), tails] = vecs
     rows[np.arange(ecount), heads] = -vecs
     return rows.reshape(ecount, -1)
-
-
-def orthogonal_projector(x) -> np.ndarray:
-    """Projector onto the hyperplane orthogonal to x: I - (x/|x|)(x/|x|)^T."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
-        raise ZeroVector("cannot project orthogonally to the zero vector")
-    unit = x / norm
-    return np.eye(x.size) - np.outer(unit, unit)
 
 
 def bearing_rigidity_matrix(fw: Framework) -> np.ndarray:
@@ -190,7 +174,7 @@ def bearing_rigidity_matrix(fw: Framework) -> np.ndarray:
     Shape (dim * edge_count, vertex_count * dim).
     """
     n, m, ecount = fw.graph.vertex_count, fw.dim, fw.graph.edge_count
-    _, tails, heads = _graph_arrays(fw.graph)
+    tails, heads = _graph_arrays(fw.graph)
     units = unit_edge_vectors(fw)
     norms = np.linalg.norm(edge_vectors(fw), axis=1)
     blocks = (np.eye(m) - units[:, :, None] * units[:, None, :]) / norms[:, None, None]
@@ -213,6 +197,15 @@ def rigid_rank_target(vertex_count: int, dim: int) -> int:
     if dim == 2:
         return 2 * vertex_count - 3
     return 3 * vertex_count - 6
+
+
+def _default_tol(fw: Framework) -> float:
+    return max(fw.graph.vertex_count, fw.graph.edge_count) * fw.dim * np.finfo(float).eps
+
+
+def rigidity_rank(fw: Framework) -> int:
+    """Numerical rank of the rigidity matrix at rigidity_report's default cutoff."""
+    return numerical_rank(rigidity_matrix(fw), _default_tol(fw))
 
 
 @dataclass(frozen=True)
@@ -238,16 +231,14 @@ def rigidity_report(fw: Framework, tol: float | None = None) -> RigidityReport:
     """
     n, m, ecount = fw.graph.vertex_count, fw.dim, fw.graph.edge_count
     if tol is None:
-        tol = max(n * m, ecount * m) * np.finfo(float).eps
+        tol = _default_tol(fw)
     rank_r = numerical_rank(rigidity_matrix(fw), tol)
     target = rigid_rank_target(n, m)
-    inf_rigid = rank_r == target
-    min_rigid = inf_rigid and ecount == target
     kernel_dim = n * m - numerical_rank(bearing_rigidity_matrix(fw), tol)
     return RigidityReport(
         rank_rigidity=rank_r,
-        is_infinitesimally_rigid=inf_rigid,
-        is_minimally_rigid=min_rigid,
+        is_infinitesimally_rigid=rank_r == target,
+        is_minimally_rigid=rank_r == ecount == target,
         bearing_kernel_dim=kernel_dim,
         is_bearing_rigid=kernel_dim == m + 1,
     )

@@ -31,7 +31,7 @@ plus the configured perturbation.
 Parsing validates the document eagerly: schema problems raise
 SchemaError with the offending JSON path, non-minimally-rigid reference
 shapes raise RigidityError, and schedules that drive any distance to
-zero within the declared duration raise PositivityError.
+zero by the end of the last integrator step raise PositivityError.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ class Scenario:
     def reference_shape(self) -> ReferenceShape:
         """The validated reference shape, built once per scenario.
 
-        Its motion spaces and velocity map are cached on it, so every
-        command and check shares them.
+        Its rigidity report, motion spaces and velocity map are cached on
+        it, so every command and check shares them.
         """
         if self._reference is None:
             self._reference = ReferenceShape(
@@ -256,9 +256,9 @@ def parse_scenario(text: str) -> Scenario:
 
     # Eager physical validation: rigidity then schedule positivity.
     scenario.reference_shape()
-    if schedule.min_scale_factor(sim.duration) <= 0.0:
+    if schedule.min_scale_factor(sim.horizon) <= 0.0:
         raise PositivityError(
-            "$.targets.schedule: scale factor reaches zero within the declared duration"
+            "$.targets.schedule: scale factor reaches zero by the end of the last step"
         )
     return scenario
 

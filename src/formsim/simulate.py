@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControllerConfig, ScalingSchedule, control_kernel
+from .control import ControllerConfig, control_kernel
 from .errors import (
     DegenerateAlignment,
     Divergence,
@@ -56,6 +56,16 @@ class SimConfig:
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
+
+    @property
+    def steps(self) -> int:
+        """Integrator steps of one run, duration / dt rounded to an integer."""
+        return int(round(self.duration / self.dt))
+
+    @property
+    def horizon(self) -> float:
+        """End of the last step; past duration when the step count rounds up."""
+        return self.steps * self.dt
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,12 +175,10 @@ def make_rhs(ref: ReferenceShape, cfg: ControllerConfig):
     scale_head = cfg.scaling_part.head
     schedule, gain, distances = cfg.schedule, cfg.gain, ref.distances
 
+    # integrate_batch checks that the scale factor stays positive up to
+    # the last step before it takes the first one.
     def rhs(t: float, p: np.ndarray) -> np.ndarray:
-        # Reference distances are positive, so the scale factor decides
-        # the sign of every scheduled distance.
         factor = 1.0 + schedule.value(t)
-        if factor <= 0.0:
-            raise NonPositiveDistance(f"scheduled distance is not positive at t={t:.6g}")
         rate = schedule.value_rate(t)
         return kernel(p, factor * distances, base_tail + rate * scale_tail,
                       base_head + rate * scale_head, gain)
@@ -204,16 +212,16 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
     entry holds the EdgeCollapse or Divergence instead of a Trajectory,
     and the other runs carry on.
     """
-    _check_schedule(cfg.schedule, sim.duration)
+    if cfg.schedule.min_scale_factor(sim.horizon) <= 0.0:
+        raise NonPositiveDistance("schedule drives the scale factor to zero within the horizon")
     if sim.perturbation is not None:
         starts = [apply_perturbation(fw, sim.perturbation.seed, sim.perturbation.magnitude)
                   for fw in starts]
     rhs = make_rhs(ref, cfg)
 
-    n_steps = int(round(sim.duration / sim.dt))
     dt, stride = sim.dt, sim.record_stride
     p = np.array([fw.positions for fw in starts])
-    positions = np.empty((p.shape[0], n_steps // stride + 1, p.shape[1]))
+    positions = np.empty((p.shape[0], sim.steps // stride + 1, p.shape[1]))
     positions[:, 0] = p
     live = np.arange(p.shape[0])
     failures: dict[int, FormsimError] = {}
@@ -228,7 +236,7 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
 
     # Overflow in a diverging run is caught by the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
+        for k in range(sim.steps):
             t = k * dt
             while live.size:
                 try:
@@ -272,7 +280,7 @@ _CHUNK = 256
 def _edge_errors(positions: np.ndarray, ref: ReferenceShape, distances: np.ndarray):
     """Distance errors (samples, E) and potential (samples,) of one run."""
     samples = positions.shape[0]
-    _, tails, heads = _graph_arrays(ref.graph)
+    tails, heads = _graph_arrays(ref.graph)
     errors = np.empty((samples, tails.size))
     potential = np.empty(samples)
     for j0 in range(0, samples, _CHUNK):
@@ -283,18 +291,6 @@ def _edge_errors(positions: np.ndarray, ref: ReferenceShape, distances: np.ndarr
         np.subtract(np.sqrt((vecs * vecs).sum(axis=2)), distances[j0:j1], out=err)
         potential[j0:j1] = 0.5 * (err * err).sum(axis=1)
     return errors, potential
-
-
-def _check_schedule(schedule: ScalingSchedule, duration: float):
-    if schedule.min_scale_factor(duration) <= 0.0:
-        raise NonPositiveDistance(
-            "schedule drives the scale factor to zero within the horizon"
-        )
-
-
-def centroid(positions: np.ndarray, dim: int) -> np.ndarray:
-    """Arithmetic mean of the stacked agent positions."""
-    return np.asarray(positions, dtype=float).reshape(-1, dim).mean(axis=0)
 
 
 def _align_rotation(current_pts: np.ndarray, reference_pts: np.ndarray) -> np.ndarray:
@@ -433,7 +429,7 @@ def steady_state_report(traj: Trajectory, ref: ReferenceShape, window) -> Steady
         omega_rms = float(np.linalg.norm(rates - omega_out, axis=1).mean())
     residuals["omega_fit_rms"] = float(omega_rms)
 
-    _, tails, heads = _graph_arrays(ref.graph)
+    tails, heads = _graph_arrays(ref.graph)
     sample_pts = sub.positions.reshape(sub.sample_count, -1, m)
     lengths = np.linalg.norm(sample_pts[:, tails] - sample_pts[:, heads], axis=2)
     scale = (lengths / ref.distances[None, :]).mean(axis=1)

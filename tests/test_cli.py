@@ -356,6 +356,22 @@ class TestOverrides:
             assert "Traceback" not in capsys.readouterr().err
 
 
+    def test_schedule_is_checked_up_to_the_last_step(self, tmp_path, capsys):
+        # 1.1 / 0.4 rounds up to 3 steps: the run would end at 1.2, past
+        # the point where the shrinking schedule reaches zero.
+        shrinking = {"v_body": [0.0, 0.0], "omega": 0.0,
+                     "schedule": {"kind": "linear", "rate": -0.9}}
+        path = write_scenario(tmp_path, targets=shrinking,
+                              sim={"dt": 0.4, "duration": 1.1, "perturbation": None})
+        assert main(["simulate", str(path), "-o", str(tmp_path / "past")]) == 1
+        err = capsys.readouterr().err
+        assert "scale factor reaches zero" in err and "Traceback" not in err
+        path = write_scenario(tmp_path, targets=shrinking,
+                              sim={"dt": 0.1, "duration": 1.1, "perturbation": None})
+        assert main(["simulate", str(path), "--dt", "0.4", "-o", str(tmp_path / "past")]) == 1
+        err = capsys.readouterr().err
+        assert "scale factor reaches zero" in err and "Traceback" not in err
+
     def test_duration_override_validates_schedule(self, tmp_path, capsys):
         path = write_scenario(tmp_path, targets={
             "v_body": [0.0, 0.0], "omega": 0.0,
@@ -371,3 +387,73 @@ class TestOverrides:
         main(["simulate", str(path), "--duration", "0.5", "-o", "s7"])
         main(["simulate", str(path), "--duration", "0.5", "--seed", "8", "-o", "s8"])
         assert Path("s7.csv").read_bytes() != Path("s8.csv").read_bytes()
+
+
+TETRA_SCENARIO = {
+    "dimension": 3,
+    "edges": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]],
+    "reference_positions": [[0, 0, 0], [1, 0, 0], [0.5, 0.8, 0], [0.5, 0.3, 0.8]],
+    "targets": {"v_body": [0.1, 0.0, 0.0], "omega": [0.0, 0.0, 0.5],
+                "schedule": {"kind": "none"}},
+}
+
+
+def count_reports(monkeypatch):
+    """Count rigidity_report calls made through any formsim module."""
+    import formsim.rigidity
+
+    calls = []
+    original = formsim.rigidity.rigidity_report
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("formsim") and getattr(module, "rigidity_report", None) is original:
+            monkeypatch.setattr(module, "rigidity_report", counted)
+    return calls
+
+
+class TestReferenceRigidity:
+    @pytest.mark.parametrize("shape", [{}, TETRA_SCENARIO])
+    def test_load_design_simulate_skip_bearing_rigidity(self, tmp_path, capsys,
+                                                       monkeypatch, shape):
+        import formsim.rigidity
+        from formsim import load_scenario
+
+        def refuse(fw):
+            raise AssertionError("bearing rigidity matrix built")
+
+        monkeypatch.setattr(formsim.rigidity, "bearing_rigidity_matrix", refuse)
+        path = write_scenario(tmp_path, **shape)
+        load_scenario(path)
+        assert main(["design", str(path)]) == 0
+        assert main(["simulate", str(path), "--duration", "0.2",
+                     "-o", str(tmp_path / "run")]) == 0
+
+    def test_analyze_and_verify_report_once(self, tmp_path, capsys, monkeypatch):
+        path = write_scenario(tmp_path, sim={"dt": 0.005, "duration": 6.0,
+                                             "record_stride": 5, "perturbation": None})
+        calls = count_reports(monkeypatch)
+        assert main(["analyze", str(path)]) == 0
+        assert len(calls) == 1
+        main(["verify", str(path)])
+        assert "PASS reference-rigidity" in capsys.readouterr().out
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("edges, message", [
+        ([[1, 2], [2, 3], [3, 4], [4, 1]], "(rank 4, 4 edges, target 5)"),
+        ([[1, 2], [2, 3], [3, 1], [4, 3], [4, 1], [2, 4]], "(rank 5, 6 edges, target 5)"),
+    ], ids=["flexible", "over-braced"])
+    def test_non_minimal_shape_is_refused(self, tmp_path, capsys, edges, message):
+        from formsim import RigidityError, load_scenario
+
+        path = write_scenario(tmp_path, edges=edges)
+        expected = f"reference shape is not minimally rigid {message}"
+        with pytest.raises(RigidityError) as info:
+            load_scenario(path)
+        assert str(info.value) == expected
+        for command in ("analyze", "design", "simulate", "verify"):
+            assert main([command, str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {expected}\n"

@@ -7,14 +7,11 @@ from formsim import (
     Framework,
     SensingGraph,
     ZeroEdge,
-    ZeroVector,
     bearing_rigidity_matrix,
     bearings,
     edge_lengths,
     edge_vectors,
     incidence_matrix,
-    orthogonal_projector,
-    relative_positions,
     rigidity_matrix,
     rigidity_report,
     unit_edge_vectors,
@@ -97,7 +94,7 @@ class TestRelativePositions:
     def test_unit_segment(self):
         graph = SensingGraph(2, ((1, 2),))
         fw = Framework.from_points(graph, [[0.0, 0.0], [1.0, 0.0]])
-        assert np.array_equal(relative_positions(fw), [-1.0, 0.0])
+        assert np.array_equal(edge_vectors(fw), [[-1.0, 0.0]])
 
     def test_square_lengths(self, square_framework):
         lengths = edge_lengths(square_framework)
@@ -111,7 +108,7 @@ class TestRelativePositions:
         base = Framework.from_points(graph, SQUARE_POINTS)
         moved = Framework.from_points(graph, SQUARE_POINTS + np.array([dx, dy]))
         np.testing.assert_allclose(
-            relative_positions(moved), relative_positions(base), atol=1e-12
+            edge_vectors(moved), edge_vectors(base), atol=1e-12
         )
 
 
@@ -228,10 +225,18 @@ class TestBearingRigidityMatrix:
         np.testing.assert_allclose(jac @ centered, 0.0, atol=1e-12)
 
 
+def edge_projector(x):
+    """Bearing rigidity block at the tail of the edge x, times its length:
+    the projector onto the hyperplane orthogonal to x."""
+    x = np.asarray(x, dtype=float)
+    fw = Framework.from_points(SensingGraph(2, ((1, 2),)), [x, np.zeros_like(x)])
+    return np.linalg.norm(x) * bearing_rigidity_matrix(fw)[:, :x.size]
+
+
 class TestOrthogonalProjector:
     def test_axis_vector(self):
         np.testing.assert_allclose(
-            orthogonal_projector([1.0, 0.0]), [[0.0, 0.0], [0.0, 1.0]], atol=1e-15
+            edge_projector([1.0, 0.0]), [[0.0, 0.0], [0.0, 1.0]], atol=1e-15
         )
 
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=3))
@@ -240,23 +245,23 @@ class TestOrthogonalProjector:
         x = np.array(coords)
         if np.linalg.norm(x) < 1e-6:
             return
-        proj = orthogonal_projector(x)
+        proj = edge_projector(x)
         np.testing.assert_allclose(proj @ proj, proj, atol=1e-12)
         np.testing.assert_allclose(proj, proj.T, atol=1e-15)
         np.testing.assert_allclose(proj @ x, 0.0, atol=1e-9 * np.linalg.norm(x))
 
     def test_rank_is_dim_minus_one(self):
-        proj = orthogonal_projector([1.0, 2.0, -3.0])
+        proj = edge_projector([1.0, 2.0, -3.0])
         assert np.linalg.matrix_rank(proj) == 2
 
     def test_fixes_orthogonal_vectors(self):
-        proj = orthogonal_projector([1.0, 1.0])
+        proj = edge_projector([1.0, 1.0])
         y = np.array([1.0, -1.0])
         np.testing.assert_allclose(proj @ y, y, atol=1e-15)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVector):
-            orthogonal_projector([0.0, 0.0])
+        with pytest.raises(ZeroEdge):
+            edge_projector([0.0, 0.0])
 
 
 class TestRigidityReport:

@@ -10,12 +10,12 @@ from formsim import (
     InsufficientDecay,
     MotionParameters,
     Perturbation,
+    ReferenceShape,
     ScalingSchedule,
     SensingGraph,
     SimConfig,
     apply_perturbation,
     body_frame_transform,
-    centroid,
     decay_rate_fit,
     distance_errors,
     integrate,
@@ -114,6 +114,20 @@ class TestIntegrate:
         with pytest.raises(NonPositiveDistance):
             integrate(square_ref.framework, square_ref, cfg,
                       SimConfig(dt=1e-2, duration=10.0))
+
+    def test_positivity_is_checked_up_to_the_last_step(self, square_ref):
+        # 1.1 / 0.4 rounds up to 3 steps, so the run ends at 1.2, where
+        # the shrinking schedule has already passed zero.
+        sim = SimConfig(dt=0.4, duration=1.1)
+        assert sim.steps == 3 and sim.horizon == pytest.approx(1.2)
+        traj = integrate(square_ref.framework, square_ref, quiet_config(square_ref), sim)
+        assert traj.times[-1] == pytest.approx(1.2)
+        zero = MotionParameters.zero(5)
+        cfg = ControllerConfig(5.0, zero, zero, zero, ScalingSchedule.linear(-0.9))
+        from formsim import NonPositiveDistance
+
+        with pytest.raises(NonPositiveDistance, match="within the horizon"):
+            integrate(square_ref.framework, square_ref, cfg, sim)
 
     def test_rk4_fourth_order_convergence(self, square_ref):
         cfg = motion_config(square_ref, omega=1.0,
@@ -232,19 +246,16 @@ class TestPerturbations:
 
 
 class TestCentroid:
-    def test_square_center(self, square_framework):
-        np.testing.assert_allclose(
-            centroid(square_framework.positions, 2), [7.5, 7.5], rtol=1e-15
-        )
+    def test_square_center(self, square_ref):
+        center = square_ref.framework.points - square_ref.centered_points()
+        np.testing.assert_allclose(center, np.tile([7.5, 7.5], (4, 1)), rtol=1e-15)
 
-    def test_translation_equivariance(self, square_framework):
+    def test_translation_equivariance(self, square_ref):
         shift = np.array([3.0, -4.0])
-        moved = square_framework.points + shift
-        np.testing.assert_allclose(
-            centroid(moved.reshape(-1), 2),
-            centroid(square_framework.positions, 2) + shift,
-            rtol=1e-14,
-        )
+        moved = ReferenceShape(Framework.from_points(
+            square_ref.graph, square_ref.framework.points + shift))
+        np.testing.assert_allclose(moved.centered_points(), square_ref.centered_points(),
+                                   atol=1e-14)
 
     def test_stationary_during_pure_spin(self, square_ref):
         cfg = motion_config(square_ref, omega=1.0)
