@@ -148,19 +148,24 @@ class ControlKernel:
 
     Edge k contributes its unit vector u_k to both endpoints, weighted by
     tail_coef_k - gain * e_k at the tail and head_coef_k + gain * e_k at
-    the head, where e_k is its distance error.  One bincount over a flat
-    index, cached per batch size, sums the contributions into the agents.
-    Each agent's velocity depends only on its own edges, and each row of
-    the batch is computed exactly as it would be alone.
+    the head, where e_k is its distance error.  Edge quantities are held
+    axis-major, (batch, dim, E), so every elementwise step runs along
+    contiguous edges.  One bincount over a flat index, cached per batch
+    size, sums the contributions into the agents: each agent coordinate
+    adds its tail ends in edge order, then its head ends.  Each agent's
+    velocity depends only on its own edges, and each row of the batch is
+    computed exactly as it would be alone.
     """
 
     def __init__(self, graph, dim: int):
         tails, heads = _graph_arrays(graph)
         self.tails, self.heads, self.dim = tails, heads, dim
         self.width = graph.vertex_count * dim
-        self._ends = np.concatenate([tails, heads])
-        # Flat target of every (edge end, axis) pair in one row.
-        self._slots = (self._ends[:, None] * dim + np.arange(dim)).reshape(-1)
+        axes = np.arange(dim)[:, None]
+        # Flat column of axis a of edge k's tail (head) sits at a * E + k.
+        self._tail_cols = (tails * dim + axes).reshape(-1)
+        self._head_cols = (heads * dim + axes).reshape(-1)
+        self._slots = np.concatenate([self._tail_cols, self._head_cols])
         self._index: dict[int, np.ndarray] = {}
 
     def _scatter_index(self, batch: int) -> np.ndarray:
@@ -172,28 +177,25 @@ class ControlKernel:
         return index
 
     def edge_units(self, p: np.ndarray):
-        """Unit edge vectors (batch, E, dim) and edge lengths (batch, E).
+        """Unit edge vectors (batch, dim, E) and edge lengths (batch, E).
 
         Raises EdgeCollapse naming the rows with an edge shorter than
         COLLAPSE_TOL.
         """
-        ends = p.reshape(p.shape[0], -1, self.dim)[:, self._ends]
-        ecount = self.tails.size
-        vecs = ends[:, :ecount] - ends[:, ecount:]
-        lengths = np.sqrt(np.add.reduce(vecs * vecs, axis=2))
+        vecs = p.take(self._tail_cols, axis=1) - p.take(self._head_cols, axis=1)
+        vecs = vecs.reshape(p.shape[0], self.dim, -1)
+        lengths = np.sqrt(np.add.reduce(vecs * vecs, axis=1))
         if np.minimum.reduce(lengths, axis=None) < COLLAPSE_TOL:
             rows = np.flatnonzero(lengths.min(axis=1) < COLLAPSE_TOL)
             raise EdgeCollapse(f"edge shorter than {COLLAPSE_TOL:g}", rows)
-        return vecs / lengths[:, :, None], lengths
+        return vecs / lengths[:, None], lengths
 
     def scatter(self, units: np.ndarray, tail_weight: np.ndarray,
                 head_weight: np.ndarray) -> np.ndarray:
         """Sum the weighted unit vectors into the agents, (batch, width)."""
         batch = units.shape[0]
-        weights = np.empty((batch, 2, units.shape[1], 1))
-        weights[:, 0, :, 0] = tail_weight
-        weights[:, 1, :, 0] = head_weight
-        values = weights * units[:, None]
+        weights = np.concatenate([tail_weight, head_weight], axis=1)
+        values = weights.reshape(batch, 2, 1, -1) * units[:, None]
         summed = np.bincount(self._scatter_index(batch), weights=values.reshape(-1),
                              minlength=batch * self.width)
         return summed.reshape(batch, self.width)
@@ -234,9 +236,9 @@ def error_dynamics_rhs(errors: np.ndarray, fw: Framework, pv: MotionParameters,
     """
     kernel = control_kernel(fw.graph, fw.dim)
     units, _ = kernel.edge_units(fw.positions[None, :])
-    pull = gain * np.asarray(errors, dtype=float).reshape(-1)
+    pull = gain * np.asarray(errors, dtype=float).reshape(1, -1)
     vel_pts = kernel.scatter(units, pv.tail - pull, pv.head + pull).reshape(-1, fw.dim)
-    edge_rates = ((vel_pts[kernel.tails] - vel_pts[kernel.heads]) * units[0]).sum(axis=1)
+    edge_rates = ((vel_pts[kernel.tails] - vel_pts[kernel.heads]) * units[0].T).sum(axis=1)
     return edge_rates - np.asarray(ddot_t, dtype=float).reshape(-1)
 
 

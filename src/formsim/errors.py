@@ -15,7 +15,8 @@ class DegenerateShape(FormsimError):
 
 
 class Unreachable(FormsimError):
-    """A calibration target cannot be realized within tolerance."""
+    """A calibration or perturbation target cannot be realized within
+    tolerance."""
 
 
 class NonPositiveDistance(FormsimError):

@@ -39,6 +39,9 @@ from .rigidity import (
 RANK_TOL = 1e-12
 # Largest acceptable residual when fitting a motion target.
 CALIBRATION_TOL = 1e-9
+# motion_spaces refines a generator column whose miss exceeds this
+# fraction of its norm; a well-shaped framework misses by rounding only.
+REFINE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,11 +90,17 @@ def induced_velocities(pv: MotionParameters, graph: SensingGraph, bearing_vec: n
     it is the head.
     """
     units = np.asarray(bearing_vec, dtype=float).reshape(graph.edge_count, -1)
+    return _induced_columns(graph, units, pv.stacked()[:, None])[:, 0]
+
+
+def _induced_columns(graph: SensingGraph, units: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """induced_velocities of every stacked offset column, (2E, m) -> (n * dim, m)."""
     tails, heads = _graph_arrays(graph)
-    vel = np.zeros((graph.vertex_count, units.shape[1]))
-    np.add.at(vel, tails, pv.tail[:, None] * units)
-    np.add.at(vel, heads, pv.head[:, None] * units)
-    return vel.reshape(-1)
+    ecount, dim = units.shape
+    vel = np.zeros((graph.vertex_count, dim, offsets.shape[1]))
+    np.add.at(vel, tails, offsets[:ecount, None] * units[:, :, None])
+    np.add.at(vel, heads, offsets[ecount:, None] * units[:, :, None])
+    return vel.reshape(-1, offsets.shape[1])
 
 
 def induced_velocity_matrix(bearing_vec: np.ndarray, graph: SensingGraph) -> np.ndarray:
@@ -214,8 +223,9 @@ class MotionSpaces:
 def motion_spaces(ref: ReferenceShape) -> MotionSpaces:
     """Translation, rotation and scaling offset bases of a reference shape.
 
-    A diagnostic: calibration does not use it.  Raises DegenerateShape
-    like the calibrations do.
+    A diagnostic: calibration does not use it.  A generator column whose
+    relative miss exceeds REFINE_TOL gets calibration's corrective solve.
+    Raises DegenerateShape like the calibrations do.
     """
     dim, n = ref.dim, ref.graph.vertex_count
     centered = ref.centered_points()
@@ -226,7 +236,9 @@ def motion_spaces(ref: ReferenceShape) -> MotionSpaces:
         + [rotation_field(centered, omega) for omega in spins]
         + [centered.reshape(-1)]
     )
-    groups = np.split(_min_norm_offsets(ref, fields), [dim, dim + len(spins)], axis=1)
+    gates = REFINE_TOL * np.maximum(1.0, np.linalg.norm(fields, axis=0))
+    offsets, _ = _refined_offsets(ref, fields, gates)
+    groups = np.split(offsets, [dim, dim + len(spins)], axis=1)
     return MotionSpaces(*(np.linalg.qr(group)[0] for group in groups))
 
 
@@ -262,24 +274,32 @@ def membership_residuals(ref: ReferenceShape, spaces: MotionSpaces) -> dict:
     }
 
 
-def _calibrate(ref: ReferenceShape, target: np.ndarray, what: str) -> MotionParameters:
-    """Minimum-norm offsets inducing the stacked velocity field target.
+def _refined_offsets(ref: ReferenceShape, fields: np.ndarray, gates):
+    """Minimum-norm offsets (2E, m) for the field columns (n * dim, m), and
+    the norm of what each column still misses.
 
     The Gram blocks square the conditioning of an agent's bearings, so on
-    a nearly flat shape the first solve can miss the gate.  One more solve
-    on what it missed then recovers the lost digits.
+    a nearly flat shape the first solve can miss a column's gate.  One
+    more solve on what such a column missed then recovers the lost digits;
+    columns within their gate are left as the first solve made them.
     """
     units = unit_edge_vectors(ref.framework)
+    offsets = _min_norm_offsets(ref, fields)
+    missed = fields - _induced_columns(ref.graph, units, offsets)
+    redo = np.array([np.linalg.norm(column) for column in missed.T]) > gates
+    if redo.any():
+        offsets[:, redo] += _min_norm_offsets(ref, missed[:, redo])
+        missed[:, redo] = fields[:, redo] - _induced_columns(ref.graph, units, offsets[:, redo])
+    return offsets, [float(np.linalg.norm(column)) for column in missed.T]
+
+
+def _calibrate(ref: ReferenceShape, target: np.ndarray, what: str) -> MotionParameters:
+    """Minimum-norm offsets inducing the stacked velocity field target."""
     gate = CALIBRATION_TOL * max(1.0, float(np.linalg.norm(target)))
-    pv = MotionParameters.from_stacked(_min_norm_offsets(ref, target[:, None]))
-    missed = target - induced_velocities(pv, ref.graph, units)
-    if np.linalg.norm(missed) > gate:
-        pv = pv + MotionParameters.from_stacked(_min_norm_offsets(ref, missed[:, None]))
-        missed = target - induced_velocities(pv, ref.graph, units)
-    residual = float(np.linalg.norm(missed))
+    offsets, (residual,) = _refined_offsets(ref, target[:, None], gate)
     if residual > gate:
         raise Unreachable(f"{what} target unreachable, residual {residual:.3e}")
-    return pv
+    return MotionParameters.from_stacked(offsets)
 
 
 def translation_params(ref: ReferenceShape, velocity) -> MotionParameters:

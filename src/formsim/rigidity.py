@@ -9,7 +9,7 @@ but keeps every derived matrix deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -119,6 +119,11 @@ class Framework:
         """Positions as a (vertex_count, dim) array."""
         return self.positions.reshape(self.graph.vertex_count, self.dim)
 
+    @cached_property
+    def _rigidity_rank(self) -> int:
+        # Positions are read-only, so the SVD behind the rank runs once.
+        return numerical_rank(rigidity_matrix(self), _default_tol(self))
+
 
 def edge_vectors(fw: Framework) -> np.ndarray:
     """Tail-minus-head position differences, one row per edge."""
@@ -204,8 +209,9 @@ def _default_tol(fw: Framework) -> float:
 
 
 def rigidity_rank(fw: Framework) -> int:
-    """Numerical rank of the rigidity matrix at rigidity_report's default cutoff."""
-    return numerical_rank(rigidity_matrix(fw), _default_tol(fw))
+    """Numerical rank of the rigidity matrix at rigidity_report's default
+    cutoff, computed once per framework."""
+    return fw._rigidity_rank
 
 
 @dataclass(frozen=True)
@@ -232,7 +238,9 @@ def rigidity_report(fw: Framework, tol: float | None = None) -> RigidityReport:
     n, m, ecount = fw.graph.vertex_count, fw.dim, fw.graph.edge_count
     if tol is None:
         tol = _default_tol(fw)
-    rank_r = numerical_rank(rigidity_matrix(fw), tol)
+        rank_r = rigidity_rank(fw)
+    else:
+        rank_r = numerical_rank(rigidity_matrix(fw), tol)
     target = rigid_rank_target(n, m)
     kernel_dim = n * m - numerical_rank(bearing_rigidity_matrix(fw), tol)
     return RigidityReport(

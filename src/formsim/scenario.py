@@ -323,15 +323,23 @@ def write_trajectory_csv(traj: Trajectory, dim: int, fh) -> None:
     """Write a trajectory as CSV: t, positions, errors, potential, distances.
 
     Floats are rendered with shortest round-trip formatting, so repeated
-    runs of the same scenario produce byte-identical files.
+    runs of the same scenario produce byte-identical files.  A row's
+    distance text is formatted only when its distances differ, byte for
+    byte, from the previous row's; a flat schedule formats it once.
     """
     vertex_count = traj.positions.shape[1] // dim
     edge_count = traj.errors.shape[1]
     fh.write(",".join(trajectory_csv_header(dim, vertex_count, edge_count)) + "\n")
-    for j in range(traj.sample_count):
-        row = [traj.times[j], *traj.positions[j], *traj.errors[j],
-               traj.potential[j], *traj.distances[j]]
-        fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    last_distances, row_end = None, ""
+    for t, positions, errors, potential, distances in zip(
+            traj.times.tolist(), traj.positions, traj.errors, traj.potential.tolist(),
+            traj.distances):
+        key = distances.tobytes()
+        if key != last_distances:
+            last_distances = key
+            row_end = "," + ",".join(map(repr, distances.tolist())) + "\n"
+        fh.write(",".join(map(repr, [t, *positions.tolist(), *errors.tolist(), potential])))
+        fh.write(row_end)
 
 
 def design_to_document(dim: int, spaces_dims: dict, parts: dict, residuals: dict) -> dict:

@@ -22,6 +22,7 @@ from .errors import (
     FormsimError,
     InsufficientDecay,
     NonPositiveDistance,
+    Unreachable,
 )
 from .motion import ReferenceShape
 from .rigidity import Framework, _graph_arrays, edge_vectors
@@ -138,7 +139,8 @@ def perturb_to_error_norm(fw: Framework, distances: np.ndarray, seed: int,
     """Perturb positions until the distance-error norm matches target_norm.
 
     The displacement direction is seeded; its length is bisected by
-    rescaling, accurate to about 0.1 percent.
+    rescaling, accurate to about 0.1 percent.  Raises Unreachable when 60
+    rescalings do not get there.
     """
     distances = np.asarray(distances, dtype=float).reshape(-1)
     candidate = apply_perturbation(fw, seed, 1.0)
@@ -154,9 +156,12 @@ def perturb_to_error_norm(fw: Framework, distances: np.ndarray, seed: int,
     for _ in range(60):
         current = err_at(scale)
         if abs(current - target_norm) <= 1e-3 * target_norm:
+            return Framework(fw.graph, fw.dim, fw.positions + scale * delta)
+        if not current > 0.0:
             break
         scale *= target_norm / current
-    return Framework(fw.graph, fw.dim, fw.positions + scale * delta)
+    raise Unreachable(f"no perturbation along seed {seed}'s direction has "
+                      f"error norm {target_norm:.3e} within 0.1%")
 
 
 def make_rhs(ref: ReferenceShape, cfg: ControllerConfig):
@@ -166,7 +171,8 @@ def make_rhs(ref: ReferenceShape, cfg: ControllerConfig):
     batch size is read from p.  Hoists every per-run constant and
     evaluates the same kernel as control_law applied to
     time_varying_params and scheduled_distances, so both paths produce
-    identical floating-point values.
+    identical floating-point values.  The schedule-dependent arrays are
+    kept for the last stage time, which RK4's middle stages share.
     """
     kernel = control_kernel(ref.graph, ref.dim)
     base_tail = cfg.translation_part.tail + cfg.rotation_part.tail
@@ -174,14 +180,18 @@ def make_rhs(ref: ReferenceShape, cfg: ControllerConfig):
     scale_tail = cfg.scaling_part.tail
     scale_head = cfg.scaling_part.head
     schedule, gain, distances = cfg.schedule, cfg.gain, ref.distances
+    stage_t, stage = None, ()
 
     # integrate_batch checks that the scale factor stays positive up to
     # the last step before it takes the first one.
     def rhs(t: float, p: np.ndarray) -> np.ndarray:
-        factor = 1.0 + schedule.value(t)
-        rate = schedule.value_rate(t)
-        return kernel(p, factor * distances, base_tail + rate * scale_tail,
-                      base_head + rate * scale_head, gain)
+        nonlocal stage_t, stage
+        if t != stage_t:
+            factor = 1.0 + schedule.value(t)
+            rate = schedule.value_rate(t)
+            stage_t, stage = t, (factor * distances, base_tail + rate * scale_tail,
+                                 base_head + rate * scale_head)
+        return kernel(p, *stage, gain)
 
     return rhs
 

@@ -442,6 +442,27 @@ class TestReferenceRigidity:
         assert "PASS reference-rigidity" in capsys.readouterr().out
         assert len(calls) == 2
 
+    def test_analyze_and_verify_take_one_svd_per_matrix(self, tmp_path, capsys, monkeypatch):
+        import formsim.rigidity
+
+        shapes = []
+        original = formsim.rigidity.numerical_rank
+
+        def counted(matrix, rel_tol):
+            shapes.append(matrix.shape)
+            return original(matrix, rel_tol)
+
+        monkeypatch.setattr(formsim.rigidity, "numerical_rank", counted)
+        path = write_scenario(tmp_path, sim={"dt": 0.005, "duration": 6.0,
+                                             "record_stride": 5, "perturbation": None})
+        # The rigidity matrix is 5 x 8 and the bearing rigidity matrix 10 x 8.
+        assert main(["analyze", str(path)]) == 0
+        assert shapes == [(5, 8), (10, 8)]
+        shapes.clear()
+        main(["verify", str(path)])
+        assert "PASS reference-rigidity" in capsys.readouterr().out
+        assert shapes == [(5, 8), (10, 8)]
+
     @pytest.mark.parametrize("edges, message", [
         ([[1, 2], [2, 3], [3, 4], [4, 1]], "(rank 4, 4 edges, target 5)"),
         ([[1, 2], [2, 3], [3, 1], [4, 3], [4, 1], [2, 4]], "(rank 5, 6 edges, target 5)"),

@@ -326,6 +326,27 @@ class TestMinimumNormOffsets:
         assert dims == (dim, 1 if dim == 2 else 3, 1)
         assert max(membership_residuals(ref, spaces).values()) <= 1e-9
 
+    def test_nearly_flat_tetrahedron_passes_motion_spaces_check(self):
+        # The first solve misses the membership tolerance on several
+        # generator columns; the corrective solve brings them to rounding.
+        import json
+
+        from formsim import parse_scenario
+        from formsim.checks import check_motion_spaces
+
+        fw = henneberg_framework(4, 3, 304721655)
+        scenario = parse_scenario(json.dumps({
+            "dimension": 3,
+            "edges": [list(edge) for edge in fw.graph.edges],
+            "reference_positions": fw.points.tolist(),
+            "gain": 1.0,
+            "targets": {"v_body": [0.0, 0.0, 0.0], "omega": [0.0, 0.0, 0.0],
+                        "schedule": {"kind": "none"}},
+            "sim": {"dt": 0.01, "duration": 1.0},
+        }))
+        result = check_motion_spaces(scenario)
+        assert result.passed, result.detail
+
     def test_triangle_in_space_is_degenerate(self):
         # Minimally rigid, but each agent sees only two bearings in R^3.
         graph = SensingGraph(3, ((1, 2), (2, 3), (3, 1)))

@@ -194,6 +194,80 @@ class TestTrajectoryCsv:
         write_trajectory_csv(self.make_trajectory(square_ref), 2, two)
         assert one.getvalue() == two.getvalue()
 
+    @staticmethod
+    def per_value_csv(traj, dim):
+        """The oracle writer: every value of every row through repr(float(v))."""
+        buf = io.StringIO()
+        header = trajectory_csv_header(dim, traj.positions.shape[1] // dim, traj.errors.shape[1])
+        buf.write(",".join(header) + "\n")
+        for j in range(traj.sample_count):
+            row = [traj.times[j], *traj.positions[j], *traj.errors[j],
+                   traj.potential[j], *traj.distances[j]]
+            buf.write(",".join(repr(float(v)) for v in row) + "\n")
+        return buf.getvalue()
+
+    def assert_matches_per_value_writer(self, traj, dim):
+        buf = io.StringIO()
+        write_trajectory_csv(traj, dim, buf)
+        assert buf.getvalue() == self.per_value_csv(traj, dim)
+
+    def test_flat_schedule_matches_per_value_writer(self, square_ref):
+        traj = self.make_trajectory(square_ref, duration=1.0, stride=2)
+        assert (traj.distances == traj.distances[0]).all()
+        self.assert_matches_per_value_writer(traj, 2)
+
+    def test_periodic_schedule_matches_per_value_writer(self):
+        import dataclasses
+
+        from formsim import integrate
+
+        scenario = load_scenario(bundled_scenario_path("square"))
+        assert scenario.schedule.kind == "periodic"
+        ref = scenario.reference_shape()
+        sim = dataclasses.replace(scenario.sim, dt=1e-2, duration=2.0, record_stride=3)
+        traj = integrate(scenario.initial_framework(), ref, scenario.controller_config(ref), sim)
+        assert len({row.tobytes() for row in traj.distances}) == traj.sample_count
+        self.assert_matches_per_value_writer(traj, 2)
+
+    def test_spatial_trajectory_matches_per_value_writer(self, tetra_ref):
+        from formsim import (
+            ControllerConfig,
+            Perturbation,
+            ScalingSchedule,
+            SimConfig,
+            integrate,
+            rotation_params,
+            scaling_params,
+            translation_params,
+        )
+
+        cfg = ControllerConfig(2.0, translation_params(tetra_ref, [0.1, 0.0, 0.2]),
+                               rotation_params(tetra_ref, [0.0, 0.3, 0.5]),
+                               scaling_params(tetra_ref, 1.0), ScalingSchedule.linear(0.05))
+        traj = integrate(tetra_ref.framework, tetra_ref, cfg,
+                         SimConfig(dt=1e-2, duration=1.0, record_stride=4,
+                                   perturbation=Perturbation(5, 0.1)))
+        self.assert_matches_per_value_writer(traj, 3)
+
+    def test_special_values_match_per_value_writer(self):
+        from formsim import Trajectory
+
+        # Distances repeat, then change only in the sign of a zero, which
+        # compares equal as a float but prints differently.
+        distances = np.array([[1e16, -0.0], [1e16, -0.0], [1e16, 0.0], [5e-324, 1e-05]])
+        traj = Trajectory(
+            times=np.array([0.0, 1e-05, 0.1, 1e16]),
+            positions=np.array([[-0.0, 5e-324, 1e16, 0.1]] * 4) * [[1.0], [-1.0], [1.0], [2.0]],
+            errors=np.array([[1e-05, -0.0], [5e-324, 1e16], [0.0, -1e-05], [3.0, 1e-300]]),
+            potential=np.array([-0.0, 1e16, 5e-324, 1e-05]),
+            distances=distances,
+        )
+        self.assert_matches_per_value_writer(traj, 2)
+        buf = io.StringIO()
+        write_trajectory_csv(traj, 2, buf)
+        assert [line.split(",")[-1] for line in buf.getvalue().split("\n")[1:-1]] == [
+            "-0.0", "-0.0", "0.0", "1e-05"]
+
 
 class TestDesignDocument:
     def test_round_trip(self, square_ref):

@@ -14,7 +14,9 @@ from formsim import (
     ScalingSchedule,
     SensingGraph,
     SimConfig,
+    Unreachable,
     apply_perturbation,
+    control_law,
     body_frame_transform,
     decay_rate_fit,
     distance_errors,
@@ -25,8 +27,10 @@ from formsim import (
     scaling_params,
     scheduled_distances,
     steady_state_report,
+    time_varying_params,
     translation_params,
 )
+from formsim.simulate import make_rhs
 from conftest import SQUARE_POINTS
 
 
@@ -243,6 +247,33 @@ class TestPerturbations:
 
         achieved = np.linalg.norm(distance_errors(moved, square_ref.distances))
         assert achieved == pytest.approx(target, rel=2e-3)
+
+    # A negative norm is never met; a norm far below rounding moves no
+    # edge length at all.
+    @pytest.mark.parametrize("target", [-1.0, 1e-300])
+    def test_unreachable_error_norm_raises(self, square_ref, target):
+        with pytest.raises(Unreachable, match="error norm"):
+            perturb_to_error_norm(square_ref.framework, square_ref.distances, 7, target)
+
+
+class TestMakeRhs:
+    @pytest.mark.parametrize("schedule", [
+        ScalingSchedule.none(), ScalingSchedule.linear(0.05), ScalingSchedule.periodic(0.25, 1.5),
+    ], ids=["none", "linear", "periodic"])
+    def test_bitwise_equal_to_control_law(self, square_ref, tetra_ref, schedule):
+        for ref, v, omega in ((square_ref, (0.3, -0.2), 0.7),
+                              (tetra_ref, (0.1, 0.0, 0.2), np.array([0.0, 0.3, 0.5]))):
+            cfg = motion_config(ref, v=v, omega=omega, schedule=schedule)
+            rhs = make_rhs(ref, cfg)
+            starts = [apply_perturbation(ref.framework, seed, 0.2) for seed in (1, 2)]
+            p = np.array([fw.positions for fw in starts])
+            # A repeated time reuses the schedule arrays of the stage before.
+            for t in (0.0, 0.35, 0.35, 1.2, 0.35):
+                d_t, _ = scheduled_distances(ref, schedule, t)
+                pv = time_varying_params(cfg, t)
+                got = rhs(t, p)
+                for row, fw in zip(got, starts):
+                    assert row.tobytes() == control_law(fw, d_t, pv, cfg.gain).tobytes()
 
 
 class TestCentroid:
