@@ -11,7 +11,6 @@ from .control import (
     control_law,
     distance_errors,
     elastic_potential,
-    error_dynamics_rhs,
     scheduled_distances,
     stiffness_matrix,
     time_varying_params,
@@ -23,7 +22,6 @@ from .errors import (
     EdgeCollapse,
     FormsimError,
     InsufficientDecay,
-    NonPositiveDistance,
     PositivityError,
     RigidityError,
     SchemaError,
@@ -32,12 +30,10 @@ from .errors import (
 )
 from .motion import (
     MotionParameters,
-    MotionSpaces,
     ReferenceShape,
     distance_rates,
     induced_velocities,
     induced_velocity_matrix,
-    membership_residuals,
     motion_spaces,
     rotation_field,
     rotation_params,
@@ -52,7 +48,6 @@ from .rigidity import (
     bearings,
     edge_lengths,
     edge_vectors,
-    incidence_matrix,
     rigidity_matrix,
     rigidity_report,
     unit_edge_vectors,

@@ -27,14 +27,7 @@ from .errors import (
 )
 from .checks import run_verification
 from .control import ControllerConfig
-from .motion import (
-    distance_rates,
-    induced_velocities,
-    rotation_field,
-    rotation_params,
-    scaling_params,
-    translation_params,
-)
+from .motion import distance_rates, induced_velocities, rotation_field
 from .rigidity import bearings
 from .scenario import (
     Scenario,
@@ -94,19 +87,21 @@ def _load(args) -> Scenario:
         overrides["dt"] = args.dt
     if args.duration is not None:
         overrides["duration"] = args.duration
-    if args.seed is not None:
-        if sim.perturbation is None:
-            log.warning("--seed ignored: scenario has no perturbation")
-        else:
-            overrides["perturbation"] = Perturbation(args.seed, sim.perturbation.magnitude)
-    if overrides:
-        try:
+    try:
+        if args.seed is not None:
+            if sim.perturbation is None:
+                log.warning("--seed ignored: scenario has no perturbation")
+            else:
+                overrides["perturbation"] = Perturbation(args.seed, sim.perturbation.magnitude)
+        if overrides:
             scenario.sim = dataclasses.replace(sim, **overrides)
-        except ValueError as exc:
-            raise SchemaError(f"command-line override: {exc}") from None
-        if scenario.schedule.min_scale_factor(scenario.sim.horizon) <= 0.0:
-            raise PositivityError("command-line override: scale factor reaches zero by the end "
-                                  "of the last step")
+    except ValueError as exc:
+        raise SchemaError(f"command-line override: {exc}") from None
+    # parse_scenario has already refused a schedule that fails on the
+    # scenario's own horizon, so only an override can fail here.
+    if scenario.schedule.min_scale_factor(scenario.sim.horizon) <= 0.0:
+        raise PositivityError("command-line override: scale factor reaches zero by the end "
+                              "of the last step")
     return scenario
 
 
@@ -122,11 +117,11 @@ def cmd_analyze(args) -> int:
 
 def _design_document(scenario: Scenario) -> dict:
     ref = scenario.reference_shape()
-    spaces = ref.spaces
+    cfg = scenario.controller_config(ref)
     parts = {
-        "translation": translation_params(ref, scenario.v_body),
-        "rotation": rotation_params(ref, scenario.omega),
-        "scaling_unit_rate": scaling_params(ref, 1.0),
+        "translation": cfg.translation_part,
+        "rotation": cfg.rotation_part,
+        "scaling_unit_rate": cfg.scaling_part,
     }
     unit_vec = bearings(ref.framework)
     residuals = {}
@@ -140,12 +135,7 @@ def _design_document(scenario: Scenario) -> dict:
     residuals["scaling_unit_rate"] = float(
         np.linalg.norm(distance_rates(ref, parts["scaling_unit_rate"]) - ref.distances)
     )
-    dims = {
-        "translation": int(spaces.translation_basis.shape[1]),
-        "rotation": int(spaces.rotation_basis.shape[1]),
-        "scaling": int(spaces.scaling_basis.shape[1]),
-    }
-    return design_to_document(scenario.dimension, dims, parts, residuals)
+    return design_to_document(scenario.dimension, parts, residuals)
 
 
 def cmd_design(args) -> int:

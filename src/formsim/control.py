@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EdgeCollapse, NonPositiveDistance
+from .errors import EdgeCollapse, PositivityError
 from .motion import MotionParameters, ReferenceShape
 from .rigidity import (
     Framework,
@@ -85,13 +85,11 @@ class ScalingSchedule:
             return min(1.0, 1.0 + self.rate * duration)
         if self.kind == "periodic":
             phase_end = self.frequency * duration
-            candidates = [0.0, phase_end]
-            # Interior extrema of sin at odd multiples of pi/2.
-            crest = math.pi / 2.0
-            while crest <= phase_end:
-                candidates.append(crest)
-                crest += math.pi
-            return 1.0 + min(2.0 * self.amplitude * math.sin(p) for p in candidates)
+            # Interior extrema of sin at odd multiples of pi/2; every later
+            # one repeats the value at pi/2 or 3 pi/2.
+            crests = [p for p in (math.pi / 2.0, math.pi / 2.0 + math.pi) if p <= phase_end]
+            return 1.0 + min(2.0 * self.amplitude * math.sin(p)
+                             for p in [0.0, phase_end, *crests])
         return 1.0
 
 
@@ -119,7 +117,7 @@ def scheduled_distances(ref: ReferenceShape, schedule: ScalingSchedule, t: float
     factor = 1.0 + schedule.value(t)
     d_t = factor * ref.distances
     if np.any(d_t <= 0.0):
-        raise NonPositiveDistance(f"scheduled distance is not positive at t={t:.6g}")
+        raise PositivityError(f"scheduled distance is not positive at t={t:.6g}")
     return d_t, schedule.value_rate(t) * ref.distances
 
 
@@ -133,7 +131,7 @@ def distance_errors(fw: Framework, d_t: np.ndarray) -> np.ndarray:
     """Edge length minus scheduled distance, one entry per edge."""
     d_t = np.asarray(d_t, dtype=float).reshape(-1)
     if np.any(d_t <= 0.0):
-        raise NonPositiveDistance("scheduled distances must be positive")
+        raise PositivityError("scheduled distances must be positive")
     return np.linalg.norm(edge_vectors(fw), axis=1) - d_t
 
 
@@ -221,25 +219,9 @@ def control_law(fw: Framework, d_t: np.ndarray, pv: MotionParameters, gain: floa
     """
     d_t = np.asarray(d_t, dtype=float).reshape(-1)
     if np.any(d_t <= 0.0):
-        raise NonPositiveDistance("scheduled distances must be positive")
+        raise PositivityError("scheduled distances must be positive")
     kernel = control_kernel(fw.graph, fw.dim)
     return kernel(fw.positions[None, :], d_t, pv.tail, pv.head, gain)[0]
-
-
-def error_dynamics_rhs(errors: np.ndarray, fw: Framework, pv: MotionParameters,
-                       ddot_t: np.ndarray, gain: float) -> np.ndarray:
-    """Time derivative of the distance errors under the control law.
-
-    The law is evaluated with the supplied errors.  Used for analysis
-    only; the simulator integrates positions and recomputes errors from
-    them.
-    """
-    kernel = control_kernel(fw.graph, fw.dim)
-    units, _ = kernel.edge_units(fw.positions[None, :])
-    pull = gain * np.asarray(errors, dtype=float).reshape(1, -1)
-    vel_pts = kernel.scatter(units, pv.tail - pull, pv.head + pull).reshape(-1, fw.dim)
-    edge_rates = ((vel_pts[kernel.tails] - vel_pts[kernel.heads]) * units[0].T).sum(axis=1)
-    return edge_rates - np.asarray(ddot_t, dtype=float).reshape(-1)
 
 
 def stiffness_matrix(fw: Framework) -> np.ndarray:

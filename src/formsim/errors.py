@@ -19,10 +19,6 @@ class Unreachable(FormsimError):
     tolerance."""
 
 
-class NonPositiveDistance(FormsimError):
-    """A scheduled inter-agent distance is zero or negative."""
-
-
 class EdgeCollapse(FormsimError):
     """Two neighboring agents collided during simulation.
 
@@ -55,4 +51,5 @@ class RigidityError(FormsimError):
 
 
 class PositivityError(FormsimError):
-    """A scaling schedule drives some distance to zero on the horizon."""
+    """A scheduled inter-agent distance is zero or negative, or a scaling
+    schedule drives one to zero on the horizon."""

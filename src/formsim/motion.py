@@ -161,10 +161,6 @@ class ReferenceShape:
         return rigidity_report(self.framework)
 
     @cached_property
-    def spaces(self) -> "MotionSpaces":
-        return motion_spaces(self)
-
-    @cached_property
     def velocity_map(self) -> np.ndarray:
         """Offset-to-velocity matrix at the reference bearings."""
         return induced_velocity_matrix(unit_edge_vectors(self.framework).reshape(-1), self.graph)
@@ -206,22 +202,15 @@ def _min_norm_offsets(ref: ReferenceShape, fields: np.ndarray) -> np.ndarray:
     return np.einsum("kd,kdm->km", units, solved[ends])
 
 
-@dataclass(frozen=True, eq=False)
-class MotionSpaces:
-    """Orthonormal bases (columns) of the offsets producing each rigid motion.
+def motion_spaces(ref: ReferenceShape) -> dict:
+    """Worst defining-constraint violation of each rigid-motion generator.
 
-    Each basis spans the minimum-norm offsets of its generator velocity
-    fields: dim translations, 1 (plane) or 3 (space) rotations about the
-    centroid, and one uniform scaling about the centroid.
-    """
-
-    translation_basis: np.ndarray
-    rotation_basis: np.ndarray
-    scaling_basis: np.ndarray
-
-
-def motion_spaces(ref: ReferenceShape) -> MotionSpaces:
-    """Translation, rotation and scaling offset bases of a reference shape.
+    Solves the minimum-norm offsets of the unit generator fields: dim
+    translations, 1 (plane) or 3 (space) rotations about the centroid,
+    and one uniform scaling about the centroid.  Scaled to unit norm,
+    translation offsets must induce zero edge-vector rates, rotation
+    offsets zero distance rates, and scaling offsets zero bearing rates;
+    all three should sit at rounding level.
 
     A diagnostic: calibration does not use it.  A generator column whose
     relative miss exceeds REFINE_TOL gets calibration's corrective solve.
@@ -238,8 +227,15 @@ def motion_spaces(ref: ReferenceShape) -> MotionSpaces:
     )
     gates = REFINE_TOL * np.maximum(1.0, np.linalg.norm(fields, axis=0))
     offsets, _ = _refined_offsets(ref, fields, gates)
-    groups = np.split(offsets, [dim, dim + len(spins)], axis=1)
-    return MotionSpaces(*(np.linalg.qr(group)[0] for group in groups))
+    rates = _edge_rates(ref, offsets / np.linalg.norm(offsets, axis=0))
+    translation, rotation, scaling = np.split(rates, [dim, dim + len(spins)], axis=2)
+    units = unit_edge_vectors(ref.framework)[:, :, None]
+    along = (units * scaling).sum(axis=1, keepdims=True)
+    return {
+        "translation": float(np.abs(translation).max()),
+        "rotation": float(np.abs((units * rotation).sum(axis=1)).max()),
+        "scaling": float(np.abs(scaling - units * along).max()),
+    }
 
 
 def _edge_rates(ref: ReferenceShape, offsets: np.ndarray) -> np.ndarray:
@@ -254,24 +250,6 @@ def distance_rates(ref: ReferenceShape, pv: MotionParameters) -> np.ndarray:
     reference bearings, u_k . (v_tail - v_head)."""
     units = unit_edge_vectors(ref.framework)
     return np.einsum("kd,kd->k", units, _edge_rates(ref, pv.stacked()[:, None])[:, :, 0])
-
-
-def membership_residuals(ref: ReferenceShape, spaces: MotionSpaces) -> dict:
-    """Worst defining-constraint violation of each basis.
-
-    Translation offsets must induce zero edge-vector rates, rotation
-    offsets zero distance rates, and scaling offsets zero bearing rates.
-    All three should sit at rounding level for a valid basis.
-    """
-    units = unit_edge_vectors(ref.framework)[:, :, None]
-    rotation = _edge_rates(ref, spaces.rotation_basis)
-    scaling = _edge_rates(ref, spaces.scaling_basis)
-    along = (units * scaling).sum(axis=1, keepdims=True)
-    return {
-        "translation": float(np.abs(_edge_rates(ref, spaces.translation_basis)).max()),
-        "rotation": float(np.abs((units * rotation).sum(axis=1)).max()),
-        "scaling": float(np.abs(scaling - units * along).max()),
-    }
 
 
 def _refined_offsets(ref: ReferenceShape, fields: np.ndarray, gates):
@@ -297,7 +275,9 @@ def _calibrate(ref: ReferenceShape, target: np.ndarray, what: str) -> MotionPara
     """Minimum-norm offsets inducing the stacked velocity field target."""
     gate = CALIBRATION_TOL * max(1.0, float(np.linalg.norm(target)))
     offsets, (residual,) = _refined_offsets(ref, target[:, None], gate)
-    if residual > gate:
+    # `not residual <= gate` also refuses a NaN residual.  A target whose
+    # norm overflows makes the gate infinite, hence the finiteness tests.
+    if not (residual <= gate and np.isfinite(residual) and np.isfinite(offsets).all()):
         raise Unreachable(f"{what} target unreachable, residual {residual:.3e}")
     return MotionParameters.from_stacked(offsets)
 

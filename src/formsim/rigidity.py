@@ -74,16 +74,6 @@ def _graph_arrays(graph: SensingGraph):
     return ends[0], ends[1]
 
 
-def incidence_matrix(graph: SensingGraph) -> np.ndarray:
-    """Vertex-by-edge matrix with +1 at each edge's tail and -1 at its head."""
-    tails, heads = _graph_arrays(graph)
-    cols = np.arange(graph.edge_count)
-    incidence = np.zeros((graph.vertex_count, graph.edge_count))
-    incidence[tails, cols] = 1.0
-    incidence[heads, cols] = -1.0
-    return incidence
-
-
 @dataclass(frozen=True, eq=False)
 class Framework:
     """A sensing graph together with stacked agent positions in R^dim.

@@ -81,8 +81,8 @@ class Scenario:
     def reference_shape(self) -> ReferenceShape:
         """The validated reference shape, built once per scenario.
 
-        Its rigidity report, motion spaces and velocity map are cached on
-        it, so every command and check shares them.
+        Its rigidity report and velocity map are cached on it, so every
+        command and check shares them.
         """
         if self._reference is None:
             self._reference = ReferenceShape(
@@ -225,10 +225,11 @@ def parse_scenario(text: str) -> Scenario:
         magnitude = _expect(raw_pert, "magnitude", float, "$.sim.perturbation")
         if magnitude < 0.0:
             raise SchemaError("$.sim.perturbation.magnitude: must not be negative")
-        perturbation = Perturbation(
-            seed=_expect(raw_pert, "seed", int, "$.sim.perturbation"),
-            magnitude=magnitude,
-        )
+        seed = _expect(raw_pert, "seed", int, "$.sim.perturbation")
+        try:
+            perturbation = Perturbation(seed, magnitude)
+        except ValueError as exc:
+            raise SchemaError(f"$.sim.perturbation.seed: {exc}") from None
     try:
         sim = SimConfig(
             dt=_expect(raw_sim, "dt", float, "$.sim"),
@@ -342,11 +343,16 @@ def write_trajectory_csv(traj: Trajectory, dim: int, fh) -> None:
         fh.write(row_end)
 
 
-def design_to_document(dim: int, spaces_dims: dict, parts: dict, residuals: dict) -> dict:
-    """Assemble the design-command output document."""
+def design_to_document(dim: int, parts: dict, residuals: dict) -> dict:
+    """Assemble the design-command output document.
+
+    space_dimensions counts the independent translations, rotations and
+    scalings of a rigid shape in R^dim.
+    """
     return {
         "dimension": dim,
-        "space_dimensions": spaces_dims,
+        "space_dimensions": {"translation": dim, "rotation": 1 if dim == 2 else 3,
+                             "scaling": 1},
         "parameters": {
             name: {"tail": pv.tail.tolist(), "head": pv.head.tolist()}
             for name, pv in parts.items()

@@ -21,7 +21,7 @@ from .errors import (
     EdgeCollapse,
     FormsimError,
     InsufficientDecay,
-    NonPositiveDistance,
+    PositivityError,
     Unreachable,
 )
 from .motion import ReferenceShape
@@ -37,6 +37,10 @@ class Perturbation:
 
     seed: int
     magnitude: float
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -223,7 +227,7 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
     and the other runs carry on.
     """
     if cfg.schedule.min_scale_factor(sim.horizon) <= 0.0:
-        raise NonPositiveDistance("schedule drives the scale factor to zero within the horizon")
+        raise PositivityError("schedule drives the scale factor to zero within the horizon")
     if sim.perturbation is not None:
         starts = [apply_perturbation(fw, sim.perturbation.seed, sim.perturbation.magnitude)
                   for fw in starts]
@@ -383,7 +387,7 @@ def steady_state_report(traj: Trajectory, ref: ReferenceShape, window) -> Steady
     t0, t1 = float(window[0]), float(window[1])
     mask = (traj.times >= t0) & (traj.times <= t1)
     if int(mask.sum()) < 3:
-        raise ValueError("window must contain at least three samples")
+        raise InsufficientDecay("window must contain at least three samples")
     idx = np.nonzero(mask)[0]
     sub = Trajectory(traj.times[idx], traj.positions[idx], traj.errors[idx],
                      traj.potential[idx], traj.distances[idx])

@@ -38,11 +38,6 @@ def square_ref(square_framework):
 
 
 @pytest.fixture(scope="session")
-def square_spaces(square_ref):
-    return square_ref.spaces
-
-
-@pytest.fixture(scope="session")
 def tetra_graph():
     return SensingGraph(4, TETRA_EDGES)
 

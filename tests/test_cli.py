@@ -110,6 +110,15 @@ class TestDesign:
         assert doc["space_dimensions"] == {"translation": 2, "rotation": 1, "scaling": 1}
         assert max(doc["residuals"].values()) <= 1e-9
 
+    def test_overflowing_target_is_unreachable(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, targets={
+            "v_body": [0.0, 0.0], "omega": 1e300, "schedule": {"kind": "none"},
+        })
+        assert main(["design", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "Unreachable: rotation target unreachable" in captured.err
+        assert captured.out == ""
+
     def test_zero_targets_give_zero_vectors(self, tmp_path, capsys):
         path = write_scenario(tmp_path, targets={
             "v_body": [0.0, 0.0], "omega": 0.0, "schedule": {"kind": "none"},
@@ -122,6 +131,19 @@ class TestDesign:
 
 
 class TestSimulate:
+    def test_run_too_short_for_a_steady_state_window(self, tmp_path, capsys):
+        from formsim import bundled_scenario_path
+
+        # 0.02 time units at dt 0.001 and stride 10 record 3 samples, so
+        # the second half of the run holds only 2.
+        prefix = tmp_path / "short"
+        assert main(["simulate", str(bundled_scenario_path("square")),
+                     "--duration", "0.02", "-o", str(prefix)]) == 0
+        report = json.loads(Path(f"{prefix}.json").read_text())
+        assert report["samples"] == 3
+        assert report["steady_state"] is None
+        assert "window" in report["note"]
+
     def test_writes_csv_and_report(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         path = write_scenario(tmp_path)
@@ -229,6 +251,37 @@ class TestVerify:
         )
         assert main(["verify", str(path)]) == 0
         assert "no motion designed" in capsys.readouterr().out
+
+    def test_convergence_fit_stops_at_the_run_floor(self, tmp_path, capsys):
+        # At dt 0.005 the converging run levels off near 1e-7, the error
+        # the run started on the shape also reaches.  Fitted down to 1e-8,
+        # that plateau would pull r_squared below 0.99.
+        path = write_scenario(tmp_path, sim={"dt": 0.005, "duration": 6.0,
+                                             "record_stride": 5, "perturbation": None})
+        assert main(["verify", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "PASS exponential-convergence: rate=3.456 r_squared=0.9977 decades=5.71" in out
+
+    @pytest.mark.parametrize("invariant_peak, passed", [
+        (1.3e-7, True),  # floor 1.3e-6 cuts the plateau off
+        (None, False),  # invariant run failed: floor 1e-8 keeps the plateau
+        (0.05, False),  # drifting invariant run: floor 0.5 leaves 0.1 decades
+    ])
+    def test_convergence_floor_comes_from_the_invariant_run(self, invariant_peak, passed):
+        from formsim import Divergence, Trajectory
+        from formsim.checks import check_exponential_convergence
+
+        def run(norms):
+            zeros = np.zeros_like(times)
+            return Trajectory(times, zeros[:, None], norms[:, None], zeros, zeros[:, None])
+
+        times = np.linspace(0.0, 6.0, 241)
+        plateau = 1.2e-7 * (1.0 + 0.2 * np.sin(37.0 * times))
+        converging = run(1.5 * np.exp(-3.4 * times) + plateau)
+        invariant = (Divergence("state is not finite") if invariant_peak is None
+                     else run(invariant_peak * np.abs(np.sin(times))))
+        result = check_exponential_convergence(None, converging, invariant)
+        assert result.passed is passed, result.detail
 
 
 class TestSpatialScenario:
@@ -355,6 +408,14 @@ class TestOverrides:
             assert main(["simulate", str(path), *flags]) == 1, flags
             assert "Traceback" not in capsys.readouterr().err
 
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys):
+        path = write_scenario(tmp_path)
+        assert main(["design", str(path), "--seed", "-1"]) == 1
+        assert "command-line override: seed must not be negative" in capsys.readouterr().err
+        path = write_scenario(tmp_path, sim={"dt": 0.002, "duration": 1.0,
+                                             "perturbation": {"seed": -1, "magnitude": 0.5}})
+        assert main(["design", str(path)]) == 1
+        assert "$.sim.perturbation.seed" in capsys.readouterr().err
 
     def test_schedule_is_checked_up_to_the_last_step(self, tmp_path, capsys):
         # 1.1 / 0.4 rounds up to 3 steps: the run would end at 1.2, past

@@ -15,7 +15,6 @@ from formsim import (
     distance_rates,
     induced_velocities,
     induced_velocity_matrix,
-    membership_residuals,
     motion_spaces,
     rotation_field,
     rotation_params,
@@ -33,8 +32,13 @@ from conftest import (
 )
 
 
-def subspace_projector(basis):
-    return basis @ basis.T
+def unit_calibrations(ref):
+    """Translation, rotation and scaling offsets for unit targets, each
+    scaled to unit norm."""
+    spin = 1.0 if ref.dim == 2 else [0.0, 0.0, 1.0]
+    parts = (translation_params(ref, np.eye(ref.dim)[0]), rotation_params(ref, spin),
+             scaling_params(ref, 1.0))
+    return [pv.stacked() / np.linalg.norm(pv.stacked()) for pv in parts]
 
 
 class TestMotionParameters:
@@ -100,10 +104,13 @@ class TestNullSpace:
         assert min(np.linalg.norm(basis[:, 0] - expected),
                    np.linalg.norm(basis[:, 0] + expected)) <= 1e-12
 
-    def test_expanded_incidence_kernel_is_translations(self, square_graph):
-        from formsim import incidence_matrix
-
-        expanded = np.kron(incidence_matrix(square_graph), np.eye(2))
+    def test_expanded_incidence_kernel_is_translations(self):
+        # Vertex-by-edge incidence: +1 at each edge's tail, -1 at its head.
+        tails, heads = (np.array(SQUARE_EDGES) - 1).T
+        incidence = np.zeros((4, 5))
+        incidence[tails, np.arange(5)] = 1.0
+        incidence[heads, np.arange(5)] = -1.0
+        expanded = np.kron(incidence, np.eye(2))
         basis = null_space(expanded.T)
         assert basis.shape[1] == 2
         # Every kernel vector repeats one planar displacement on all agents.
@@ -139,57 +146,49 @@ class TestReferenceShape:
 
 
 class TestMotionSpaces:
-    def test_dimensions_square(self, square_ref, square_spaces):
+    def test_dimensions_square(self, square_ref):
+        # 2E - n * dim = 10 - 8 offset directions move no agent.
         assert null_space(square_ref.velocity_map).shape[1] == 2
-        assert square_spaces.translation_basis.shape[1] == 2
-        assert square_spaces.rotation_basis.shape[1] == 1
-        assert square_spaces.scaling_basis.shape[1] == 1
 
     def test_dimensions_tetrahedron(self, tetra_ref):
-        spaces = tetra_ref.spaces
         assert null_space(tetra_ref.velocity_map).shape[1] == 0
-        assert spaces.translation_basis.shape[1] == 3
-        assert spaces.rotation_basis.shape[1] == 3
-        assert spaces.scaling_basis.shape[1] == 1
 
-    def test_bases_orthonormal(self, square_spaces):
-        for basis in (square_spaces.translation_basis, square_spaces.rotation_basis,
-                      square_spaces.scaling_basis):
-            gram = basis.T @ basis
-            np.testing.assert_allclose(gram, np.eye(basis.shape[1]), atol=1e-10)
-
-    def test_moving_bases_orthogonal_to_zero_motion(self, square_ref, square_spaces):
+    def test_moving_bases_orthogonal_to_zero_motion(self, square_ref):
         zero = null_space(square_ref.velocity_map)
-        for basis in (square_spaces.translation_basis, square_spaces.rotation_basis,
-                      square_spaces.scaling_basis):
-            assert np.abs(zero.T @ basis).max() <= 1e-10
+        for offsets in unit_calibrations(square_ref):
+            assert np.abs(zero.T @ offsets).max() <= 1e-10
 
-    def test_rotation_and_scaling_orthogonal_to_translation(self, square_spaces):
-        trans = square_spaces.translation_basis
-        assert np.abs(trans.T @ square_spaces.rotation_basis).max() <= 1e-10
-        assert np.abs(trans.T @ square_spaces.scaling_basis).max() <= 1e-10
+    def test_rotation_and_scaling_orthogonal_to_translation(self, square_ref):
+        translations = [translation_params(square_ref, axis).stacked() for axis in np.eye(2)]
+        _, rotation, scaling = unit_calibrations(square_ref)
+        for trans in translations:
+            assert abs(trans @ rotation) <= 1e-10
+            assert abs(trans @ scaling) <= 1e-10
 
-    def test_membership_residuals(self, square_ref, square_spaces):
-        residuals = membership_residuals(square_ref, square_spaces)
+    def test_membership_residuals(self, square_ref):
+        residuals = motion_spaces(square_ref)
         assert set(residuals) == {"translation", "rotation", "scaling"}
         assert max(residuals.values()) <= 1e-10
 
     def test_membership_residuals_tetrahedron(self, tetra_ref):
-        assert max(membership_residuals(tetra_ref, tetra_ref.spaces).values()) <= 1e-10
+        assert max(motion_spaces(tetra_ref).values()) <= 1e-10
 
-    def test_translation_moves_all_agents_equally(self, square_ref, square_spaces):
-        field = (square_ref.velocity_map @ square_spaces.translation_basis[:, 0]).reshape(4, 2)
+    def test_translation_moves_all_agents_equally(self, square_ref):
+        translation, _, _ = unit_calibrations(square_ref)
+        field = (square_ref.velocity_map @ translation).reshape(4, 2)
         np.testing.assert_allclose(field, np.tile(field[0], (4, 1)), atol=1e-9)
 
-    def test_rotation_field_is_tangential_with_still_centroid(self, square_ref, square_spaces):
-        field = (square_ref.velocity_map @ square_spaces.rotation_basis[:, 0]).reshape(4, 2)
+    def test_rotation_field_is_tangential_with_still_centroid(self, square_ref):
+        _, rotation, _ = unit_calibrations(square_ref)
+        field = (square_ref.velocity_map @ rotation).reshape(4, 2)
         np.testing.assert_allclose(field.mean(axis=0), 0.0, atol=1e-9)
         centered = square_ref.centered_points()
         radial = np.abs((field * centered).sum(axis=1))
         assert radial.max() <= 1e-9 * np.abs(field).max() * np.abs(centered).max()
 
-    def test_scaling_field_is_radial_and_bearing_preserving(self, square_ref, square_spaces):
-        field = (square_ref.velocity_map @ square_spaces.scaling_basis[:, 0]).reshape(4, 2)
+    def test_scaling_field_is_radial_and_bearing_preserving(self, square_ref):
+        _, _, scaling = unit_calibrations(square_ref)
+        field = (square_ref.velocity_map @ scaling).reshape(4, 2)
         centered = square_ref.centered_points()
         cross = field[:, 0] * centered[:, 1] - field[:, 1] * centered[:, 0]
         assert np.abs(cross).max() <= 1e-9
@@ -203,25 +202,31 @@ class TestMotionSpaces:
         rot = np.array([[np.cos(angle), -np.sin(angle)],
                         [np.sin(angle), np.cos(angle)]])
         ref = ReferenceShape(Framework.from_points(square_graph, SQUARE_POINTS @ rot.T))
-        spaces = motion_spaces(ref)
-        assert spaces.translation_basis.shape[1] == 2
-        assert spaces.rotation_basis.shape[1] == 1
-        assert spaces.scaling_basis.shape[1] == 1
+        assert null_space(ref.velocity_map).shape[1] == 2
+        assert max(motion_spaces(ref).values()) <= 1e-10
 
-    def test_spaces_invariant_under_uniform_scaling(self, square_graph, square_spaces):
+    def test_spaces_invariant_under_uniform_scaling(self, square_graph, square_ref):
         ref = ReferenceShape(Framework.from_points(square_graph, 2.5 * SQUARE_POINTS))
-        scaled = motion_spaces(ref)
-        for mine, theirs in (
-            (scaled.translation_basis, square_spaces.translation_basis),
-            (scaled.rotation_basis, square_spaces.rotation_basis),
-            (scaled.scaling_basis, square_spaces.scaling_basis),
-        ):
-            gap = np.abs(subspace_projector(mine) - subspace_projector(theirs)).max()
-            assert gap <= 1e-9
+        for mine, theirs in zip(unit_calibrations(ref), unit_calibrations(square_ref)):
+            assert np.abs(mine - theirs).max() <= 1e-9
+
+    def test_corrupted_offsets_fail_the_check(self, monkeypatch):
+        # The residuals are scale-free, so the corruption must turn the
+        # offsets, not shrink them: shift each column's entries by one.
+        from formsim import bundled_scenario_path, load_scenario
+        from formsim.checks import check_motion_spaces
+
+        scenario = load_scenario(bundled_scenario_path("square"))
+        assert check_motion_spaces(scenario).passed
+        solve = motion._min_norm_offsets
+        monkeypatch.setattr(motion, "_min_norm_offsets",
+                            lambda ref, fields: np.roll(solve(ref, fields), 1, axis=0))
+        result = check_motion_spaces(scenario)
+        assert not result.passed, result.detail
 
 
 class TestCalibration:
-    def test_zero_targets_give_zero_offsets(self, square_ref, square_spaces):
+    def test_zero_targets_give_zero_offsets(self, square_ref):
         for pv in (
             translation_params(square_ref, [0.0, 0.0]),
             rotation_params(square_ref, 0.0),
@@ -229,24 +234,24 @@ class TestCalibration:
         ):
             assert np.abs(pv.stacked()).max() == 0.0
 
-    def test_translation_round_trip(self, square_ref, square_spaces):
+    def test_translation_round_trip(self, square_ref):
         target = np.array([1.2, -0.4])
         pv = translation_params(square_ref, target)
         field = induced_velocities(pv, square_ref.graph, bearings(square_ref.framework))
         np.testing.assert_allclose(field.reshape(4, 2), np.tile(target, (4, 1)), atol=1e-9)
 
-    def test_translation_linearity(self, square_ref, square_spaces):
+    def test_translation_linearity(self, square_ref):
         one = translation_params(square_ref, [0.3, 0.7])
         two = translation_params(square_ref, [0.6, 1.4])
         np.testing.assert_allclose(two.stacked(), 2.0 * one.stacked(), atol=1e-12)
 
-    def test_rotation_round_trip(self, square_ref, square_spaces):
+    def test_rotation_round_trip(self, square_ref):
         pv = rotation_params(square_ref, 0.8)
         field = induced_velocities(pv, square_ref.graph, bearings(square_ref.framework))
         expected = rotation_field(square_ref.centered_points(), 0.8)
         np.testing.assert_allclose(field, expected, atol=1e-9)
 
-    def test_rotation_matches_spin_pattern_direction(self, square_ref, square_spaces):
+    def test_rotation_matches_spin_pattern_direction(self, square_ref):
         pv = rotation_params(square_ref, 1.0).stacked()
         cosine = abs(pv @ SPIN_PATTERN) / (np.linalg.norm(pv) * np.linalg.norm(SPIN_PATTERN))
         assert cosine >= 1.0 - 1e-12
@@ -258,7 +263,7 @@ class TestCalibration:
         expected = rotation_field(tetra_ref.centered_points(), omega)
         np.testing.assert_allclose(field, expected, atol=1e-9)
 
-    def test_scaling_round_trip(self, square_ref, square_spaces):
+    def test_scaling_round_trip(self, square_ref):
         rate = 0.25
         pv = scaling_params(square_ref, rate)
         rates = distance_rates(square_ref, pv)
@@ -320,11 +325,7 @@ class TestMinimumNormOffsets:
             assert mismatch <= 1e-9 * max(1.0, np.linalg.norm(target)), name
             # Minimum norm: nothing in the offsets lies in the kernel.
             assert np.linalg.norm(kernel.T @ offsets) <= 1e-9 * np.linalg.norm(offsets), name
-        spaces = motion_spaces(ref)
-        dims = tuple(b.shape[1] for b in (spaces.translation_basis, spaces.rotation_basis,
-                                          spaces.scaling_basis))
-        assert dims == (dim, 1 if dim == 2 else 3, 1)
-        assert max(membership_residuals(ref, spaces).values()) <= 1e-9
+        assert max(motion_spaces(ref).values()) <= 1e-9
 
     def test_nearly_flat_tetrahedron_passes_motion_spaces_check(self):
         # The first solve misses the membership tolerance on several

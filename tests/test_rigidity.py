@@ -11,35 +11,11 @@ from formsim import (
     bearings,
     edge_lengths,
     edge_vectors,
-    incidence_matrix,
     rigidity_matrix,
     rigidity_report,
     unit_edge_vectors,
 )
 from conftest import SQUARE_EDGES, SQUARE_POINTS, henneberg_framework, random_planar_framework
-
-
-@st.composite
-def connected_graphs(draw):
-    n = draw(st.integers(min_value=2, max_value=6))
-    edges = []
-    used = set()
-    for v in range(2, n + 1):
-        anchor = draw(st.integers(min_value=1, max_value=v - 1))
-        if draw(st.booleans()):
-            edge = (v, anchor)
-        else:
-            edge = (anchor, v)
-        edges.append(edge)
-        used.add(frozenset(edge))
-    extras = draw(st.integers(min_value=0, max_value=3))
-    for _ in range(extras):
-        i = draw(st.integers(min_value=1, max_value=n))
-        j = draw(st.integers(min_value=1, max_value=n))
-        if i != j and frozenset((i, j)) not in used:
-            edges.append((i, j))
-            used.add(frozenset((i, j)))
-    return SensingGraph(n, tuple(edges))
 
 
 class TestSensingGraph:
@@ -62,32 +38,6 @@ class TestSensingGraph:
     def test_rejects_single_vertex(self):
         with pytest.raises(ValueError):
             SensingGraph(1, ())
-
-
-class TestIncidenceMatrix:
-    def test_single_edge(self):
-        graph = SensingGraph(2, ((1, 2),))
-        assert np.array_equal(incidence_matrix(graph), [[1.0], [-1.0]])
-
-    def test_square_with_diagonal(self, square_graph):
-        expected = np.array([
-            [1, 0, -1, 0, -1],
-            [-1, 1, 0, 0, 0],
-            [0, -1, 1, -1, 0],
-            [0, 0, 0, 1, 1],
-        ], dtype=float)
-        assert np.array_equal(incidence_matrix(square_graph), expected)
-
-    @given(connected_graphs())
-    @settings(max_examples=50, deadline=None)
-    def test_column_sums_vanish(self, graph):
-        columns = incidence_matrix(graph).sum(axis=0)
-        assert np.array_equal(columns, np.zeros(graph.edge_count))
-
-    def test_returned_matrix_is_not_shared(self, square_graph):
-        first = incidence_matrix(square_graph)
-        first[0, 0] = 99.0
-        assert incidence_matrix(square_graph)[0, 0] == 1.0
 
 
 class TestRelativePositions:

@@ -279,7 +279,7 @@ class TestDesignDocument:
             "rotation": MotionParameters([3.0] * 5, [4.0] * 5),
             "scaling_unit_rate": MotionParameters([5.0] * 5, [6.0] * 5),
         }
-        doc = design_to_document(2, {"translation": 2}, parts, {"translation": 0.0})
+        doc = design_to_document(2, parts, {"translation": 0.0})
         loaded = parse_design(json.dumps(doc), 5)
         for name, pv in parts.items():
             np.testing.assert_array_equal(loaded[name].tail, pv.tail)
@@ -291,6 +291,6 @@ class TestDesignDocument:
 
         parts = {name: MotionParameters([1.0] * 4, [1.0] * 4)
                  for name in ("translation", "rotation", "scaling_unit_rate")}
-        doc = design_to_document(2, {}, parts, {})
+        doc = design_to_document(2, parts, {})
         with pytest.raises(SchemaError, match="5 offsets"):
             parse_design(json.dumps(doc), 5)

@@ -111,11 +111,11 @@ class TestIntegrate:
             integrate(collapsed, ref, cfg, SimConfig(dt=1e-3, duration=0.1))
 
     def test_schedule_reaching_zero_scale_rejected(self, square_ref):
-        from formsim import NonPositiveDistance
+        from formsim import PositivityError
 
         cfg = ControllerConfig(5.0, MotionParameters.zero(5), MotionParameters.zero(5),
                                MotionParameters.zero(5), ScalingSchedule.linear(-0.2))
-        with pytest.raises(NonPositiveDistance):
+        with pytest.raises(PositivityError):
             integrate(square_ref.framework, square_ref, cfg,
                       SimConfig(dt=1e-2, duration=10.0))
 
@@ -128,9 +128,9 @@ class TestIntegrate:
         assert traj.times[-1] == pytest.approx(1.2)
         zero = MotionParameters.zero(5)
         cfg = ControllerConfig(5.0, zero, zero, zero, ScalingSchedule.linear(-0.9))
-        from formsim import NonPositiveDistance
+        from formsim import PositivityError
 
-        with pytest.raises(NonPositiveDistance, match="within the horizon"):
+        with pytest.raises(PositivityError, match="within the horizon"):
             integrate(square_ref.framework, square_ref, cfg, sim)
 
     def test_rk4_fourth_order_convergence(self, square_ref):
@@ -428,5 +428,5 @@ class TestSteadyStateReport:
     def test_window_outside_trajectory_rejected(self, square_ref):
         traj = integrate(square_ref.framework, square_ref, quiet_config(square_ref),
                          SimConfig(dt=1e-2, duration=1.0))
-        with pytest.raises(ValueError, match="window"):
+        with pytest.raises(InsufficientDecay, match="window"):
             steady_state_report(traj, square_ref, (5.0, 6.0))
