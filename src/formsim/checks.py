@@ -14,7 +14,6 @@ import numpy as np
 
 from .control import (
     ControllerConfig,
-    control_kernel,
     control_law,
     elastic_potential,
     time_varying_params,
@@ -27,11 +26,12 @@ from .motion import (
     motion_spaces,
     rotation_field,
 )
-from .rigidity import Framework
+from .rigidity import Framework, control_kernel
 from .scenario import Scenario
 from .simulate import (
     DECAY_FLOOR,
     Trajectory,
+    _subsample,
     apply_perturbation,
     body_frame_transform,
     decay_rate_fit,
@@ -258,11 +258,6 @@ def _check_steady_velocities(scenario: Scenario, run, cfg: ControllerConfig) -> 
                        f"max per-agent velocity mismatch {worst * 100:.3f}%")
 
     return _guard(name, run_check)
-
-
-def _subsample(traj, idx):
-    return Trajectory(traj.times[idx], traj.positions[idx], traj.errors[idx],
-                      traj.potential[idx], traj.distances[idx])
 
 
 def _closed_loop_runs(scenario: Scenario):

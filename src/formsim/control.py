@@ -12,22 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import EdgeCollapse, PositivityError
+from .errors import PositivityError
 from .motion import MotionParameters, ReferenceShape
 from .rigidity import (
     Framework,
-    _graph_arrays,
     _place_edge_rows,
+    control_kernel,
     edge_vectors,
     unit_edge_vectors,
 )
-
-# Agents closer than this along an edge count as collided.
-COLLAPSE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -139,75 +135,6 @@ def elastic_potential(fw: Framework, d_t: np.ndarray) -> float:
     """Half the sum of squared distance errors."""
     e = distance_errors(fw, d_t)
     return 0.5 * float(e @ e)
-
-
-class ControlKernel:
-    """The control law on stacked positions shaped (batch, vertex_count * dim).
-
-    Edge k contributes its unit vector u_k to both endpoints, weighted by
-    tail_coef_k - gain * e_k at the tail and head_coef_k + gain * e_k at
-    the head, where e_k is its distance error.  Edge quantities are held
-    axis-major, (batch, dim, E), so every elementwise step runs along
-    contiguous edges.  One bincount over a flat index, cached per batch
-    size, sums the contributions into the agents: each agent coordinate
-    adds its tail ends in edge order, then its head ends.  Each agent's
-    velocity depends only on its own edges, and each row of the batch is
-    computed exactly as it would be alone.
-    """
-
-    def __init__(self, graph, dim: int):
-        tails, heads = _graph_arrays(graph)
-        self.tails, self.heads, self.dim = tails, heads, dim
-        self.width = graph.vertex_count * dim
-        axes = np.arange(dim)[:, None]
-        # Flat column of axis a of edge k's tail (head) sits at a * E + k.
-        self._tail_cols = (tails * dim + axes).reshape(-1)
-        self._head_cols = (heads * dim + axes).reshape(-1)
-        self._slots = np.concatenate([self._tail_cols, self._head_cols])
-        self._index: dict[int, np.ndarray] = {}
-
-    def _scatter_index(self, batch: int) -> np.ndarray:
-        index = self._index.get(batch)
-        if index is None:
-            offsets = np.arange(batch)[:, None] * self.width
-            index = (offsets + self._slots).reshape(-1)
-            self._index[batch] = index
-        return index
-
-    def edge_units(self, p: np.ndarray):
-        """Unit edge vectors (batch, dim, E) and edge lengths (batch, E).
-
-        Raises EdgeCollapse naming the rows with an edge shorter than
-        COLLAPSE_TOL.
-        """
-        vecs = p.take(self._tail_cols, axis=1) - p.take(self._head_cols, axis=1)
-        vecs = vecs.reshape(p.shape[0], self.dim, -1)
-        lengths = np.sqrt(np.add.reduce(vecs * vecs, axis=1))
-        if np.minimum.reduce(lengths, axis=None) < COLLAPSE_TOL:
-            rows = np.flatnonzero(lengths.min(axis=1) < COLLAPSE_TOL)
-            raise EdgeCollapse(f"edge shorter than {COLLAPSE_TOL:g}", rows)
-        return vecs / lengths[:, None], lengths
-
-    def scatter(self, units: np.ndarray, tail_weight: np.ndarray,
-                head_weight: np.ndarray) -> np.ndarray:
-        """Sum the weighted unit vectors into the agents, (batch, width)."""
-        batch = units.shape[0]
-        weights = np.concatenate([tail_weight, head_weight], axis=1)
-        values = weights.reshape(batch, 2, 1, -1) * units[:, None]
-        summed = np.bincount(self._scatter_index(batch), weights=values.reshape(-1),
-                             minlength=batch * self.width)
-        return summed.reshape(batch, self.width)
-
-    def __call__(self, p: np.ndarray, d_t, tail_coef, head_coef, gain: float) -> np.ndarray:
-        """Agent velocities for every row of p at scheduled distances d_t."""
-        units, lengths = self.edge_units(p)
-        pull = gain * (lengths - d_t)
-        return self.scatter(units, tail_coef - pull, head_coef + pull)
-
-
-@lru_cache(maxsize=128)
-def control_kernel(graph, dim: int) -> ControlKernel:
-    return ControlKernel(graph, dim)
 
 
 def control_law(fw: Framework, d_t: np.ndarray, pv: MotionParameters, gain: float) -> np.ndarray:

@@ -26,7 +26,7 @@ from .rigidity import (
     Framework,
     RigidityReport,
     SensingGraph,
-    _graph_arrays,
+    control_kernel,
     edge_lengths,
     rigid_rank_target,
     rigidity_rank,
@@ -90,17 +90,8 @@ def induced_velocities(pv: MotionParameters, graph: SensingGraph, bearing_vec: n
     it is the head.
     """
     units = np.asarray(bearing_vec, dtype=float).reshape(graph.edge_count, -1)
-    return _induced_columns(graph, units, pv.stacked()[:, None])[:, 0]
-
-
-def _induced_columns(graph: SensingGraph, units: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """induced_velocities of every stacked offset column, (2E, m) -> (n * dim, m)."""
-    tails, heads = _graph_arrays(graph)
-    ecount, dim = units.shape
-    vel = np.zeros((graph.vertex_count, dim, offsets.shape[1]))
-    np.add.at(vel, tails, offsets[:ecount, None] * units[:, :, None])
-    np.add.at(vel, heads, offsets[ecount:, None] * units[:, :, None])
-    return vel.reshape(-1, offsets.shape[1])
+    kernel = control_kernel(graph, units.shape[1])
+    return kernel.scatter(units.T[None], pv.stacked()[None])[0]
 
 
 def induced_velocity_matrix(bearing_vec: np.ndarray, graph: SensingGraph) -> np.ndarray:
@@ -114,8 +105,8 @@ def induced_velocity_matrix(bearing_vec: np.ndarray, graph: SensingGraph) -> np.
     ecount = graph.edge_count
     units = np.asarray(bearing_vec, dtype=float).reshape(ecount, -1)
     dim = units.shape[1]
-    tails, heads = _graph_arrays(graph)
-    rows = np.concatenate([tails, heads])[:, None] * dim + np.arange(dim)
+    kernel = control_kernel(graph, dim)
+    rows = np.concatenate([kernel.tails, kernel.heads])[:, None] * dim + np.arange(dim)
     out = np.zeros((graph.vertex_count * dim, 2 * ecount))
     out[rows, np.arange(2 * ecount)[:, None]] = np.concatenate([units, units])
     return out
@@ -182,8 +173,8 @@ def _min_norm_offsets(ref: ReferenceShape, fields: np.ndarray) -> np.ndarray:
     span R^dim.
     """
     graph, dim = ref.graph, ref.dim
-    tails, heads = _graph_arrays(graph)
-    ends = np.concatenate([tails, heads])
+    kernel = control_kernel(graph, dim)
+    ends = np.concatenate([kernel.tails, kernel.heads])
     units = unit_edge_vectors(ref.framework)
     units = np.concatenate([units, units])
     gram = np.zeros((graph.vertex_count, dim, dim))
@@ -227,9 +218,10 @@ def motion_spaces(ref: ReferenceShape) -> dict:
     )
     gates = REFINE_TOL * np.maximum(1.0, np.linalg.norm(fields, axis=0))
     offsets, _ = _refined_offsets(ref, fields, gates)
-    rates = _edge_rates(ref, offsets / np.linalg.norm(offsets, axis=0))
-    translation, rotation, scaling = np.split(rates, [dim, dim + len(spins)], axis=2)
-    units = unit_edge_vectors(ref.framework)[:, :, None]
+    kernel, units = _kernel_units(ref)
+    # Edge-vector rates v_tail - v_head, (m, dim, E), one row per column.
+    rates = kernel.gather(kernel.scatter(units, (offsets / np.linalg.norm(offsets, axis=0)).T))
+    translation, rotation, scaling = np.split(rates, [dim, dim + len(spins)])
     along = (units * scaling).sum(axis=1, keepdims=True)
     return {
         "translation": float(np.abs(translation).max()),
@@ -238,18 +230,20 @@ def motion_spaces(ref: ReferenceShape) -> dict:
     }
 
 
-def _edge_rates(ref: ReferenceShape, offsets: np.ndarray) -> np.ndarray:
-    """Edge-vector rates v_tail - v_head, (E, dim, m), of offset columns (2E, m)."""
-    tails, heads = _graph_arrays(ref.graph)
-    vel = (ref.velocity_map @ offsets).reshape(ref.graph.vertex_count, ref.dim, -1)
-    return vel[tails] - vel[heads]
+def _kernel_units(ref: ReferenceShape):
+    """The graph's kernel and the unit edge vectors of the reference shape
+    in its layout, (1, dim, E)."""
+    kernel = control_kernel(ref.graph, ref.dim)
+    p = ref.framework.positions[None]
+    return kernel, kernel.gather(p) / kernel.lengths(p)[:, None]
 
 
 def distance_rates(ref: ReferenceShape, pv: MotionParameters) -> np.ndarray:
     """Rate of change of every edge length when the offsets act at the
     reference bearings, u_k . (v_tail - v_head)."""
-    units = unit_edge_vectors(ref.framework)
-    return np.einsum("kd,kd->k", units, _edge_rates(ref, pv.stacked()[:, None])[:, :, 0])
+    kernel, units = _kernel_units(ref)
+    rates = kernel.gather(kernel.scatter(units, pv.stacked()[None]))
+    return (units * rates).sum(axis=1)[0]
 
 
 def _refined_offsets(ref: ReferenceShape, fields: np.ndarray, gates):
@@ -261,13 +255,13 @@ def _refined_offsets(ref: ReferenceShape, fields: np.ndarray, gates):
     more solve on what such a column missed then recovers the lost digits;
     columns within their gate are left as the first solve made them.
     """
-    units = unit_edge_vectors(ref.framework)
+    kernel, units = _kernel_units(ref)
     offsets = _min_norm_offsets(ref, fields)
-    missed = fields - _induced_columns(ref.graph, units, offsets)
+    missed = fields - kernel.scatter(units, offsets.T).T
     redo = np.array([np.linalg.norm(column) for column in missed.T]) > gates
     if redo.any():
         offsets[:, redo] += _min_norm_offsets(ref, missed[:, redo])
-        missed[:, redo] = fields[:, redo] - _induced_columns(ref.graph, units, offsets[:, redo])
+        missed[:, redo] = fields[:, redo] - kernel.scatter(units, offsets[:, redo].T).T
     return offsets, [float(np.linalg.norm(column)) for column in missed.T]
 
 

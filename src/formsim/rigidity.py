@@ -13,10 +13,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ZeroEdge
+from .errors import EdgeCollapse, ZeroEdge
 
 # Edges shorter than this have no usable bearing direction.
 ZERO_EDGE_TOL = 1e-12
+# Agents closer than this along an edge count as collided.
+COLLAPSE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,12 +68,83 @@ class SensingGraph:
         return len(self.edges)
 
 
+class ControlKernel:
+    """Edge gather and end scatter on stacked positions (batch, width),
+    width = vertex_count * dim; __call__ joins them into the control law.
+
+    tails and heads are the read-only 0-based edge end indices.  Edge
+    quantities are held axis-major, (batch, dim, E), so every elementwise
+    step runs along contiguous edges.  One bincount over a flat index,
+    cached per batch size, does the scatter: each agent coordinate adds
+    its tail ends in edge order, then its head ends.  Each row of the
+    batch is computed exactly as it would be alone.
+    """
+
+    def __init__(self, graph: SensingGraph, dim: int):
+        ends = (np.array(graph.edges, dtype=np.intp) - 1).T.copy()
+        ends.setflags(write=False)
+        self.tails, self.heads, self.dim = ends[0], ends[1], dim
+        self.width = graph.vertex_count * dim
+        axes = np.arange(dim)[:, None]
+        # Flat column of axis a of edge k's tail (head) sits at a * E + k.
+        self._tail_cols = (self.tails * dim + axes).reshape(-1)
+        self._head_cols = (self.heads * dim + axes).reshape(-1)
+        self._slots = np.concatenate([self._tail_cols, self._head_cols])
+        self._index: dict[int, np.ndarray] = {}
+
+    def _scatter_index(self, batch: int) -> np.ndarray:
+        index = self._index.get(batch)
+        if index is None:
+            offsets = np.arange(batch)[:, None] * self.width
+            index = (offsets + self._slots).reshape(-1)
+            self._index[batch] = index
+        return index
+
+    def gather(self, p: np.ndarray) -> np.ndarray:
+        """Edge vectors, tail minus head, of every row of p: (batch, dim, E)."""
+        vecs = p.take(self._tail_cols, axis=1) - p.take(self._head_cols, axis=1)
+        return vecs.reshape(p.shape[0], self.dim, -1)
+
+    def lengths(self, p: np.ndarray) -> np.ndarray:
+        """Edge lengths of every row of p, (batch, E), with no collapse check."""
+        vecs = self.gather(p)
+        return np.sqrt(np.add.reduce(vecs * vecs, axis=1))
+
+    def scatter(self, units: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Sum the weighted unit vectors into the agents, (batch, width).
+
+        weights (batch, 2E) holds every edge's tail-end weight, then its
+        head-end one.  units is (batch, dim, E), or (1, dim, E) for all rows.
+        """
+        batch = weights.shape[0]
+        values = weights.reshape(batch, 2, 1, -1) * units[:, None]
+        summed = np.bincount(self._scatter_index(batch), weights=values.reshape(-1),
+                             minlength=batch * self.width)
+        return summed.reshape(batch, self.width)
+
+    def __call__(self, p: np.ndarray, d_t, tail_coef, head_coef, gain: float) -> np.ndarray:
+        """The control law's agent velocities for every row of p.
+
+        Edge k contributes its unit vector u_k to both endpoints,
+        weighted by tail_coef_k - gain * e_k at the tail and
+        head_coef_k + gain * e_k at the head, where e_k is its length
+        minus its scheduled distance d_t.  Raises EdgeCollapse naming
+        the rows with an edge shorter than COLLAPSE_TOL.
+        """
+        vecs = self.gather(p)
+        lengths = np.sqrt(np.add.reduce(vecs * vecs, axis=1))
+        if np.minimum.reduce(lengths, axis=None) < COLLAPSE_TOL:
+            rows = np.flatnonzero(lengths.min(axis=1) < COLLAPSE_TOL)
+            raise EdgeCollapse(f"edge shorter than {COLLAPSE_TOL:g}", rows)
+        pull = gain * (lengths - d_t)
+        weights = np.concatenate([tail_coef - pull, head_coef + pull], axis=1)
+        return self.scatter(vecs / lengths[:, None], weights)
+
+
 @lru_cache(maxsize=128)
-def _graph_arrays(graph: SensingGraph):
-    """Read-only 0-based tail and head index arrays, one entry per edge."""
-    ends = (np.array(graph.edges, dtype=np.intp) - 1).T.copy()
-    ends.setflags(write=False)
-    return ends[0], ends[1]
+def control_kernel(graph: SensingGraph, dim: int) -> ControlKernel:
+    """The one kernel, and so the one set of edge index arrays, per (graph, dim)."""
+    return ControlKernel(graph, dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,9 +190,9 @@ class Framework:
 
 def edge_vectors(fw: Framework) -> np.ndarray:
     """Tail-minus-head position differences, one row per edge."""
-    tails, heads = _graph_arrays(fw.graph)
+    kernel = control_kernel(fw.graph, fw.dim)
     pts = fw.points
-    return pts[tails] - pts[heads]
+    return pts[kernel.tails] - pts[kernel.heads]
 
 
 def edge_lengths(fw: Framework) -> np.ndarray:
@@ -153,11 +226,11 @@ def rigidity_matrix(fw: Framework) -> np.ndarray:
 def _place_edge_rows(graph: SensingGraph, vecs: np.ndarray) -> np.ndarray:
     """(edge_count, vertex_count * dim) matrix with row k holding vecs[k]
     in the tail block and -vecs[k] in the head block."""
-    tails, heads = _graph_arrays(graph)
     ecount, m = vecs.shape
+    kernel = control_kernel(graph, m)
     rows = np.zeros((ecount, graph.vertex_count, m))
-    rows[np.arange(ecount), tails] = vecs
-    rows[np.arange(ecount), heads] = -vecs
+    rows[np.arange(ecount), kernel.tails] = vecs
+    rows[np.arange(ecount), kernel.heads] = -vecs
     return rows.reshape(ecount, -1)
 
 
@@ -169,13 +242,13 @@ def bearing_rigidity_matrix(fw: Framework) -> np.ndarray:
     Shape (dim * edge_count, vertex_count * dim).
     """
     n, m, ecount = fw.graph.vertex_count, fw.dim, fw.graph.edge_count
-    tails, heads = _graph_arrays(fw.graph)
+    kernel = control_kernel(fw.graph, m)
     units = unit_edge_vectors(fw)
     norms = np.linalg.norm(edge_vectors(fw), axis=1)
     blocks = (np.eye(m) - units[:, :, None] * units[:, None, :]) / norms[:, None, None]
     jac = np.zeros((ecount, m, n, m))
-    jac[np.arange(ecount), :, tails, :] = blocks
-    jac[np.arange(ecount), :, heads, :] = -blocks
+    jac[np.arange(ecount), :, kernel.tails, :] = blocks
+    jac[np.arange(ecount), :, kernel.heads, :] = -blocks
     return jac.reshape(ecount * m, n * m)
 
 

@@ -81,8 +81,8 @@ class Scenario:
     def reference_shape(self) -> ReferenceShape:
         """The validated reference shape, built once per scenario.
 
-        Its rigidity report and velocity map are cached on it, so every
-        command and check shares them.
+        Its rigidity report is cached on it, so every command and check
+        shares it.
         """
         if self._reference is None:
             self._reference = ReferenceShape(

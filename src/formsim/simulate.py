@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControllerConfig, control_kernel
+from .control import ControllerConfig
 from .errors import (
     DegenerateAlignment,
     Divergence,
@@ -25,7 +25,7 @@ from .errors import (
     Unreachable,
 )
 from .motion import ReferenceShape
-from .rigidity import Framework, _graph_arrays, edge_vectors
+from .rigidity import Framework, control_kernel
 
 # Error norms below this are treated as already converged.
 DECAY_FLOOR = 1e-8
@@ -96,6 +96,12 @@ class Trajectory:
         return np.linalg.norm(self.errors, axis=1)
 
 
+def _subsample(traj: Trajectory, idx) -> Trajectory:
+    """The samples of traj that idx (an index array or a slice) picks."""
+    return Trajectory(traj.times[idx], traj.positions[idx], traj.errors[idx],
+                      traj.potential[idx], traj.distances[idx])
+
+
 @dataclass(frozen=True, eq=False)
 class BodyFrameTrajectory:
     """Centroid-anchored, rotation-aligned view of a trajectory.
@@ -149,11 +155,10 @@ def perturb_to_error_norm(fw: Framework, distances: np.ndarray, seed: int,
     distances = np.asarray(distances, dtype=float).reshape(-1)
     candidate = apply_perturbation(fw, seed, 1.0)
     delta = candidate.positions - fw.positions
+    kernel = control_kernel(fw.graph, fw.dim)
 
     def err_at(scale: float) -> float:
-        pts = fw.positions + scale * delta
-        moved = Framework(fw.graph, fw.dim, pts)
-        lengths = np.linalg.norm(edge_vectors(moved), axis=1)
+        lengths = kernel.lengths((fw.positions + scale * delta)[None])[0]
         return float(np.linalg.norm(lengths - distances))
 
     scale = 1.0
@@ -287,24 +292,18 @@ def _step(rhs, integrator: str, t: float, dt: float, p: np.ndarray) -> np.ndarra
     return p + dt * rhs(t, p)
 
 
-# Samples per post-processing chunk; bounds the (samples, E, dim) temporaries.
+# Samples per post-processing chunk; bounds the gather's temporaries.
 _CHUNK = 256
 
 
 def _edge_errors(positions: np.ndarray, ref: ReferenceShape, distances: np.ndarray):
     """Distance errors (samples, E) and potential (samples,) of one run."""
-    samples = positions.shape[0]
-    tails, heads = _graph_arrays(ref.graph)
-    errors = np.empty((samples, tails.size))
-    potential = np.empty(samples)
-    for j0 in range(0, samples, _CHUNK):
-        j1 = min(j0 + _CHUNK, samples)
-        pts = positions[j0:j1].reshape(j1 - j0, -1, ref.dim)
-        vecs = pts[:, tails] - pts[:, heads]
-        err = errors[j0:j1]
-        np.subtract(np.sqrt((vecs * vecs).sum(axis=2)), distances[j0:j1], out=err)
-        potential[j0:j1] = 0.5 * (err * err).sum(axis=1)
-    return errors, potential
+    kernel = control_kernel(ref.graph, ref.dim)
+    errors = np.empty_like(distances)
+    for j in range(0, positions.shape[0], _CHUNK):
+        chunk = slice(j, j + _CHUNK)
+        np.subtract(kernel.lengths(positions[chunk]), distances[chunk], out=errors[chunk])
+    return errors, 0.5 * (errors * errors).sum(axis=1)
 
 
 def _align_rotation(current_pts: np.ndarray, reference_pts: np.ndarray) -> np.ndarray:
@@ -388,9 +387,7 @@ def steady_state_report(traj: Trajectory, ref: ReferenceShape, window) -> Steady
     mask = (traj.times >= t0) & (traj.times <= t1)
     if int(mask.sum()) < 3:
         raise InsufficientDecay("window must contain at least three samples")
-    idx = np.nonzero(mask)[0]
-    sub = Trajectory(traj.times[idx], traj.positions[idx], traj.errors[idx],
-                     traj.potential[idx], traj.distances[idx])
+    sub = _subsample(traj, np.nonzero(mask)[0])
     body = body_frame_transform(sub, ref)
     m = ref.dim
     residuals: dict = {}
@@ -443,10 +440,10 @@ def steady_state_report(traj: Trajectory, ref: ReferenceShape, window) -> Steady
         omega_rms = float(np.linalg.norm(rates - omega_out, axis=1).mean())
     residuals["omega_fit_rms"] = float(omega_rms)
 
-    tails, heads = _graph_arrays(ref.graph)
-    sample_pts = sub.positions.reshape(sub.sample_count, -1, m)
-    lengths = np.linalg.norm(sample_pts[:, tails] - sample_pts[:, heads], axis=2)
-    scale = (lengths / ref.distances[None, :]).mean(axis=1)
+    lengths = control_kernel(ref.graph, m).lengths(sub.positions)
+    # Edge-major, so the mean adds one edge at a time in edge order; a
+    # pairwise sum along each row would move scale_rate in its last bits.
+    scale = np.ascontiguousarray((lengths / ref.distances[None, :]).T).mean(axis=0)
     scale_rate, _, scale_rms = _line_fit(sub.times, scale)
     residuals["scale_fit_rms"] = scale_rms
 

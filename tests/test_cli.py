@@ -493,6 +493,17 @@ class TestReferenceRigidity:
         assert main(["simulate", str(path), "--duration", "0.2",
                      "-o", str(tmp_path / "run")]) == 0
 
+    @pytest.mark.parametrize("shape", [{}, TETRA_SCENARIO])
+    def test_design_skips_the_velocity_map(self, tmp_path, capsys, monkeypatch, shape):
+        from formsim import ReferenceShape
+
+        def refuse(ref):
+            raise AssertionError("dense velocity map built")
+
+        monkeypatch.setattr(ReferenceShape, "velocity_map", property(refuse))
+        assert main(["design", str(write_scenario(tmp_path, **shape))]) == 0
+        assert json.loads(capsys.readouterr().out)["residuals"]["scaling_unit_rate"] < 1e-12
+
     def test_analyze_and_verify_report_once(self, tmp_path, capsys, monkeypatch):
         path = write_scenario(tmp_path, sim={"dt": 0.005, "duration": 6.0,
                                              "record_stride": 5, "perturbation": None})

@@ -15,6 +15,7 @@ from formsim import (
     rigidity_report,
     unit_edge_vectors,
 )
+from formsim.rigidity import control_kernel
 from conftest import SQUARE_EDGES, SQUARE_POINTS, henneberg_framework, random_planar_framework
 
 
@@ -60,6 +61,33 @@ class TestRelativePositions:
         np.testing.assert_allclose(
             edge_vectors(moved), edge_vectors(base), atol=1e-12
         )
+
+
+class TestControlKernel:
+    """The kernel's gather and scatter against the edge-by-edge oracles."""
+
+    @pytest.mark.parametrize("n, dim, seed", [(64, 2, 3), (24, 3, 5)])
+    def test_lengths_match_edge_vector_norms(self, n, dim, seed):
+        fw = henneberg_framework(n, dim, seed)
+        rng = np.random.default_rng(seed)
+        rows = fw.positions + rng.normal(0.0, 1.0, (7, fw.positions.size))
+        lengths = control_kernel(fw.graph, dim).lengths(rows)
+        for row, got in zip(rows, lengths):
+            oracle = np.linalg.norm(edge_vectors(Framework(fw.graph, dim, row)), axis=1)
+            assert np.array_equal(got, oracle)
+
+    @pytest.mark.parametrize("n, dim, seed", [(64, 2, 3), (24, 3, 5)])
+    def test_shared_units_scatter_matches_add_at(self, n, dim, seed):
+        fw = henneberg_framework(n, dim, seed)
+        kernel = control_kernel(fw.graph, dim)
+        units = unit_edge_vectors(fw)
+        offsets = np.random.default_rng(seed).standard_normal((4, 2 * fw.graph.edge_count))
+        got = kernel.scatter(units.T[None], offsets)
+        for row, weights in zip(got, offsets):
+            oracle = np.zeros((n, dim))
+            np.add.at(oracle, kernel.tails, weights[:units.shape[0], None] * units)
+            np.add.at(oracle, kernel.heads, weights[units.shape[0]:, None] * units)
+            assert np.array_equal(row, oracle.reshape(-1))
 
 
 class TestRigidityMatrix:
