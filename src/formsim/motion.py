@@ -267,10 +267,12 @@ def _refined_offsets(ref: ReferenceShape, fields: np.ndarray, gates):
 
 def _calibrate(ref: ReferenceShape, target: np.ndarray, what: str) -> MotionParameters:
     """Minimum-norm offsets inducing the stacked velocity field target."""
-    gate = CALIBRATION_TOL * max(1.0, float(np.linalg.norm(target)))
-    offsets, (residual,) = _refined_offsets(ref, target[:, None], gate)
-    # `not residual <= gate` also refuses a NaN residual.  A target whose
-    # norm overflows makes the gate infinite, hence the finiteness tests.
+    # A target whose norm overflows makes the gate infinite, and the
+    # finiteness tests below refuse what follows from it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gate = CALIBRATION_TOL * max(1.0, float(np.linalg.norm(target)))
+        offsets, (residual,) = _refined_offsets(ref, target[:, None], gate)
+    # `not residual <= gate` also refuses a NaN residual.
     if not (residual <= gate and np.isfinite(residual) and np.isfinite(offsets).all()):
         raise Unreachable(f"{what} target unreachable, residual {residual:.3e}")
     return MotionParameters.from_stacked(offsets)

@@ -57,6 +57,8 @@ class SimConfig:
         if not (math.isfinite(self.duration) and self.duration >= self.dt):
             raise ValueError(f"duration must be finite and cover at least one step, "
                              f"got {self.duration}")
+        if not math.isfinite(self.duration / self.dt):
+            raise ValueError(f"duration / dt overflows: {self.duration} / {self.dt}")
         if self.integrator not in ("rk4", "euler"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.record_stride < 1:
@@ -212,7 +214,8 @@ def integrate(fw0: Framework, ref: ReferenceShape, cfg: ControllerConfig,
     Time-varying offsets and scheduled distances are evaluated at every
     integrator stage time.  Halts with EdgeCollapse as soon as any edge
     drops below the collapse tolerance, and with Divergence when the
-    state stops being finite.
+    state stops being finite (checked at every recorded step and the
+    last one) or a recorded sample's edge lengths overflow.
     """
     (out,) = integrate_batch([fw0], ref, cfg, sim)
     if isinstance(out, FormsimError):
@@ -229,7 +232,8 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
     bit-identical to integrate(starts[i], ...).  A run whose edge
     collapses or whose state stops being finite leaves the batch: its
     entry holds the EdgeCollapse or Divergence instead of a Trajectory,
-    and the other runs carry on.
+    and the other runs carry on.  Raises FormsimError when the recorded
+    trajectory cannot be allocated.
     """
     if cfg.schedule.min_scale_factor(sim.horizon) <= 0.0:
         raise PositivityError("schedule drives the scale factor to zero within the horizon")
@@ -240,7 +244,11 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
 
     dt, stride = sim.dt, sim.record_stride
     p = np.array([fw.positions for fw in starts])
-    positions = np.empty((p.shape[0], sim.steps // stride + 1, p.shape[1]))
+    try:
+        positions = np.empty((p.shape[0], sim.steps // stride + 1, p.shape[1]))
+    except (MemoryError, ValueError) as exc:
+        raise FormsimError(f"{sim.steps} steps at record stride {stride} do not fit "
+                           f"in memory: {exc}") from None
     positions[:, 0] = p
     live = np.arange(p.shape[0])
     failures: dict[int, FormsimError] = {}
@@ -266,8 +274,10 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
             if not live.size:
                 break
             p = p_next
-            if (k + 1) % stride == 0:
+            recorded = (k + 1) % stride == 0
+            if recorded:
                 positions[live, (k + 1) // stride] = p
+            if recorded or k + 1 == sim.steps:
                 finite = np.isfinite(p).all(axis=1)
                 if not finite.all():
                     drop(np.flatnonzero(~finite), Divergence,
@@ -277,8 +287,14 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
     distances = np.array([1.0 + cfg.schedule.value(t) for t in times])[:, None] * ref.distances
     out: list[Trajectory | FormsimError] = [failures.get(i) for i in range(len(starts))]
     for row in live:
-        errors, potential = _edge_errors(positions[row], ref, distances)
-        out[row] = Trajectory(times, positions[row], errors, potential, distances)
+        # A finite state whose squared edge lengths overflow has diverged too.
+        with np.errstate(over="ignore"):
+            errors, potential = _edge_errors(positions[row], ref, distances)
+        overflow = np.flatnonzero(~np.isfinite(potential))
+        if overflow.size:
+            out[row] = Divergence(f"edge lengths overflow at t={times[overflow[0]]:.6g}")
+        else:
+            out[row] = Trajectory(times, positions[row], errors, potential, distances)
     return out
 
 

@@ -373,6 +373,22 @@ class TestNumericalFailures:
         assert "Divergence" in err
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gain, sim, message", [
+        # Six steps at record stride 10: only the start is recorded.
+        (1e300, {"dt": 0.05, "duration": 0.3, "record_stride": 10},
+         "state is not finite at t=0.3"),
+        # One Euler step lands on a finite state whose squared edges overflow.
+        (1e158, {"dt": 0.01, "duration": 0.01, "record_stride": 1, "integrator": "euler"},
+         "edge lengths overflow at t=0.01"),
+    ])
+    def test_divergence_past_the_last_recorded_check(self, tmp_path, capsys, gain, sim,
+                                                      message):
+        path = write_scenario(tmp_path, gain=gain,
+                              sim={**sim, "perturbation": {"seed": 7, "magnitude": 0.5}})
+        assert main(["simulate", str(path), "-o", str(tmp_path / "run")]) == 2
+        assert f"Divergence: {message}" in capsys.readouterr().err
+
     def test_failed_decomposition_exits_with_numerical_code(self, tmp_path, capsys,
                                                             monkeypatch):
         def failing_eigvalsh(a, UPLO="L"):
@@ -407,6 +423,19 @@ class TestOverrides:
                       ["--duration", "inf"]):
             assert main(["simulate", str(path), *flags]) == 1, flags
             assert "Traceback" not in capsys.readouterr().err
+
+    def test_huge_step_counts_are_refused(self, tmp_path, capsys):
+        path = write_scenario(tmp_path)
+        out = str(tmp_path / "run")
+        # 5e14 steps at record stride 5 ask for a 5.7 PiB trajectory.
+        assert main(["simulate", str(path), "--duration", "1e12", "-o", out]) == 2
+        assert "do not fit in memory" in capsys.readouterr().err
+        flags = ["--dt", "1e-300", "--duration", "1e300"]
+        assert main(["simulate", str(path), *flags, "-o", out]) == 1
+        assert "command-line override: duration / dt overflows" in capsys.readouterr().err
+        path = write_scenario(tmp_path, sim={"dt": 1e-300, "duration": 1e300})
+        assert main(["simulate", str(path), "-o", out]) == 1
+        assert "$.sim: duration / dt overflows" in capsys.readouterr().err
 
     def test_negative_seed_is_validation_error(self, tmp_path, capsys):
         path = write_scenario(tmp_path)

@@ -11,11 +11,15 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from formsim import bundled_scenario_path
 from formsim.cli import main
+
+# A NumPy overflow warning on stderr reads like a crash, so it fails the run.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SQUARE = json.loads(bundled_scenario_path("square").read_text())
 
