@@ -269,7 +269,7 @@ def _calibrate(ref: ReferenceShape, target: np.ndarray, what: str) -> MotionPara
     """Minimum-norm offsets inducing the stacked velocity field target."""
     # A target whose norm overflows makes the gate infinite, and the
     # finiteness tests below refuse what follows from it.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         gate = CALIBRATION_TOL * max(1.0, float(np.linalg.norm(target)))
         offsets, (residual,) = _refined_offsets(ref, target[:, None], gate)
     # `not residual <= gate` also refuses a NaN residual.
@@ -306,7 +306,8 @@ def rotation_field(centered_points: np.ndarray, angular_velocity) -> np.ndarray:
 
 def rotation_params(ref: ReferenceShape, angular_velocity) -> MotionParameters:
     """Offsets spinning the shape about its centroid at the given rate."""
-    target = rotation_field(ref.centered_points(), angular_velocity)
+    with np.errstate(over="ignore"):  # _calibrate refuses an overflowing target
+        target = rotation_field(ref.centered_points(), angular_velocity)
     return _calibrate(ref, target, "rotation")
 
 
@@ -317,5 +318,6 @@ def scaling_params(ref: ReferenceShape, rate: float) -> MotionParameters:
     centroid, so each desired distance grows at rate times its value: a
     unit rate grows the scale factor by one per unit time.
     """
-    target = float(rate) * ref.centered_points().reshape(-1)
+    with np.errstate(over="ignore"):  # _calibrate refuses an overflowing target
+        target = float(rate) * ref.centered_points().reshape(-1)
     return _calibrate(ref, target, "scaling")

@@ -1,9 +1,11 @@
-"""Sensing graphs, frameworks, and distance/bearing rigidity tests.
+"""Sensing graphs, their edge kernel, frameworks, and rigidity tests.
 
 A framework is a connected undirected graph embedded in the plane or in
 space, one vertex per agent.  Each edge carries an orientation (tail,
 head) fixed by the scenario; the orientation is irrelevant for rigidity
-but keeps every derived matrix deterministic.
+but keeps every derived matrix deterministic.  The control kernel holds
+a graph's edge indices and does every fast edge gather and end scatter;
+the matrix builders here stay as its independent oracles.
 """
 
 from __future__ import annotations

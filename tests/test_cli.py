@@ -110,14 +110,20 @@ class TestDesign:
         assert doc["space_dimensions"] == {"translation": 2, "rotation": 1, "scaling": 1}
         assert max(doc["residuals"].values()) <= 1e-9
 
+    # An overflow warning on stderr would read like a crash.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_target_is_unreachable(self, tmp_path, capsys):
-        path = write_scenario(tmp_path, targets={
-            "v_body": [0.0, 0.0], "omega": 1e300, "schedule": {"kind": "none"},
-        })
-        assert main(["design", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert "Unreachable: rotation target unreachable" in captured.err
-        assert captured.out == ""
+        # 1e308 rad/s overflows the rotation field itself.
+        for v_body, omega, what in (([0.0, 0.0], 1e300, "rotation"),
+                                    ([0.0, 0.0], 1e308, "rotation"),
+                                    ([1e300, -1e300], 0.0, "translation")):
+            path = write_scenario(tmp_path, targets={
+                "v_body": v_body, "omega": omega, "schedule": {"kind": "none"},
+            })
+            assert main(["design", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert f"Unreachable: {what} target unreachable" in captured.err
+            assert captured.out == ""
 
     def test_zero_targets_give_zero_vectors(self, tmp_path, capsys):
         path = write_scenario(tmp_path, targets={
