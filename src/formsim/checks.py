@@ -31,9 +31,9 @@ from .scenario import Scenario
 from .simulate import (
     DECAY_FLOOR,
     Trajectory,
+    _frame_rotations,
     _subsample,
     apply_perturbation,
-    body_frame_transform,
     decay_rate_fit,
     integrate_batch,
     perturb_to_error_norm,
@@ -245,12 +245,12 @@ def _check_steady_velocities(scenario: Scenario, run, cfg: ControllerConfig) -> 
             return _result(name, False,
                            f"error norm never fell below {CONVERGED_NORM:g}")
         idx = converged[:50]
-        body = body_frame_transform(_subsample(traj, idx), ref)
+        rotations = _frame_rotations(traj.positions[idx], ref)
         # The schedule is flat, so distances and offsets stay constant.
         pv = time_varying_params(cfg, 0.0)
         kernel = control_kernel(ref.graph, ref.dim)
         u = kernel(traj.positions[idx], ref.distances, pv.tail, pv.head, cfg.gain)
-        measured = u.reshape(idx.size, -1, ref.dim) @ body.rotations.transpose(0, 2, 1)
+        measured = u.reshape(idx.size, -1, ref.dim) @ rotations.transpose(0, 2, 1)
         mismatch = np.linalg.norm(measured - designed, axis=2)
         denom = np.maximum(np.linalg.norm(designed, axis=1), 1e-300)
         worst = float((mismatch / denom).max())

@@ -53,7 +53,7 @@ from .motion import (
     scaling_params,
     translation_params,
 )
-from .rigidity import Framework, SensingGraph
+from .rigidity import Framework, SensingGraph, edge_lengths
 from .simulate import Perturbation, SimConfig, Trajectory
 
 _AXES = "xyz"
@@ -196,6 +196,12 @@ def parse_scenario(text: str) -> Scenario:
         graph = SensingGraph(n, tuple(edges))
     except ValueError as exc:
         raise SchemaError(f"$.edges: {exc}") from None
+    # Finite points can still be so far apart that a squared length overflows.
+    with np.errstate(over="ignore"):
+        lengths = edge_lengths(Framework.from_points(graph, reference))
+    if not np.isfinite(lengths).all():
+        k = int(np.flatnonzero(~np.isfinite(lengths))[0]) + 1
+        raise SchemaError(f"$.reference_positions: the length of edge {k} overflows")
 
     initial = None
     if doc.get("initial_positions") is not None:
@@ -325,19 +331,21 @@ def write_trajectory_csv(traj: Trajectory, dim: int, fh) -> None:
 
     Floats are rendered with shortest round-trip formatting, so repeated
     runs of the same scenario produce byte-identical files.  A row's
-    distance text is formatted only when its distances differ, byte for
-    byte, from the previous row's; a flat schedule formats it once.
+    distances are its scale factor times the reference distances; their
+    text is formatted only when the scale factor differs, byte for byte,
+    from the previous row's, so a flat schedule formats it once.
     """
     vertex_count = traj.positions.shape[1] // dim
     edge_count = traj.errors.shape[1]
     fh.write(",".join(trajectory_csv_header(dim, vertex_count, edge_count)) + "\n")
-    last_distances, row_end = None, ""
-    for t, positions, errors, potential, distances in zip(
+    last_scale, row_end = None, ""
+    for t, positions, errors, potential, scale in zip(
             traj.times.tolist(), traj.positions, traj.errors, traj.potential.tolist(),
-            traj.distances):
-        key = distances.tobytes()
-        if key != last_distances:
-            last_distances = key
+            traj.scale):
+        key = scale.tobytes()
+        if key != last_scale:
+            last_scale = key
+            distances = scale * traj.reference_distances
             row_end = "," + ",".join(map(repr, distances.tolist())) + "\n"
         fh.write(",".join(map(repr, [t, *positions.tolist(), *errors.tolist(), potential])))
         fh.write(row_end)

@@ -10,6 +10,7 @@ spin, and scaling rates directly measurable by line fits.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,29 +80,53 @@ class SimConfig:
 class Trajectory:
     """Uniformly sampled record of one run.
 
-    positions holds stacked agent coordinates per sample; errors and
-    distances hold per-edge values; potential is half the squared error
-    norm at each sample.
+    positions holds stacked agent coordinates per sample and errors the
+    per-edge distance errors; potential is half the squared error norm
+    at each sample.  The scheduled distances of sample j are
+    scale[j] * reference_distances, with scale the factor 1 + s(t) per
+    sample, so a run holds no (samples, E) distances matrix.
     """
 
     times: np.ndarray
     positions: np.ndarray
     errors: np.ndarray
     potential: np.ndarray
-    distances: np.ndarray
+    scale: np.ndarray
+    reference_distances: np.ndarray
 
     @property
     def sample_count(self) -> int:
         return self.times.size
 
+    @property
+    def distances(self) -> np.ndarray:
+        """Scheduled distances (samples, E), built on each access for tests
+        and oracles; the program itself never reads them."""
+        return self.scale[:, None] * self.reference_distances
+
     def error_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.errors, axis=1)
+        norms = np.empty(self.sample_count)
+        for rows in _chunks(*self.errors.shape):
+            norms[rows] = np.linalg.norm(self.errors[rows], axis=1)
+        return norms
 
 
 def _subsample(traj: Trajectory, idx) -> Trajectory:
-    """The samples of traj that idx (an index array or a slice) picks."""
+    """The samples of traj that idx (an index array or a slice) picks; a
+    slice gives views, not copies."""
     return Trajectory(traj.times[idx], traj.positions[idx], traj.errors[idx],
-                      traj.potential[idx], traj.distances[idx])
+                      traj.potential[idx], traj.scale[idx], traj.reference_distances)
+
+
+# Elements per post-processing temporary, about 1 MiB of float64 at any n.
+_CHUNK_ELEMENTS = 1 << 17
+
+
+def _chunks(rows: int, width: int):
+    """Row slices of a (rows, width) array, each about _CHUNK_ELEMENTS elements."""
+    step = max(1, _CHUNK_ELEMENTS // width)
+    for start in range(0, rows, step):
+        yield slice(start, start + step)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +208,8 @@ def make_rhs(ref: ReferenceShape, cfg: ControllerConfig):
     evaluates the same kernel as control_law applied to
     time_varying_params and scheduled_distances, so both paths produce
     identical floating-point values.  The schedule-dependent arrays are
-    kept for the last stage time, which RK4's middle stages share.
+    kept while the scale factor and its rate stay the same, which under a
+    flat schedule is the whole run.
     """
     kernel = control_kernel(ref.graph, ref.dim)
     base_tail = cfg.translation_part.tail + cfg.rotation_part.tail
@@ -191,17 +217,19 @@ def make_rhs(ref: ReferenceShape, cfg: ControllerConfig):
     scale_tail = cfg.scaling_part.tail
     scale_head = cfg.scaling_part.head
     schedule, gain, distances = cfg.schedule, cfg.gain, ref.distances
-    stage_t, stage = None, ()
+    stage_key, stage = None, ()
 
     # integrate_batch checks that the scale factor stays positive up to
     # the last step before it takes the first one.
     def rhs(t: float, p: np.ndarray) -> np.ndarray:
-        nonlocal stage_t, stage
-        if t != stage_t:
-            factor = 1.0 + schedule.value(t)
-            rate = schedule.value_rate(t)
-            stage_t, stage = t, (factor * distances, base_tail + rate * scale_tail,
-                                 base_head + rate * scale_head)
+        nonlocal stage_key, stage
+        factor = 1.0 + schedule.value(t)
+        rate = schedule.value_rate(t)
+        # Packed bits, so that a rate of -0.0 does not reuse the arrays of 0.0.
+        key = struct.pack("2d", factor, rate)
+        if key != stage_key:
+            stage_key, stage = key, (factor * distances, base_tail + rate * scale_tail,
+                                     base_head + rate * scale_head)
         return kernel(p, *stage, gain)
 
     return rhs
@@ -284,17 +312,18 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
                          f"state is not finite at t={(k + 1) * dt:.6g}")
 
     times = (np.arange(positions.shape[1]) * stride) * dt
-    distances = np.array([1.0 + cfg.schedule.value(t) for t in times])[:, None] * ref.distances
+    scale = np.array([1.0 + cfg.schedule.value(t) for t in times])
     out: list[Trajectory | FormsimError] = [failures.get(i) for i in range(len(starts))]
     for row in live:
         # A finite state whose squared edge lengths overflow has diverged too.
         with np.errstate(over="ignore"):
-            errors, potential = _edge_errors(positions[row], ref, distances)
+            errors, potential = _edge_errors(positions[row], ref, scale)
         overflow = np.flatnonzero(~np.isfinite(potential))
         if overflow.size:
             out[row] = Divergence(f"edge lengths overflow at t={times[overflow[0]]:.6g}")
         else:
-            out[row] = Trajectory(times, positions[row], errors, potential, distances)
+            out[row] = Trajectory(times, positions[row], errors, potential, scale,
+                                  ref.distances)
     return out
 
 
@@ -308,18 +337,24 @@ def _step(rhs, integrator: str, t: float, dt: float, p: np.ndarray) -> np.ndarra
     return p + dt * rhs(t, p)
 
 
-# Samples per post-processing chunk; bounds the gather's temporaries.
-_CHUNK = 256
+def _edge_errors(positions: np.ndarray, ref: ReferenceShape, scale: np.ndarray):
+    """Distance errors (samples, E) and potential (samples,) of one run.
 
-
-def _edge_errors(positions: np.ndarray, ref: ReferenceShape, distances: np.ndarray):
-    """Distance errors (samples, E) and potential (samples,) of one run."""
+    Sample j's scheduled distances are scale[j] * ref.distances.  Both
+    outputs are filled one chunk of samples at a time, so the only
+    whole-run array allocated is the errors.
+    """
     kernel = control_kernel(ref.graph, ref.dim)
-    errors = np.empty_like(distances)
-    for j in range(0, positions.shape[0], _CHUNK):
-        chunk = slice(j, j + _CHUNK)
-        np.subtract(kernel.lengths(positions[chunk]), distances[chunk], out=errors[chunk])
-    return errors, 0.5 * (errors * errors).sum(axis=1)
+    # C order: the potential's row sums then add each row as one pairwise sum.
+    errors = np.empty((positions.shape[0], ref.distances.size))
+    potential = np.empty(positions.shape[0])
+    # The gather's temporaries are dim * E wide.
+    for rows in _chunks(positions.shape[0], ref.dim * ref.distances.size):
+        chunk = errors[rows]
+        np.subtract(kernel.lengths(positions[rows]), scale[rows, None] * ref.distances,
+                    out=chunk)
+        np.multiply(0.5, (chunk * chunk).sum(axis=1), out=potential[rows])
+    return errors, potential
 
 
 def _align_rotation(current_pts: np.ndarray, reference_pts: np.ndarray) -> np.ndarray:
@@ -334,19 +369,26 @@ def _align_rotation(current_pts: np.ndarray, reference_pts: np.ndarray) -> np.nd
     return vt.T @ flip @ u.T
 
 
+def _frame_rotations(positions: np.ndarray, ref: ReferenceShape) -> np.ndarray:
+    """Per-sample rotation (samples, dim, dim) mapping the centered agents
+    onto the centered reference shape."""
+    m = ref.dim
+    ref_centered = ref.centered_points()
+    rotations = np.empty((positions.shape[0], m, m))
+    for j, row in enumerate(positions):
+        pts = row.reshape(-1, m)
+        rotations[j] = _align_rotation(pts - pts.mean(axis=0), ref_centered)
+    return rotations
+
+
 def body_frame_transform(traj: Trajectory, ref: ReferenceShape) -> BodyFrameTrajectory:
     """Express every sample in the rotating centroid frame of the shape."""
     m = ref.dim
-    ref_centered = ref.centered_points()
-    samples = traj.sample_count
+    rotations = _frame_rotations(traj.positions, ref)
     body_positions = np.empty_like(traj.positions)
-    rotations = np.empty((samples, m, m))
-    for j in range(samples):
-        pts = traj.positions[j].reshape(-1, m)
-        centered = pts - pts.mean(axis=0)
-        rot = _align_rotation(centered, ref_centered)
-        rotations[j] = rot
-        body_positions[j] = (centered @ rot.T).reshape(-1)
+    for j, (row, rot) in enumerate(zip(traj.positions, rotations)):
+        pts = row.reshape(-1, m)
+        body_positions[j] = ((pts - pts.mean(axis=0)) @ rot.T).reshape(-1)
     return BodyFrameTrajectory(traj.times.copy(), body_positions, rotations)
 
 
@@ -400,11 +442,13 @@ def steady_state_report(traj: Trajectory, ref: ReferenceShape, window) -> Steady
     is fitted on the whole trajectory regardless of the window.
     """
     t0, t1 = float(window[0]), float(window[1])
-    mask = (traj.times >= t0) & (traj.times <= t1)
-    if int(mask.sum()) < 3:
+    # Times increase, so the window is one slice and sub holds views.
+    start = int(np.searchsorted(traj.times, t0, side="left"))
+    stop = int(np.searchsorted(traj.times, t1, side="right"))
+    if stop - start < 3:
         raise InsufficientDecay("window must contain at least three samples")
-    sub = _subsample(traj, np.nonzero(mask)[0])
-    body = body_frame_transform(sub, ref)
+    sub = _subsample(traj, slice(start, stop))
+    rotations = _frame_rotations(sub.positions, ref)
     m = ref.dim
     residuals: dict = {}
 
@@ -412,7 +456,7 @@ def steady_state_report(traj: Trajectory, ref: ReferenceShape, window) -> Steady
     increments = np.diff(centroids, axis=0)
     if m == 2:
         # Global-to-body mapping is the rotation by minus the shape angle.
-        angles = _frame_angles(body.rotations)
+        angles = _frame_angles(rotations)
         mid = 0.5 * (angles[1:] + angles[:-1])
         cos_a, sin_a = np.cos(mid), np.sin(mid)
         rotated = np.stack(
@@ -426,8 +470,8 @@ def steady_state_report(traj: Trajectory, ref: ReferenceShape, window) -> Steady
 
         rotated = np.empty_like(increments)
         for j in range(increments.shape[0]):
-            first = Rotation.from_matrix(body.rotations[j])
-            second = Rotation.from_matrix(body.rotations[j + 1])
+            first = Rotation.from_matrix(rotations[j])
+            second = Rotation.from_matrix(rotations[j + 1])
             midrot = first * (first.inv() * second) ** 0.5
             rotated[j] = midrot.apply(increments[j])
     displacement = np.vstack([np.zeros(m), np.cumsum(rotated, axis=0)])
@@ -440,7 +484,7 @@ def steady_state_report(traj: Trajectory, ref: ReferenceShape, window) -> Steady
     residuals["v_fit_rms"] = v_rms
 
     if m == 2:
-        angles = _frame_angles(body.rotations)
+        angles = _frame_angles(rotations)
         omega, _, omega_rms = _line_fit(sub.times, angles)
         omega_out: float | np.ndarray = omega
     else:
@@ -450,17 +494,20 @@ def steady_state_report(traj: Trajectory, ref: ReferenceShape, window) -> Steady
         dt_samples = np.diff(sub.times)
         for j in range(rates.shape[0]):
             # Orientation increment of the shape between consecutive samples.
-            step = Rotation.from_matrix(body.rotations[j + 1].T @ body.rotations[j])
+            step = Rotation.from_matrix(rotations[j + 1].T @ rotations[j])
             rates[j] = step.as_rotvec() / dt_samples[j]
         omega_out = rates.mean(axis=0)
         omega_rms = float(np.linalg.norm(rates - omega_out, axis=1).mean())
     residuals["omega_fit_rms"] = float(omega_rms)
 
-    lengths = control_kernel(ref.graph, m).lengths(sub.positions)
-    # Edge-major, so the mean adds one edge at a time in edge order; a
-    # pairwise sum along each row would move scale_rate in its last bits.
-    scale = np.ascontiguousarray((lengths / ref.distances[None, :]).T).mean(axis=0)
-    scale_rate, _, scale_rms = _line_fit(sub.times, scale)
+    kernel = control_kernel(ref.graph, m)
+    measured = np.empty(sub.sample_count)
+    for rows in _chunks(sub.sample_count, m * ref.distances.size):
+        ratios = kernel.lengths(sub.positions[rows]) / ref.distances
+        # Edge-major, so the mean adds one edge at a time in edge order; a
+        # pairwise sum along each row would move scale_rate in its last bits.
+        measured[rows] = np.ascontiguousarray(ratios.T).mean(axis=0)
+    scale_rate, _, scale_rms = _line_fit(sub.times, measured)
     residuals["scale_fit_rms"] = scale_rms
 
     norms = traj.error_norms()

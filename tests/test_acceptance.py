@@ -195,7 +195,7 @@ def test_criterion_07_steady_state_velocity(square_ref):
     assert converged.size > 0, "error norm never fell below 1e-6"
     idx = converged[:40]
     sub = Trajectory(traj.times[idx], traj.positions[idx], traj.errors[idx],
-                     traj.potential[idx], traj.distances[idx])
+                     traj.potential[idx], traj.scale[idx], traj.reference_distances)
     body = body_frame_transform(sub, square_ref)
     designed = (np.tile(v_target, 4)
                 + rotation_field(square_ref.centered_points(), omega_target)).reshape(4, 2)

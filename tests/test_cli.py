@@ -77,6 +77,24 @@ class TestAnalyze:
         assert "$.targets.omega[1]" in err
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["analyze", "design", "simulate"])
+    def test_overflowing_edge_lengths_are_refused(self, tmp_path, capsys, command):
+        huge = (np.array([[0, 0], [15, 0], [15, 15], [0, 15]]) * 1e160).tolist()
+        path = write_scenario(tmp_path, reference_positions=huge)
+        assert main([command, str(path), "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "$.reference_positions: the length of edge 1 overflows" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_apart_shape_still_runs(self, tmp_path, capsys):
+        far = (np.array([[0, 0], [15, 0], [15, 15], [0, 15]]) * 1e150).tolist()
+        path = write_scenario(tmp_path, reference_positions=far)
+        assert main(["analyze", str(path)]) == 0
+        assert main(["design", str(path)]) == 0
+        assert main(["simulate", str(path), "--duration", "0.1",
+                     "-o", str(tmp_path / "run")]) == 0
+
     def test_import_leaves_scipy_unloaded(self):
         # SciPy serves only the spatial steady-state fit.
         code = "import sys, formsim.cli; print('scipy' in sys.modules)"
@@ -279,7 +297,7 @@ class TestVerify:
 
         def run(norms):
             zeros = np.zeros_like(times)
-            return Trajectory(times, zeros[:, None], norms[:, None], zeros, zeros[:, None])
+            return Trajectory(times, zeros[:, None], norms[:, None], zeros, zeros, np.zeros(1))
 
         times = np.linspace(0.0, 6.0, 241)
         plateau = 1.2e-7 * (1.0 + 0.2 * np.sin(37.0 * times))

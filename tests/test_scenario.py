@@ -247,20 +247,21 @@ class TestTrajectoryCsv:
         traj = integrate(tetra_ref.framework, tetra_ref, cfg,
                          SimConfig(dt=1e-2, duration=1.0, record_stride=4,
                                    perturbation=Perturbation(5, 0.1)))
+        assert len({row.tobytes() for row in traj.distances}) == traj.sample_count
         self.assert_matches_per_value_writer(traj, 3)
 
     def test_special_values_match_per_value_writer(self):
         from formsim import Trajectory
 
-        # Distances repeat, then change only in the sign of a zero, which
-        # compares equal as a float but prints differently.
-        distances = np.array([[1e16, -0.0], [1e16, -0.0], [1e16, 0.0], [5e-324, 1e-05]])
+        # Scale factors repeat, then change only in the sign of a zero,
+        # which compares equal as a float but prints differently.
         traj = Trajectory(
             times=np.array([0.0, 1e-05, 0.1, 1e16]),
             positions=np.array([[-0.0, 5e-324, 1e16, 0.1]] * 4) * [[1.0], [-1.0], [1.0], [2.0]],
             errors=np.array([[1e-05, -0.0], [5e-324, 1e16], [0.0, -1e-05], [3.0, 1e-300]]),
             potential=np.array([-0.0, 1e16, 5e-324, 1e-05]),
-            distances=distances,
+            scale=np.array([-0.0, -0.0, 0.0, 1e-05]),
+            reference_distances=np.array([1e16, 1.0]),
         )
         self.assert_matches_per_value_writer(traj, 2)
         buf = io.StringIO()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,8 +32,8 @@ from formsim import (
     time_varying_params,
     translation_params,
 )
-from formsim.simulate import make_rhs
-from conftest import SQUARE_POINTS
+from formsim.simulate import _CHUNK_ELEMENTS, make_rhs
+from conftest import SQUARE_POINTS, henneberg_framework
 
 
 def quiet_config(ref, gain=5.0):
@@ -168,7 +170,8 @@ class TestIntegrate:
 
 
 def assert_same_run(batched, single):
-    for field in ("times", "positions", "errors", "potential", "distances"):
+    for field in ("times", "positions", "errors", "potential", "scale",
+                  "reference_distances"):
         assert np.array_equal(getattr(batched, field), getattr(single, field)), field
 
 
@@ -267,8 +270,9 @@ class TestMakeRhs:
             rhs = make_rhs(ref, cfg)
             starts = [apply_perturbation(ref.framework, seed, 0.2) for seed in (1, 2)]
             p = np.array([fw.positions for fw in starts])
-            # A repeated time reuses the schedule arrays of the stage before.
-            for t in (0.0, 0.35, 0.35, 1.2, 0.35):
+            # A repeated scale factor and rate reuse the schedule arrays of
+            # the stage before; under a flat schedule every time does.
+            for t in (0.0, 0.35, 0.35, 1.2, 0.35, 1.7, 2.05, 3.0, 3.0, 0.0):
                 d_t, _ = scheduled_distances(ref, schedule, t)
                 pv = time_varying_params(cfg, t)
                 got = rhs(t, p)
@@ -311,7 +315,7 @@ class TestBodyFrame:
         from formsim import Trajectory
 
         traj = Trajectory(times, np.array(rows), np.zeros((41, 5)),
-                          np.zeros(41), np.tile(square_ref.distances, (41, 1)))
+                          np.zeros(41), np.ones(41), square_ref.distances)
         body = body_frame_transform(traj, square_ref)
         for row in body.positions:
             np.testing.assert_allclose(
@@ -343,8 +347,7 @@ class TestBodyFrame:
 
         collinear = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]).reshape(-1)
         traj = Trajectory(np.array([0.0, 0.1, 0.2]), np.tile(collinear, (3, 1)),
-                          np.zeros((3, 5)), np.zeros(3),
-                          np.tile(square_ref.distances, (3, 1)))
+                          np.zeros((3, 5)), np.zeros(3), np.ones(3), square_ref.distances)
         with pytest.raises(DegenerateAlignment):
             body_frame_transform(traj, square_ref)
 
@@ -430,3 +433,49 @@ class TestSteadyStateReport:
                          SimConfig(dt=1e-2, duration=1.0))
         with pytest.raises(InsufficientDecay, match="window"):
             steady_state_report(traj, square_ref, (5.0, 6.0))
+
+
+class TestRunMemory:
+    """A run holds its positions and errors; the rest is views and chunks."""
+
+    # A chunk's gather holds about three temporaries of _CHUNK_ELEMENTS
+    # float64 values at once.
+    CHUNK_BUDGET = 4 * 8 * _CHUNK_ELEMENTS
+
+    @pytest.fixture(scope="class")
+    def traced_run(self):
+        """A 2D n=128 run of at least 8 chunks, with the traced peaks of
+        integrate and of the post-processing above what the run holds."""
+        ref = ReferenceShape(henneberg_framework(128, 2, 3))
+        rows = _CHUNK_ELEMENTS // (ref.dim * ref.graph.edge_count)
+        dt = 5e-3
+        sim = SimConfig(dt=dt, duration=8 * rows * dt, perturbation=Perturbation(3, 0.5))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = integrate(ref.framework, ref, quiet_config(ref, gain=1.0), sim)
+            held, integrate_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            traj.error_norms()
+            steady_state_report(traj, ref, (0.5 * sim.duration, sim.duration))
+            post_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.sample_count > 8 * rows
+        return traj, integrate_peak - before, post_peak - held
+
+    def test_integrate_holds_positions_errors_and_one_chunk(self, traced_run):
+        traj, integrate_peak, _ = traced_run
+        assert integrate_peak <= traj.positions.nbytes + traj.errors.nbytes + self.CHUNK_BUDGET
+
+    def test_post_processing_peaks_below_one_positions_array(self, traced_run):
+        traj, _, post_peak = traced_run
+        assert post_peak <= traj.positions.nbytes
+
+    def test_distances_equal_the_scheduled_matrix(self, square_ref):
+        schedule = ScalingSchedule.periodic(0.25, 1.5)
+        traj = integrate(square_ref.framework, square_ref,
+                         motion_config(square_ref, omega=1.0, schedule=schedule),
+                         SimConfig(dt=1e-2, duration=1.0, record_stride=3))
+        factors = np.array([1.0 + schedule.value(t) for t in traj.times])
+        assert traj.distances.tobytes() == (factors[:, None] * square_ref.distances).tobytes()
