@@ -186,8 +186,13 @@ class Framework:
 
     @cached_property
     def _rigidity_rank(self) -> int:
-        # Positions are read-only, so the SVD behind the rank runs once.
-        return numerical_rank(rigidity_matrix(self), _default_tol(self))
+        # Positions are read-only, so the rank is decided once: by the
+        # certificate when it holds, else by the SVD's count.
+        tol, ecount = _default_tol(self), self.graph.edge_count
+        if (ecount == rigid_rank_target(self.graph.vertex_count, self.dim)
+                and certifies_full_row_rank(self, tol)):
+            return ecount
+        return numerical_rank(rigidity_matrix(self), tol)
 
 
 def edge_vectors(fw: Framework) -> np.ndarray:
@@ -260,6 +265,77 @@ def numerical_rank(matrix: np.ndarray, rel_tol: float) -> int:
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     return int(np.count_nonzero(sigma > rel_tol * sigma[0]))
+
+
+# How far the certificate's bound must clear the SVD's cutoff.  The
+# cutoff max(n, E) * dim * eps is itself the size of the rounding in both
+# the QR behind the bound and the SVD behind numerical_rank, so a bound
+# that clears it a thousandfold is no artefact of either, and the SVD
+# counts every singular value as nonzero too.
+RANK_CERTIFICATE_MARGIN = 1e3
+# Blocks at most this wide are inverted by np.linalg.inv.
+_INVERSE_BASE = 64
+
+
+def certifies_full_row_rank(fw: Framework, rel_tol: float) -> bool:
+    """True when the rigidity matrix R provably has full row rank at the
+    relative singular-value cutoff rel_tol, decided without an SVD.
+
+    T, the triangular factor of a QR of R.T, has R's singular values, so
+    1 / ||T^-1||_F <= sigma_min(R) and ||R||_F >= sigma_max(R).  When the
+    first clears RANK_CERTIFICATE_MARGIN * rel_tol times the second,
+    numerical_rank(R, rel_tol) is R's row count.  False means undecided,
+    including for a singular or overflowing T; it never warns.
+    """
+    matrix = rigidity_matrix(fw)
+    rows = matrix.shape[0]
+    if rows > matrix.shape[1]:
+        return False
+    # Allocated before anything large is freed, so that the C library
+    # maps it apart and returns it on release instead of growing the heap.
+    work = np.empty(rows // 2 * (rows - rows // 2))
+    with np.errstate(all="ignore"):
+        # A power-of-two rescale is exact and keeps both norms in range.
+        # Each row holds an edge vector and its negative, so the largest
+        # entry is the largest magnitude.
+        np.ldexp(matrix, -np.frexp(matrix.max())[1], out=matrix)
+        frobenius = np.linalg.norm(matrix)
+        try:
+            # T is the upper triangle of the raw factor's leading rows;
+            # Householder vectors fill the rest.
+            tri = np.linalg.qr(matrix.T, mode="raw")[0].T[:rows]
+            del matrix
+            _invert_upper_in_place(tri, work)
+        except np.linalg.LinAlgError:
+            return False
+        # einsum reads the strided view without copying it.
+        return bool(1.0 / np.sqrt(np.einsum("ij,ij->", tri, tri))
+                    > RANK_CERTIFICATE_MARGIN * rel_tol * frobenius)
+
+
+def _invert_upper_in_place(tri: np.ndarray, work: np.ndarray) -> None:
+    """Overwrite the square tri with the inverse of its upper triangle.
+
+    The inverse of [[A, B], [0, D]] is [[A^-1, -A^-1 B D^-1], [0, D^-1]],
+    so each half is inverted in place and B is replaced, which costs
+    about size^3 / 3 multiply-adds.  Entries below the diagonal are
+    ignored and come out zero.  work holds at least
+    (size // 2) * (size - size // 2) floats.  Raises LinAlgError when a
+    diagonal block is singular.
+    """
+    size = tri.shape[0]
+    if size <= _INVERSE_BASE:
+        tri[...] = np.linalg.inv(np.triu(tri))
+        return
+    half = size // 2
+    upper, corner, lower = tri[:half, :half], tri[:half, half:], tri[half:, half:]
+    tri[half:, :half] = 0.0
+    _invert_upper_in_place(upper, work)
+    _invert_upper_in_place(lower, work)
+    product = work[:corner.size].reshape(corner.shape)
+    np.matmul(upper, corner, out=product)
+    np.matmul(product, lower, out=corner)
+    np.negative(corner, out=corner)
 
 
 def rigid_rank_target(vertex_count: int, dim: int) -> int:

@@ -270,12 +270,12 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
                   for fw in starts]
     rhs = make_rhs(ref, cfg)
 
-    dt, stride = sim.dt, sim.record_stride
+    dt, stride, steps = sim.dt, sim.record_stride, sim.steps
     p = np.array([fw.positions for fw in starts])
     try:
-        positions = np.empty((p.shape[0], sim.steps // stride + 1, p.shape[1]))
+        positions = np.empty((p.shape[0], steps // stride + 1, p.shape[1]))
     except (MemoryError, ValueError) as exc:
-        raise FormsimError(f"{sim.steps} steps at record stride {stride} do not fit "
+        raise FormsimError(f"{steps} steps at record stride {stride} do not fit "
                            f"in memory: {exc}") from None
     positions[:, 0] = p
     live = np.arange(p.shape[0])
@@ -291,7 +291,7 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
 
     # Overflow in a diverging run is caught by the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(sim.steps):
+        for k in range(steps):
             t = k * dt
             while live.size:
                 try:
@@ -305,7 +305,7 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
             recorded = (k + 1) % stride == 0
             if recorded:
                 positions[live, (k + 1) // stride] = p
-            if recorded or k + 1 == sim.steps:
+            if recorded or k + 1 == steps:
                 finite = np.isfinite(p).all(axis=1)
                 if not finite.all():
                     drop(np.flatnonzero(~finite), Divergence,

@@ -567,26 +567,36 @@ class TestReferenceRigidity:
         assert "PASS reference-rigidity" in capsys.readouterr().out
         assert len(calls) == 2
 
-    def test_analyze_and_verify_take_one_svd_per_matrix(self, tmp_path, capsys, monkeypatch):
+    def test_analyze_and_verify_decide_each_rank_once(self, tmp_path, capsys, monkeypatch):
         import formsim.rigidity
 
-        shapes = []
-        original = formsim.rigidity.numerical_rank
+        shapes, certified = [], []
+        original_rank = formsim.rigidity.numerical_rank
+        original_certificate = formsim.rigidity.certifies_full_row_rank
 
-        def counted(matrix, rel_tol):
+        def counted_rank(matrix, rel_tol):
             shapes.append(matrix.shape)
-            return original(matrix, rel_tol)
+            return original_rank(matrix, rel_tol)
 
-        monkeypatch.setattr(formsim.rigidity, "numerical_rank", counted)
+        def counted_certificate(fw, rel_tol):
+            certified.append(fw)
+            return original_certificate(fw, rel_tol)
+
+        monkeypatch.setattr(formsim.rigidity, "numerical_rank", counted_rank)
+        monkeypatch.setattr(formsim.rigidity, "certifies_full_row_rank", counted_certificate)
         path = write_scenario(tmp_path, sim={"dt": 0.005, "duration": 6.0,
                                              "record_stride": 5, "perturbation": None})
-        # The rigidity matrix is 5 x 8 and the bearing rigidity matrix 10 x 8.
+        # The 5 x 8 rigidity matrix is certified; only the 10 x 8 bearing
+        # rigidity matrix takes an SVD.
         assert main(["analyze", str(path)]) == 0
-        assert shapes == [(5, 8), (10, 8)]
+        assert shapes == [(10, 8)]
+        assert len(certified) == 1
         shapes.clear()
+        certified.clear()
         main(["verify", str(path)])
         assert "PASS reference-rigidity" in capsys.readouterr().out
-        assert shapes == [(5, 8), (10, 8)]
+        assert shapes == [(10, 8)]
+        assert len(certified) == 1
 
     @pytest.mark.parametrize("edges, message", [
         ([[1, 2], [2, 3], [3, 4], [4, 1]], "(rank 4, 4 edges, target 5)"),

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from formsim import (
     Framework,
+    ReferenceShape,
+    RigidityError,
     SensingGraph,
     ZeroEdge,
     bearing_rigidity_matrix,
@@ -15,7 +17,15 @@ from formsim import (
     rigidity_report,
     unit_edge_vectors,
 )
-from formsim.rigidity import control_kernel
+import formsim.rigidity
+from formsim.rigidity import (
+    RANK_CERTIFICATE_MARGIN,
+    _invert_upper_in_place,
+    certifies_full_row_rank,
+    control_kernel,
+    numerical_rank,
+    rigidity_rank,
+)
 from conftest import SQUARE_EDGES, SQUARE_POINTS, henneberg_framework, random_planar_framework
 
 
@@ -295,3 +305,89 @@ class TestRigidityReport:
         assert report.is_minimally_rigid
         assert report.bearing_kernel_dim == 3
         assert report.is_bearing_rigid
+
+
+def default_cutoff(fw):
+    """rigidity_report's default relative singular-value cutoff."""
+    return max(fw.graph.vertex_count, fw.graph.edge_count) * fw.dim * np.finfo(float).eps
+
+
+CERTIFIED_SHAPES = {
+    **{f"plane-n{n}-seed{seed}": (n, 2, seed) for n in (8, 64, 256) for seed in (1, 2, 3)},
+    **{f"space-n{n}-seed{seed}": (n, 3, seed) for n in (8, 64, 128) for seed in (1, 2, 3)},
+    "flat-tetrahedron": (4, 3, 304721655),
+}
+
+
+class TestRankCertificate:
+    @pytest.mark.parametrize("size", [1, 5, 64, 65, 200])
+    def test_inverts_the_upper_triangle_in_place(self, size):
+        rng = np.random.default_rng(size)
+        full = rng.standard_normal((size, size)) + 4.0 * np.eye(size)
+        expected = np.linalg.inv(np.triu(full))
+        tri = np.asfortranarray(full)
+        _invert_upper_in_place(tri, np.empty(size * size // 4 + 1))
+        np.testing.assert_allclose(tri, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("n, dim, seed", CERTIFIED_SHAPES.values(), ids=CERTIFIED_SHAPES)
+    def test_henneberg_shapes_certify_to_the_svd_count(self, n, dim, seed):
+        fw = henneberg_framework(n, dim, seed)
+        assert certifies_full_row_rank(fw, default_cutoff(fw))
+        assert numerical_rank(rigidity_matrix(fw), default_cutoff(fw)) == fw.graph.edge_count
+        assert rigidity_rank(fw) == fw.graph.edge_count
+
+    def test_small_shapes_certify_to_the_svd_count(self, square_graph, tetra_framework):
+        shapes = [tetra_framework]
+        for angle in np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 5):
+            rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+            shapes.append(Framework.from_points(square_graph, SQUARE_POINTS @ rot.T))
+        for fw in shapes:
+            assert certifies_full_row_rank(fw, default_cutoff(fw))
+            assert numerical_rank(rigidity_matrix(fw), default_cutoff(fw)) == fw.graph.edge_count
+
+    # The nearly collinear square's sigma_min / sigma_max is about 2e-13:
+    # the SVD counts it, but it is within the certificate's margin.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("edges, points, rank", [
+        (((1, 2), (2, 3), (3, 4), (4, 1)), SQUARE_POINTS, 4),
+        (SQUARE_EDGES + ((2, 4),), SQUARE_POINTS, 5),
+        (SQUARE_EDGES, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], 3),
+        (SQUARE_EDGES, [[0.0, 0.0], [1.0, 0.0], [2.0, 1e-12], [0.0, 1.0]], 5),
+    ], ids=["flexible", "over-braced", "collinear", "nearly-collinear"])
+    def test_uncertified_shapes_take_the_svd_rank(self, edges, points, rank):
+        fw = Framework.from_points(SensingGraph(4, edges), points)
+        cutoff, ecount = default_cutoff(fw), fw.graph.edge_count
+        if ecount == 5:
+            assert not certifies_full_row_rank(fw, cutoff)
+        assert numerical_rank(rigidity_matrix(fw), cutoff) == rank
+        assert rigidity_rank(fw) == rank
+        if rank == ecount == 5:
+            sigma = np.linalg.svd(rigidity_matrix(fw), compute_uv=False)
+            assert cutoff < sigma[-1] / sigma[0] < RANK_CERTIFICATE_MARGIN * cutoff
+            ReferenceShape(fw)
+        else:
+            with pytest.raises(RigidityError) as info:
+                ReferenceShape(fw)
+            assert str(info.value) == (f"reference shape is not minimally rigid "
+                                       f"(rank {rank}, {ecount} edges, target 5)")
+
+    def test_certified_shape_takes_no_svd_of_the_rigidity_matrix(self, monkeypatch):
+        fw = henneberg_framework(256, 2, 1)
+        shape = (fw.graph.edge_count, fw.positions.size)
+        original = formsim.rigidity.numerical_rank
+
+        def refuse(matrix, rel_tol):
+            assert matrix.shape != shape, "SVD of the rigidity matrix"
+            return original(matrix, rel_tol)
+
+        monkeypatch.setattr(formsim.rigidity, "numerical_rank", refuse)
+        ReferenceShape(fw)
+        assert rigidity_report(fw).rank_rigidity == fw.graph.edge_count
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_decision_is_scale_free(self, square_graph, square_framework):
+        assert certifies_full_row_rank(square_framework, default_cutoff(square_framework))
+        for k in range(-12, 151):
+            fw = Framework.from_points(square_graph, SQUARE_POINTS * 10.0 ** k)
+            assert certifies_full_row_rank(fw, default_cutoff(fw)), k
+            assert rigidity_rank(fw) == 5
