@@ -70,16 +70,43 @@ class SensingGraph:
         return len(self.edges)
 
 
+class _Layout:
+    """The control law's flat index and work buffers for one batch size.
+
+    Every buffer and view is made once, so each step of the law is one
+    ufunc writing in place.
+    """
+
+    def __init__(self, index: np.ndarray, dim: int, batch: int):
+        self.batch, self.index = batch, index
+        flat = index.size // (2 * dim)
+        self.both = np.empty(index.size)
+        self.tail_ends, self.head_ends = self.both.reshape(2, dim, flat)
+        self.vecs = np.empty((dim, flat))
+        self.squares = np.empty((dim, flat))
+        self.lengths = np.empty(flat)
+        self.length_rows = self.lengths.reshape(batch, -1)
+        # Tail weights, then head weights; the head half holds the pull first.
+        self.weights = np.empty((2, 1, flat))
+        self.tail_weights, self.head_weights = self.weights.reshape(2, batch, -1)
+        self.values = np.empty((2, dim, flat))
+
+
 class ControlKernel:
     """Edge gather and end scatter on stacked positions (batch, width),
     width = vertex_count * dim; __call__ joins them into the control law.
 
     tails and heads are the read-only 0-based edge end indices.  Edge
-    quantities are held axis-major, (batch, dim, E), so every elementwise
-    step runs along contiguous edges.  One bincount over a flat index,
-    cached per batch size, does the scatter: each agent coordinate adds
-    its tail ends in edge order, then its head ends.  Each row of the
-    batch is computed exactly as it would be alone.
+    ends are read through one column index laid out (end, axis, E):
+    every tail coordinate, then every head one.  Offsetting it by each
+    row's start gives the flat (end, axis, batch, E) index of a whole
+    batch: one take through it gathers the batch and one bincount
+    through it scatters into the agents.  Each agent coordinate adds its
+    tail ends in edge order, then its head ends, so each row of the
+    batch is computed exactly as it would be alone.  The law keeps its
+    index and work buffers for one batch size, once that size comes
+    twice in a row: a step loop builds them once, and a one-off batch
+    keeps nothing.
     """
 
     def __init__(self, graph: SensingGraph, dim: int):
@@ -87,24 +114,31 @@ class ControlKernel:
         ends.setflags(write=False)
         self.tails, self.heads, self.dim = ends[0], ends[1], dim
         self.width = graph.vertex_count * dim
-        axes = np.arange(dim)[:, None]
-        # Flat column of axis a of edge k's tail (head) sits at a * E + k.
-        self._tail_cols = (self.tails * dim + axes).reshape(-1)
-        self._head_cols = (self.heads * dim + axes).reshape(-1)
-        self._slots = np.concatenate([self._tail_cols, self._head_cols])
-        self._index: dict[int, np.ndarray] = {}
+        self._cols = (ends[:, None, :] * dim + np.arange(dim)[:, None]).reshape(-1)
+        self._kept: _Layout | None = None
+        self._last_batch = 0
 
-    def _scatter_index(self, batch: int) -> np.ndarray:
-        index = self._index.get(batch)
-        if index is None:
-            offsets = np.arange(batch)[:, None] * self.width
-            index = (offsets + self._slots).reshape(-1)
-            self._index[batch] = index
-        return index
+    def _index(self, batch: int) -> np.ndarray:
+        kept = self._kept
+        if kept is not None and kept.batch == batch:
+            return kept.index
+        offsets = np.arange(batch)[:, None] * self.width
+        return (self._cols.reshape(2, self.dim, 1, -1) + offsets).reshape(-1)
+
+    def _layout(self, batch: int) -> _Layout:
+        kept = self._kept
+        if kept is not None and kept.batch == batch:
+            return kept
+        layout = _Layout(self._index(batch), self.dim, batch)
+        if self._last_batch == batch:
+            self._kept = layout
+        self._last_batch = batch
+        return layout
 
     def gather(self, p: np.ndarray) -> np.ndarray:
         """Edge vectors, tail minus head, of every row of p: (batch, dim, E)."""
-        vecs = p.take(self._tail_cols, axis=1) - p.take(self._head_cols, axis=1)
+        tail_cols, head_cols = self._cols.reshape(2, -1)
+        vecs = p.take(tail_cols, axis=1) - p.take(head_cols, axis=1)
         return vecs.reshape(p.shape[0], self.dim, -1)
 
     def lengths(self, p: np.ndarray) -> np.ndarray:
@@ -119,10 +153,16 @@ class ControlKernel:
         head-end one.  units is (batch, dim, E), or (1, dim, E) for all rows.
         """
         batch = weights.shape[0]
-        values = weights.reshape(batch, 2, 1, -1) * units[:, None]
-        summed = np.bincount(self._scatter_index(batch), weights=values.reshape(-1),
-                             minlength=batch * self.width)
-        return summed.reshape(batch, self.width)
+        values = np.empty((2, self.dim, batch, self.tails.size))
+        np.multiply(weights.reshape(batch, 2, 1, -1).transpose(1, 2, 0, 3),
+                    units.transpose(1, 0, 2), values)
+        return self._sum_ends(self._index(batch), values, batch)
+
+    @staticmethod
+    def _sum_ends(index: np.ndarray, values: np.ndarray, batch: int) -> np.ndarray:
+        # Every agent ends some edge, so the highest slot is batch * width - 1.
+        # bincount returns a new array, so no caller holds a reused buffer.
+        return np.bincount(index, values.reshape(-1)).reshape(batch, -1)
 
     def __call__(self, p: np.ndarray, d_t, tail_coef, head_coef, gain: float) -> np.ndarray:
         """The control law's agent velocities for every row of p.
@@ -130,17 +170,33 @@ class ControlKernel:
         Edge k contributes its unit vector u_k to both endpoints,
         weighted by tail_coef_k - gain * e_k at the tail and
         head_coef_k + gain * e_k at the head, where e_k is its length
-        minus its scheduled distance d_t.  Raises EdgeCollapse naming
-        the rows with an edge shorter than COLLAPSE_TOL.
+        minus its scheduled distance d_t.  d_t and the coefficients are
+        (E,) or (batch, E).  Raises EdgeCollapse naming the rows with an
+        edge shorter than COLLAPSE_TOL; a row that is not finite hides
+        no other row's collapse.
         """
-        vecs = self.gather(p)
-        lengths = np.sqrt(np.add.reduce(vecs * vecs, axis=1))
-        if np.minimum.reduce(lengths, axis=None) < COLLAPSE_TOL:
-            rows = np.flatnonzero(lengths.min(axis=1) < COLLAPSE_TOL)
-            raise EdgeCollapse(f"edge shorter than {COLLAPSE_TOL:g}", rows)
-        pull = gain * (lengths - d_t)
-        weights = np.concatenate([tail_coef - pull, head_coef + pull], axis=1)
-        return self.scatter(vecs / lengths[:, None], weights)
+        layout = self._layout(p.shape[0])
+        vecs, lengths, head = layout.vecs, layout.lengths, layout.head_weights
+        # The index is always in range; "clip" writes out without a buffer.
+        p.take(layout.index, out=layout.both, mode="clip")
+        np.subtract(layout.tail_ends, layout.head_ends, vecs)
+        squares = np.multiply(vecs, vecs, layout.squares)
+        # Axis by axis in order, as add.reduce over the axis adds them.
+        np.add(squares[0], squares[1], lengths)
+        if self.dim == 3:
+            np.add(lengths, squares[2], lengths)
+        np.sqrt(lengths, lengths)
+        if np.fmin.reduce(lengths) < COLLAPSE_TOL:
+            shortest = np.fmin.reduce(layout.length_rows, axis=1)
+            raise EdgeCollapse(f"edge shorter than {COLLAPSE_TOL:g}",
+                               np.flatnonzero(shortest < COLLAPSE_TOL))
+        np.subtract(layout.length_rows, d_t, head)
+        np.multiply(gain, head, head)
+        np.subtract(tail_coef, head, layout.tail_weights)
+        np.add(head_coef, head, head)
+        np.divide(vecs, lengths, vecs)
+        np.multiply(layout.weights, vecs, layout.values)
+        return self._sum_ends(layout.index, layout.values, layout.batch)
 
 
 @lru_cache(maxsize=128)

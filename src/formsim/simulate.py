@@ -200,6 +200,31 @@ def perturb_to_error_norm(fw: Framework, distances: np.ndarray, seed: int,
                       f"error norm {target_norm:.3e} within 0.1%")
 
 
+class _Stage:
+    """make_rhs's scheduled distances (batch, E) and tail and head
+    coefficients (2, batch, E) at the scale factor and rate packed in key.
+
+    The rows they are made from are widened to the batch once, so that a
+    new key costs three ufuncs on operands of one shape.
+    """
+
+    def __init__(self, distances: np.ndarray, base: np.ndarray, scale: np.ndarray,
+                 batch: int):
+        self.batch, self.key = batch, None
+        self.distance_rows = np.repeat(distances[None], batch, axis=0)
+        self.base_rows = np.repeat(base[:, None], batch, axis=1)
+        self.scale_rows = np.repeat(scale[:, None], batch, axis=1)
+        self.d_t = np.empty_like(self.distance_rows)
+        self.coefs = np.empty_like(self.base_rows)
+        self.tail_coef, self.head_coef = self.coefs
+
+    def fill(self, key: bytes, factor: float, rate: float) -> None:
+        np.multiply(factor, self.distance_rows, self.d_t)
+        np.multiply(rate, self.scale_rows, self.coefs)
+        np.add(self.base_rows, self.coefs, self.coefs)
+        self.key = key
+
+
 def make_rhs(ref: ReferenceShape, cfg: ControllerConfig):
     """Velocity field of the controlled dynamics as a plain function of (t, p).
 
@@ -207,30 +232,33 @@ def make_rhs(ref: ReferenceShape, cfg: ControllerConfig):
     batch size is read from p.  Hoists every per-run constant and
     evaluates the same kernel as control_law applied to
     time_varying_params and scheduled_distances, so both paths produce
-    identical floating-point values.  The schedule-dependent arrays are
-    kept while the scale factor and its rate stay the same, which under a
-    flat schedule is the whole run.
+    identical floating-point values.  The scheduled distances and both
+    coefficient vectors live in (batch, E) buffers, rewritten only when
+    the scale factor or its rate changes and rebuilt when the batch size
+    does; under a flat schedule they are written once per run.
     """
     kernel = control_kernel(ref.graph, ref.dim)
-    base_tail = cfg.translation_part.tail + cfg.rotation_part.tail
-    base_head = cfg.translation_part.head + cfg.rotation_part.head
-    scale_tail = cfg.scaling_part.tail
-    scale_head = cfg.scaling_part.head
-    schedule, gain, distances = cfg.schedule, cfg.gain, ref.distances
-    stage_key, stage = None, ()
+    base = np.stack([cfg.translation_part.tail + cfg.rotation_part.tail,
+                     cfg.translation_part.head + cfg.rotation_part.head])
+    scale = np.stack([cfg.scaling_part.tail, cfg.scaling_part.head])
+    schedule, distances = cfg.schedule, ref.distances
+    # A 0-d array multiplies with less overhead than a float, to the same bits.
+    gain = np.array(cfg.gain)
+    stage = _Stage(distances, base, scale, 0)
 
     # integrate_batch checks that the scale factor stays positive up to
     # the last step before it takes the first one.
     def rhs(t: float, p: np.ndarray) -> np.ndarray:
-        nonlocal stage_key, stage
+        nonlocal stage
         factor = 1.0 + schedule.value(t)
         rate = schedule.value_rate(t)
+        if stage.batch != p.shape[0]:
+            stage = _Stage(distances, base, scale, p.shape[0])
         # Packed bits, so that a rate of -0.0 does not reuse the arrays of 0.0.
         key = struct.pack("2d", factor, rate)
-        if key != stage_key:
-            stage_key, stage = key, (factor * distances, base_tail + rate * scale_tail,
-                                     base_head + rate * scale_head)
-        return kernel(p, *stage, gain)
+        if key != stage.key:
+            stage.fill(key, factor, rate)
+        return kernel(p, stage.d_t, stage.tail_coef, stage.head_coef, gain)
 
     return rhs
 
@@ -268,7 +296,7 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
     if sim.perturbation is not None:
         starts = [apply_perturbation(fw, sim.perturbation.seed, sim.perturbation.magnitude)
                   for fw in starts]
-    rhs = make_rhs(ref, cfg)
+    step = _stepper(make_rhs(ref, cfg), sim.integrator, sim.dt)
 
     dt, stride, steps = sim.dt, sim.record_stride, sim.steps
     p = np.array([fw.positions for fw in starts])
@@ -295,7 +323,7 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
             t = k * dt
             while live.size:
                 try:
-                    p_next = _step(rhs, sim.integrator, t, dt, p)
+                    p_next = step(t, p)
                     break
                 except EdgeCollapse as exc:
                     drop(exc.rows, EdgeCollapse, f"edge collapsed at t={t:.6g}")
@@ -327,14 +355,22 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
     return out
 
 
-def _step(rhs, integrator: str, t: float, dt: float, p: np.ndarray) -> np.ndarray:
-    if integrator == "rk4":
+def _stepper(rhs, integrator: str, dt: float):
+    """One integrator step, step(t, p) -> p at t + dt."""
+    # 0-d arrays multiply with less overhead than floats, to the same bits.
+    if integrator == "euler":
+        whole = np.array(dt)
+        return lambda t, p: p + whole * rhs(t, p)
+    half, whole, sixth, two = map(np.array, (dt / 2.0, dt, dt / 6.0, 2.0))
+
+    def rk4(t: float, p: np.ndarray) -> np.ndarray:
         k1 = rhs(t, p)
-        k2 = rhs(t + dt / 2.0, p + (dt / 2.0) * k1)
-        k3 = rhs(t + dt / 2.0, p + (dt / 2.0) * k2)
-        k4 = rhs(t + dt, p + dt * k3)
-        return p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return p + dt * rhs(t, p)
+        k2 = rhs(t + dt / 2.0, p + half * k1)
+        k3 = rhs(t + dt / 2.0, p + half * k2)
+        k4 = rhs(t + dt, p + whole * k3)
+        return p + sixth * (k1 + two * k2 + two * k3 + k4)
+
+    return rk4
 
 
 def _edge_errors(positions: np.ndarray, ref: ReferenceShape, scale: np.ndarray):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formsim import (
+    EdgeCollapse,
     Framework,
     ReferenceShape,
     RigidityError,
@@ -98,6 +99,46 @@ class TestControlKernel:
             np.add.at(oracle, kernel.tails, weights[:units.shape[0], None] * units)
             np.add.at(oracle, kernel.heads, weights[units.shape[0]:, None] * units)
             assert np.array_equal(row, oracle.reshape(-1))
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["edges", "rows"])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 7])
+    @pytest.mark.parametrize("n, dim, seed", [(64, 2, 3), (24, 3, 5)])
+    def test_law_matches_add_at_oracle(self, n, dim, seed, batch, per_row):
+        fw = henneberg_framework(n, dim, seed)
+        kernel = control_kernel(fw.graph, dim)
+        rng = np.random.default_rng(seed)
+        rows = fw.positions + rng.normal(0.0, 0.5, (batch, fw.positions.size))
+        stage = (batch if per_row else 1, fw.graph.edge_count)
+        d_t = edge_lengths(fw) * rng.uniform(0.8, 1.2, stage)
+        tail_coef, head_coef = rng.standard_normal((2, *stage))
+        if not per_row:
+            d_t, tail_coef, head_coef = d_t[0], tail_coef[0], head_coef[0]
+        gain = 2.5
+        # Twice, so the second call runs on the buffers the first one kept.
+        for _ in range(2):
+            got = kernel(rows, d_t, tail_coef, head_coef, gain)
+        stages = np.broadcast_to(np.reshape([d_t, tail_coef, head_coef], (3, -1, stage[1])),
+                                 (3, batch, stage[1]))
+        for row, (d_row, tail_row, head_row), velocity in zip(rows, stages.swapaxes(0, 1), got):
+            vecs = edge_vectors(Framework(fw.graph, dim, row))
+            lengths = np.linalg.norm(vecs, axis=1)
+            units = vecs / lengths[:, None]
+            errors = lengths - d_row
+            oracle = np.zeros((n, dim))
+            np.add.at(oracle, kernel.tails, (tail_row - gain * errors)[:, None] * units)
+            np.add.at(oracle, kernel.heads, (head_row + gain * errors)[:, None] * units)
+            assert velocity.tobytes() == oracle.reshape(-1).tobytes()
+
+    def test_not_finite_row_hides_no_collapse(self):
+        graph = SensingGraph(4, SQUARE_EDGES)
+        kernel = control_kernel(graph, 2)
+        collapsed = SQUARE_POINTS.copy()
+        collapsed[1] = collapsed[0]
+        rows = np.array([np.full(8, np.nan), collapsed.reshape(-1), SQUARE_POINTS.reshape(-1)])
+        stage = np.ones(graph.edge_count)
+        with pytest.raises(EdgeCollapse) as caught:
+            kernel(rows, stage, stage, stage, 1.0)
+        assert caught.value.rows == (1,)
 
 
 class TestRigidityMatrix:

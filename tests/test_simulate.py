@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -200,8 +201,13 @@ class TestIntegrateBatch:
         for start, run in zip(starts, runs):
             assert_same_run(run, integrate(start, tetra_ref, cfg, sim))
 
-    def test_collapsing_row_fails_alone(self, square_ref, square_graph):
-        cfg = quiet_config(square_ref)
+    # Under the periodic schedule the stage arrays change at every stage,
+    # and the dropped row makes make_rhs rebuild its per-batch buffers.
+    @pytest.mark.parametrize("schedule", [ScalingSchedule.none(),
+                                          ScalingSchedule.periodic(0.25, 1.5)],
+                             ids=["flat", "periodic"])
+    def test_collapsing_row_fails_alone(self, square_ref, square_graph, schedule):
+        cfg = dataclasses.replace(quiet_config(square_ref), schedule=schedule)
         sim = SimConfig(dt=1e-3, duration=0.5, record_stride=10)
         collapsed_pts = SQUARE_POINTS.copy()
         collapsed_pts[1] = collapsed_pts[0]
@@ -227,6 +233,40 @@ class TestIntegrateBatch:
                                           square_ref, cfg, sim)
         assert isinstance(diverged, Divergence)
         assert_same_run(still, integrate(square_ref.framework, square_ref, cfg, sim))
+
+    def test_diverging_row_fails_alone_periodic(self, square_ref, square_graph):
+        # The far row's squared lengths overflow, so its state is NaN after
+        # the first step.  It leaves the batch at the first recorded step,
+        # mid-run, and make_rhs rebuilds its per-batch buffers there.
+        cfg = motion_config(square_ref, v=(0.5, 0.3), omega=1.0,
+                            schedule=ScalingSchedule.periodic(0.25, 1.5))
+        sim = SimConfig(dt=1e-3, duration=0.5, record_stride=10)
+        far = Framework.from_points(square_graph, SQUARE_POINTS * 1e300)
+        starts = [apply_perturbation(square_ref.framework, 5, 0.5), far,
+                  apply_perturbation(square_ref.framework, 6, 0.5)]
+        runs = integrate_batch(starts, square_ref, cfg, sim)
+        assert isinstance(runs[1], Divergence)
+        with pytest.raises(Divergence):
+            integrate(far, square_ref, cfg, sim)
+        assert_same_run(runs[0], integrate(starts[0], square_ref, cfg, sim))
+        assert_same_run(runs[2], integrate(starts[2], square_ref, cfg, sim))
+
+    def test_not_finite_row_hides_no_collapse(self):
+        # Two agents 1 apart close in at unit speed each; the gain is too
+        # small to move any bit, so after two Euler steps they coincide.
+        # The far row is NaN from the first step on and stays in the batch
+        # until the recorded last step.
+        graph = SensingGraph(2, ((1, 2),))
+        ref = ReferenceShape(Framework.from_points(graph, [[0.0, 0.0], [1.0, 0.0]]))
+        zero = MotionParameters.zero(1)
+        cfg = ControllerConfig(2.0 ** -60, MotionParameters([-1.0], [1.0]), zero, zero,
+                               ScalingSchedule.none())
+        sim = SimConfig(dt=0.25, duration=1.0, integrator="euler", record_stride=4)
+        far = Framework.from_points(graph, [[0.0, 0.0], [1e300, 0.0]])
+        diverged, collapsed = integrate_batch([far, ref.framework], ref, cfg, sim)
+        assert isinstance(diverged, Divergence)
+        assert isinstance(collapsed, EdgeCollapse)
+        assert "t=0.5" in str(collapsed)
 
 
 class TestPerturbations:
@@ -278,6 +318,20 @@ class TestMakeRhs:
                 got = rhs(t, p)
                 for row, fw in zip(got, starts):
                     assert row.tobytes() == control_law(fw, d_t, pv, cfg.gain).tobytes()
+
+    def test_later_calls_leave_earlier_results_alone(self, square_ref):
+        cfg = motion_config(square_ref, v=(0.3, -0.2), omega=0.7,
+                            schedule=ScalingSchedule.periodic(0.25, 1.5))
+        rhs = make_rhs(square_ref, cfg)
+        p = np.array([apply_perturbation(square_ref.framework, seed, 0.2).positions
+                      for seed in (1, 2, 3)])
+        k1 = rhs(0.0, p)
+        kept = k1.tobytes()
+        # The second call is the first on the buffers the kernel keeps.
+        k2 = rhs(0.5, p + 0.1 * k1)
+        k3 = rhs(0.5, p + 0.1 * k2)
+        assert k1.tobytes() == kept
+        assert not np.shares_memory(k2, k3)
 
 
 class TestCentroid:
