@@ -38,6 +38,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import signal
+import stat
+import tempfile
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -326,22 +330,70 @@ def trajectory_csv_header(dim: int, vertex_count: int, edge_count: int) -> list[
     return columns
 
 
+# A file of fewer values than two blocks of this size is written by the
+# caller alone: a block formats in about 0.13 s at 1 us per value, and
+# forking, reaping and appending a worker costs a few ms.
+MIN_BLOCK_VALUES = 1 << 17
+MAX_BLOCKS = 8
+
+
 def write_trajectory_csv(traj: Trajectory, dim: int, fh) -> None:
     """Write a trajectory as CSV: t, positions, errors, potential, distances.
 
     Floats are rendered with shortest round-trip formatting, so repeated
-    runs of the same scenario produce byte-identical files.  A row's
-    distances are its scale factor times the reference distances; their
-    text is formatted only when the scale factor differs, byte for byte,
-    from the previous row's, so a flat schedule formats it once.
+    runs of the same scenario produce byte-identical files.  A large run
+    written to a regular file is cut into contiguous row blocks, one per
+    usable CPU: the caller writes the first block into fh while forked
+    workers write the others into unnamed temporary files in fh's
+    directory (the default temporary directory when fh has no path),
+    which are then appended in order.  Every block formats its rows as
+    the serial loop does, so the bytes are the same for any block count.
+    A worker that fails raises OSError; when the caller's own block
+    raises, it kills and reaps every worker first.
     """
     vertex_count = traj.positions.shape[1] // dim
-    edge_count = traj.errors.shape[1]
-    fh.write(",".join(trajectory_csv_header(dim, vertex_count, edge_count)) + "\n")
+    header = trajectory_csv_header(dim, vertex_count, traj.errors.shape[1])
+    fh.write(",".join(header) + "\n")
+    starts = _block_starts(traj.sample_count, len(header), fh)
+    name = getattr(fh, "name", None)
+    directory = os.path.dirname(os.path.abspath(name)) if isinstance(name, str) else None
+    pids, outs = [], []
+    try:
+        for lo, hi in zip(starts[1:-1], starts[2:]):
+            outs.append(tempfile.TemporaryFile(dir=directory))
+            pids.append(_fork_rows(traj, lo, hi, outs[-1]))
+        _write_rows(traj, starts[0], starts[1], fh)
+        fh.flush()
+        for lo, out in zip(starts[1:-1], outs):
+            _, status = os.waitpid(pids[0], 0)
+            del pids[0]
+            code = os.waitstatus_to_exitcode(status)
+            if code:
+                cause = f"exited with status {code}" if code > 0 \
+                    else f"was killed by signal {-code}"
+                raise OSError(f"CSV writer for the rows from {lo} {cause}")
+            _append(out.fileno(), fh.fileno())
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for out in outs:
+            out.close()
+
+
+def _write_rows(traj: Trajectory, lo: int, hi: int, fh) -> None:
+    """Write rows lo to hi - 1 of the CSV body.
+
+    A row's distances are its scale factor times the reference
+    distances; their text is formatted only when the scale factor
+    differs, byte for byte, from the previous row's, so a flat schedule
+    formats it once per call.
+    """
     last_scale, row_end = None, ""
+    rows = slice(lo, hi)
     for t, positions, errors, potential, scale in zip(
-            traj.times.tolist(), traj.positions, traj.errors, traj.potential.tolist(),
-            traj.scale):
+            traj.times[rows].tolist(), traj.positions[rows], traj.errors[rows],
+            traj.potential[rows].tolist(), traj.scale[rows]):
         key = scale.tobytes()
         if key != last_scale:
             last_scale = key
@@ -349,6 +401,66 @@ def write_trajectory_csv(traj: Trajectory, dim: int, fh) -> None:
             row_end = "," + ",".join(map(repr, distances.tolist())) + "\n"
         fh.write(",".join(map(repr, [t, *positions.tolist(), *errors.tolist(), potential])))
         fh.write(row_end)
+
+
+def _block_starts(samples: int, width: int, fh) -> list[int]:
+    """First row of each block, then samples: one block unless the file
+    holds at least two blocks' worth of values, more than one CPU is
+    usable and fh can take workers' output appended behind it."""
+    blocks = min(samples * width // MIN_BLOCK_VALUES, samples, MAX_BLOCKS)
+    if blocks > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
+            and _appendable(fh):
+        blocks = min(blocks, len(os.sched_getaffinity(0)))
+    else:
+        blocks = 1
+    return [samples * b // blocks for b in range(blocks + 1)]
+
+
+def _appendable(fh) -> bool:
+    """Whether fh is a regular file, not opened for appending, whose
+    encoding writes ASCII text unchanged: the workers' rows are ASCII,
+    copied into its descriptor at the current offset."""
+    import fcntl
+
+    try:
+        fd = fh.fileno()
+    except (AttributeError, OSError, ValueError):
+        return False
+    return (stat.S_ISREG(os.fstat(fd).st_mode)
+            and not fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_APPEND
+            and "0\n".encode(getattr(fh, "encoding", None) or "ascii") == b"0\n")
+
+
+def _fork_rows(traj: Trajectory, lo: int, hi: int, out) -> int:
+    """Fork a worker that writes rows lo to hi - 1 into out; return its pid.
+
+    The worker reads the trajectory copy-on-write and never returns: it
+    leaves through os._exit, with status 0 once its rows are flushed.
+    It prints nothing, so a failure reaches the user only through the
+    caller's OSError.  It runs only Python and numpy formatting code,
+    which takes none of the locks another thread of the caller may have
+    held at the fork.
+    """
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        with open(out.fileno(), "w", encoding="ascii", closefd=False) as text:
+            _write_rows(traj, lo, hi, text)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _append(src: int, dst: int) -> None:
+    """Copy all of file src to dst at dst's offset, in the kernel."""
+    offset, size = 0, os.fstat(src).st_size
+    while offset < size:
+        sent = os.sendfile(dst, src, offset, size - offset)
+        if not sent:
+            raise OSError(f"CSV block ended after {offset} of {size} bytes")
+        offset += sent
 
 
 def design_to_document(dim: int, parts: dict, residuals: dict) -> dict:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,58 @@ def square_framework(square_graph):
 @pytest.fixture(scope="session")
 def square_ref(square_framework):
     return ReferenceShape(square_framework)
+
+
+@pytest.fixture
+def csv_blocks(monkeypatch):
+    """Make trajectory CSVs on regular files split into a set number of
+    row blocks, whatever this machine's CPU count, and record the pid of
+    every forked block writer.
+
+    Call the fixture's value with the block count; it returns the list
+    the pids land in.
+    """
+    import formsim.scenario as scenario
+
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(scenario, "MIN_BLOCK_VALUES", 1)
+
+    def set_blocks(count):
+        monkeypatch.setattr(scenario, "MAX_BLOCKS", count)
+        forks.clear()
+        return forks
+
+    return set_blocks
+
+
+def fail_csv_workers(monkeypatch, action):
+    """Call action at the start of every CSV block writer but the caller's."""
+    import formsim.scenario as scenario
+
+    write_rows = scenario._write_rows
+
+    def rows(traj, lo, hi, fh):
+        if lo > 0:
+            action()
+        write_rows(traj, lo, hi, fh)
+
+    monkeypatch.setattr(scenario, "_write_rows", rows)
+
+
+def assert_no_children():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,8 @@ import pytest
 
 from formsim.cli import main
 
+from conftest import assert_no_children, fail_csv_workers
+
 
 def write_scenario(tmp_path, name="quick.json", **overrides):
     doc = {
@@ -210,6 +212,23 @@ class TestSimulate:
         d_first = data[:, 15]
         assert d_first.max() > 15.0 * 1.4
         assert d_first.min() < 15.0 * 0.6
+
+    def test_failing_csv_block_writer_is_one_error_line(self, tmp_path, capfd, csv_blocks,
+                                                        monkeypatch):
+        def fail():
+            raise RuntimeError("worker fails")
+
+        fail_csv_workers(monkeypatch, fail)
+        forks = csv_blocks(2)
+        path = write_scenario(tmp_path)
+        assert main(["simulate", str(path), "--duration", "1.0",
+                     "-o", str(tmp_path / "run")]) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: CSV writer for the rows from ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert len(forks) == 1
+        assert_no_children()
 
     def test_equilibrium_rows_constant(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

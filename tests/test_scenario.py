@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from formsim import (
     write_trajectory_csv,
 )
 from formsim.scenario import parse_design, trajectory_csv_header
+
+from conftest import assert_no_children, fail_csv_workers
 
 
 def minimal_doc(**overrides):
@@ -153,23 +158,90 @@ class TestRoundTrip:
         assert again.sim == original.sim
 
 
+def flat_trajectory(square_ref, duration=0.5, stride=5):
+    from formsim import (
+        ControllerConfig,
+        MotionParameters,
+        Perturbation,
+        ScalingSchedule,
+        SimConfig,
+        integrate,
+    )
+
+    zero = MotionParameters.zero(5)
+    cfg = ControllerConfig(5.0, zero, zero, zero, ScalingSchedule.none())
+    sim = SimConfig(dt=1e-2, duration=duration, record_stride=stride,
+                    perturbation=Perturbation(3, 0.4))
+    return integrate(square_ref.framework, square_ref, cfg, sim)
+
+
+def periodic_trajectory():
+    """The bundled square's periodic schedule: every row's d_k differ."""
+    import dataclasses
+
+    from formsim import integrate
+
+    scenario = load_scenario(bundled_scenario_path("square"))
+    assert scenario.schedule.kind == "periodic"
+    ref = scenario.reference_shape()
+    sim = dataclasses.replace(scenario.sim, dt=1e-2, duration=2.0, record_stride=3)
+    return integrate(scenario.initial_framework(), ref, scenario.controller_config(ref), sim)
+
+
+def spatial_trajectory(tetra_ref):
+    from formsim import (
+        ControllerConfig,
+        Perturbation,
+        ScalingSchedule,
+        SimConfig,
+        integrate,
+        rotation_params,
+        scaling_params,
+        translation_params,
+    )
+
+    cfg = ControllerConfig(2.0, translation_params(tetra_ref, [0.1, 0.0, 0.2]),
+                           rotation_params(tetra_ref, [0.0, 0.3, 0.5]),
+                           scaling_params(tetra_ref, 1.0), ScalingSchedule.linear(0.05))
+    return integrate(tetra_ref.framework, tetra_ref, cfg,
+                     SimConfig(dt=1e-2, duration=1.0, record_stride=4,
+                               perturbation=Perturbation(5, 0.1)))
+
+
+def special_trajectory():
+    """Scale factors repeat, then change only in the sign of a zero, which
+    compares equal as a float but prints differently."""
+    from formsim import Trajectory
+
+    return Trajectory(
+        times=np.array([0.0, 1e-05, 0.1, 1e16]),
+        positions=np.array([[-0.0, 5e-324, 1e16, 0.1]] * 4) * [[1.0], [-1.0], [1.0], [2.0]],
+        errors=np.array([[1e-05, -0.0], [5e-324, 1e16], [0.0, -1e-05], [3.0, 1e-300]]),
+        potential=np.array([-0.0, 1e16, 5e-324, 1e-05]),
+        scale=np.array([-0.0, -0.0, 0.0, 1e-05]),
+        reference_distances=np.array([1e16, 1.0]),
+    )
+
+
+def per_value_csv(traj, dim):
+    """The oracle writer: every value of every row through repr(float(v))."""
+    buf = io.StringIO()
+    header = trajectory_csv_header(dim, traj.positions.shape[1] // dim, traj.errors.shape[1])
+    buf.write(",".join(header) + "\n")
+    for j in range(traj.sample_count):
+        row = [traj.times[j], *traj.positions[j], *traj.errors[j],
+               traj.potential[j], *traj.distances[j]]
+        buf.write(",".join(repr(float(v)) for v in row) + "\n")
+    return buf.getvalue()
+
+
+def csv_text(traj, dim):
+    buf = io.StringIO()
+    write_trajectory_csv(traj, dim, buf)
+    return buf.getvalue()
+
+
 class TestTrajectoryCsv:
-    def make_trajectory(self, square_ref, duration=0.5, stride=5):
-        from formsim import (
-            ControllerConfig,
-            MotionParameters,
-            Perturbation,
-            ScalingSchedule,
-            SimConfig,
-            integrate,
-        )
-
-        zero = MotionParameters.zero(5)
-        cfg = ControllerConfig(5.0, zero, zero, zero, ScalingSchedule.none())
-        sim = SimConfig(dt=1e-2, duration=duration, record_stride=stride,
-                        perturbation=Perturbation(3, 0.4))
-        return integrate(square_ref.framework, square_ref, cfg, sim)
-
     def test_header_layout(self):
         header = trajectory_csv_header(2, 4, 5)
         assert header[:4] == ["t", "p_1x", "p_1y", "p_2x"]
@@ -179,95 +251,124 @@ class TestTrajectoryCsv:
         assert len(header) == 1 + 8 + 5 + 1 + 5
 
     def test_row_count_and_round_trip(self, square_ref):
-        traj = self.make_trajectory(square_ref)
-        buf = io.StringIO()
-        write_trajectory_csv(traj, 2, buf)
-        lines = buf.getvalue().strip().split("\n")
+        traj = flat_trajectory(square_ref)
+        lines = csv_text(traj, 2).strip().split("\n")
         assert len(lines) == int(0.5 / (1e-2 * 5)) + 1 + 1  # samples + header
         first = lines[1].split(",")
         assert float(first[0]) == traj.times[0]
         assert float(first[1]) == traj.positions[0][0]
 
     def test_byte_identical_across_runs(self, square_ref):
-        one, two = io.StringIO(), io.StringIO()
-        write_trajectory_csv(self.make_trajectory(square_ref), 2, one)
-        write_trajectory_csv(self.make_trajectory(square_ref), 2, two)
-        assert one.getvalue() == two.getvalue()
-
-    @staticmethod
-    def per_value_csv(traj, dim):
-        """The oracle writer: every value of every row through repr(float(v))."""
-        buf = io.StringIO()
-        header = trajectory_csv_header(dim, traj.positions.shape[1] // dim, traj.errors.shape[1])
-        buf.write(",".join(header) + "\n")
-        for j in range(traj.sample_count):
-            row = [traj.times[j], *traj.positions[j], *traj.errors[j],
-                   traj.potential[j], *traj.distances[j]]
-            buf.write(",".join(repr(float(v)) for v in row) + "\n")
-        return buf.getvalue()
-
-    def assert_matches_per_value_writer(self, traj, dim):
-        buf = io.StringIO()
-        write_trajectory_csv(traj, dim, buf)
-        assert buf.getvalue() == self.per_value_csv(traj, dim)
+        assert csv_text(flat_trajectory(square_ref), 2) == csv_text(flat_trajectory(square_ref), 2)
 
     def test_flat_schedule_matches_per_value_writer(self, square_ref):
-        traj = self.make_trajectory(square_ref, duration=1.0, stride=2)
+        traj = flat_trajectory(square_ref, duration=1.0, stride=2)
         assert (traj.distances == traj.distances[0]).all()
-        self.assert_matches_per_value_writer(traj, 2)
+        assert csv_text(traj, 2) == per_value_csv(traj, 2)
 
     def test_periodic_schedule_matches_per_value_writer(self):
-        import dataclasses
-
-        from formsim import integrate
-
-        scenario = load_scenario(bundled_scenario_path("square"))
-        assert scenario.schedule.kind == "periodic"
-        ref = scenario.reference_shape()
-        sim = dataclasses.replace(scenario.sim, dt=1e-2, duration=2.0, record_stride=3)
-        traj = integrate(scenario.initial_framework(), ref, scenario.controller_config(ref), sim)
+        traj = periodic_trajectory()
         assert len({row.tobytes() for row in traj.distances}) == traj.sample_count
-        self.assert_matches_per_value_writer(traj, 2)
+        assert csv_text(traj, 2) == per_value_csv(traj, 2)
 
     def test_spatial_trajectory_matches_per_value_writer(self, tetra_ref):
-        from formsim import (
-            ControllerConfig,
-            Perturbation,
-            ScalingSchedule,
-            SimConfig,
-            integrate,
-            rotation_params,
-            scaling_params,
-            translation_params,
-        )
-
-        cfg = ControllerConfig(2.0, translation_params(tetra_ref, [0.1, 0.0, 0.2]),
-                               rotation_params(tetra_ref, [0.0, 0.3, 0.5]),
-                               scaling_params(tetra_ref, 1.0), ScalingSchedule.linear(0.05))
-        traj = integrate(tetra_ref.framework, tetra_ref, cfg,
-                         SimConfig(dt=1e-2, duration=1.0, record_stride=4,
-                                   perturbation=Perturbation(5, 0.1)))
+        traj = spatial_trajectory(tetra_ref)
         assert len({row.tobytes() for row in traj.distances}) == traj.sample_count
-        self.assert_matches_per_value_writer(traj, 3)
+        assert csv_text(traj, 3) == per_value_csv(traj, 3)
 
     def test_special_values_match_per_value_writer(self):
-        from formsim import Trajectory
-
-        # Scale factors repeat, then change only in the sign of a zero,
-        # which compares equal as a float but prints differently.
-        traj = Trajectory(
-            times=np.array([0.0, 1e-05, 0.1, 1e16]),
-            positions=np.array([[-0.0, 5e-324, 1e16, 0.1]] * 4) * [[1.0], [-1.0], [1.0], [2.0]],
-            errors=np.array([[1e-05, -0.0], [5e-324, 1e16], [0.0, -1e-05], [3.0, 1e-300]]),
-            potential=np.array([-0.0, 1e16, 5e-324, 1e-05]),
-            scale=np.array([-0.0, -0.0, 0.0, 1e-05]),
-            reference_distances=np.array([1e16, 1.0]),
-        )
-        self.assert_matches_per_value_writer(traj, 2)
-        buf = io.StringIO()
-        write_trajectory_csv(traj, 2, buf)
-        assert [line.split(",")[-1] for line in buf.getvalue().split("\n")[1:-1]] == [
+        traj = special_trajectory()
+        text = csv_text(traj, 2)
+        assert text == per_value_csv(traj, 2)
+        assert [line.split(",")[-1] for line in text.split("\n")[1:-1]] == [
             "-0.0", "-0.0", "0.0", "1e-05"]
+
+
+class TestCsvBlocks:
+    """A CSV on a regular file is written in row blocks by forked workers."""
+
+    CASES = {
+        "flat": (lambda request: flat_trajectory(request.getfixturevalue("square_ref"),
+                                                 duration=1.0, stride=2), 2),
+        "periodic": (lambda request: periodic_trajectory(), 2),
+        "tetrahedron": (lambda request: spatial_trajectory(request.getfixturevalue("tetra_ref")),
+                        3),
+        # Every split of its 4 rows in 2 to 4 blocks starts a block at row
+        # 2, between the -0.0 and 0.0 scale factors.
+        "special": (lambda request: special_trajectory(), 2),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_any_block_count_writes_the_same_bytes(self, case, request, tmp_path, csv_blocks):
+        build, dim = self.CASES[case]
+        traj = build(request)
+        expected = per_value_csv(traj, dim).encode()
+        for count in (1, 2, 3, 4):
+            forks = csv_blocks(count)
+            path = tmp_path / f"{count}.csv"
+            with path.open("w") as fh:
+                write_trajectory_csv(traj, dim, fh)
+                assert fh.tell() == len(expected)
+            assert len(forks) == count - 1
+            assert path.read_bytes() == expected
+        assert (tmp_path / "4.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["1.csv", "2.csv", "3.csv", "4.csv"]
+        assert_no_children()
+
+    def test_buffers_appends_and_wide_encodings_stay_serial(self, square_ref, tmp_path,
+                                                            csv_blocks):
+        traj = flat_trajectory(square_ref)
+        forks = csv_blocks(4)
+        assert csv_text(traj, 2) == per_value_csv(traj, 2)
+        path = tmp_path / "run.csv"
+        path.write_text("kept\n")
+        with path.open("a") as fh:
+            write_trajectory_csv(traj, 2, fh)
+        assert path.read_text() == "kept\n" + per_value_csv(traj, 2)
+        with path.open("w", encoding="utf-16") as fh:
+            write_trajectory_csv(traj, 2, fh)
+        assert path.read_text(encoding="utf-16") == per_value_csv(traj, 2)
+        assert forks == []
+
+    def test_failing_worker_raises_os_error(self, square_ref, tmp_path, csv_blocks, monkeypatch):
+        def fail():
+            raise RuntimeError("worker fails")
+
+        fail_csv_workers(monkeypatch, fail)
+        forks = csv_blocks(3)
+        with (tmp_path / "run.csv").open("w") as fh:
+            with pytest.raises(OSError, match="exited with status 1"):
+                write_trajectory_csv(flat_trajectory(square_ref), 2, fh)
+        assert len(forks) == 2
+        assert_no_children()
+
+    def test_killed_worker_raises_os_error(self, square_ref, tmp_path, csv_blocks, monkeypatch):
+        fail_csv_workers(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        forks = csv_blocks(2)
+        with (tmp_path / "run.csv").open("w") as fh:
+            with pytest.raises(OSError, match=f"killed by signal {int(signal.SIGKILL)}"):
+                write_trajectory_csv(flat_trajectory(square_ref), 2, fh)
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_caller_failure_kills_and_reaps_workers(self, square_ref, tmp_path, csv_blocks,
+                                                    monkeypatch):
+        import formsim.scenario as scenario
+
+        def rows(traj, lo, hi, fh):
+            if lo > 0:
+                time.sleep(120)  # a worker that outlives the check below
+            raise RuntimeError("caller fails")
+
+        monkeypatch.setattr(scenario, "_write_rows", rows)
+        forks = csv_blocks(3)
+        start = time.monotonic()
+        with (tmp_path / "run.csv").open("w") as fh:
+            with pytest.raises(RuntimeError, match="caller fails"):
+                write_trajectory_csv(flat_trajectory(square_ref), 2, fh)
+        assert time.monotonic() - start < 60
+        assert len(forks) == 2
+        assert_no_children()
 
 
 class TestDesignDocument:
