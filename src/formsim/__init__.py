@@ -61,13 +61,11 @@ from .scenario import (
     write_trajectory_csv,
 )
 from .simulate import (
-    BodyFrameTrajectory,
     Perturbation,
     SimConfig,
     SteadyStateReport,
     Trajectory,
     apply_perturbation,
-    body_frame_transform,
     decay_rate_fit,
     integrate,
     integrate_batch,

@@ -48,6 +48,10 @@ CONVERGENCE_R2 = 0.99
 TRACKING_REL_TOL = 0.01
 VELOCITY_REL_TOL = 0.01
 CONVERGED_NORM = 1e-6
+VELOCITY_MAP_TRIALS = 200
+GRADIENT_TRIALS = 100
+# Time units after which a scaling run must track its schedule.
+TRACKING_TRANSIENT = 3.0
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ def check_motion_spaces(scenario: Scenario) -> CheckResult:
     return _guard(name, run)
 
 
-def check_velocity_map_identity(scenario: Scenario, trials: int = 200) -> CheckResult:
+def check_velocity_map_identity(scenario: Scenario) -> CheckResult:
     name = "velocity-map-identity"
 
     def run():
@@ -100,7 +104,7 @@ def check_velocity_map_identity(scenario: Scenario, trials: int = 200) -> CheckR
         m, ecount = scenario.dimension, graph.edge_count
         rng = np.random.default_rng(2024)
         worst = 0.0
-        for _ in range(trials):
+        for _ in range(VELOCITY_MAP_TRIALS):
             units = rng.standard_normal((ecount, m))
             units /= np.linalg.norm(units, axis=1)[:, None]
             stacked = rng.standard_normal(2 * ecount)
@@ -114,7 +118,7 @@ def check_velocity_map_identity(scenario: Scenario, trials: int = 200) -> CheckR
     return _guard(name, run)
 
 
-def check_gradient_consistency(scenario: Scenario, trials: int = 100) -> CheckResult:
+def check_gradient_consistency(scenario: Scenario) -> CheckResult:
     name = "gradient-consistency"
 
     def run():
@@ -125,7 +129,7 @@ def check_gradient_consistency(scenario: Scenario, trials: int = 100) -> CheckRe
         step = 1e-6
         worst = 0.0
         scale = float(np.abs(ref.framework.positions).max())
-        for _ in range(trials):
+        for _ in range(GRADIENT_TRIALS):
             p = ref.framework.positions + rng.uniform(-0.2, 0.2, ref.framework.positions.size) * scale
             fw = Framework(graph, m, p)
             analytic = -control_law(fw, ref.distances, zero, 1.0)
@@ -207,13 +211,13 @@ def check_motion_tracking(scenario: Scenario, run, cfg: ControllerConfig) -> Che
     return _check_distance_tracking(scenario, run)
 
 
-def _check_distance_tracking(scenario: Scenario, run, transient: float = 3.0) -> CheckResult:
+def _check_distance_tracking(scenario: Scenario, run) -> CheckResult:
     name = "distance-tracking"
 
     def run_check():
         ref = scenario.reference_shape()
         traj = _trajectory(run)
-        mask = traj.times >= transient
+        mask = traj.times >= TRACKING_TRANSIENT
         if not mask.any():
             return _result(name, False, "horizon shorter than the transient window")
         rel = np.abs(traj.errors[mask]) / ref.distances[None, :]

@@ -130,19 +130,6 @@ def _chunks(rows: int, width: int):
 
 
 @dataclass(frozen=True, eq=False)
-class BodyFrameTrajectory:
-    """Centroid-anchored, rotation-aligned view of a trajectory.
-
-    rotations[j] maps centered global coordinates at sample j onto the
-    reference orientation; positions are already mapped.
-    """
-
-    times: np.ndarray
-    positions: np.ndarray
-    rotations: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class SteadyStateReport:
     """Fitted steady-state motion of a converged run.
 
@@ -393,39 +380,28 @@ def _edge_errors(positions: np.ndarray, ref: ReferenceShape, scale: np.ndarray):
     return errors, potential
 
 
-def _align_rotation(current_pts: np.ndarray, reference_pts: np.ndarray) -> np.ndarray:
-    """Proper rotation best mapping centered current onto centered reference."""
-    m = current_pts.shape[1]
-    cov = current_pts.T @ reference_pts
-    u, sigma, vt = np.linalg.svd(cov)
-    if sigma[-1] <= 1e-12 * max(sigma[0], 1e-300):
-        raise DegenerateAlignment("alignment covariance is rank deficient")
-    flip = np.eye(m)
-    flip[-1, -1] = np.sign(np.linalg.det(vt.T @ u.T))
-    return vt.T @ flip @ u.T
-
-
 def _frame_rotations(positions: np.ndarray, ref: ReferenceShape) -> np.ndarray:
     """Per-sample rotation (samples, dim, dim) mapping the centered agents
-    onto the centered reference shape."""
-    m = ref.dim
+    onto the centered reference shape: the Kabsch rotation of every
+    sample, from one SVD of the stacked alignment covariances.
+
+    The covariances are formed one chunk of samples at a time.  Raises
+    DegenerateAlignment when any sample's covariance is rank deficient.
+    """
     ref_centered = ref.centered_points()
-    rotations = np.empty((positions.shape[0], m, m))
-    for j, row in enumerate(positions):
-        pts = row.reshape(-1, m)
-        rotations[j] = _align_rotation(pts - pts.mean(axis=0), ref_centered)
-    return rotations
-
-
-def body_frame_transform(traj: Trajectory, ref: ReferenceShape) -> BodyFrameTrajectory:
-    """Express every sample in the rotating centroid frame of the shape."""
-    m = ref.dim
-    rotations = _frame_rotations(traj.positions, ref)
-    body_positions = np.empty_like(traj.positions)
-    for j, (row, rot) in enumerate(zip(traj.positions, rotations)):
-        pts = row.reshape(-1, m)
-        body_positions[j] = ((pts - pts.mean(axis=0)) @ rot.T).reshape(-1)
-    return BodyFrameTrajectory(traj.times.copy(), body_positions, rotations)
+    n, m = ref_centered.shape
+    cov = np.empty((positions.shape[0], m, m))
+    for rows in _chunks(*positions.shape):
+        pts = positions[rows].reshape(-1, n, m)
+        centered = pts - pts.mean(axis=1, keepdims=True)
+        np.matmul(centered.transpose(0, 2, 1), ref_centered, out=cov[rows])
+    u, sigma, vt = np.linalg.svd(cov)
+    if np.any(sigma[:, -1] <= 1e-12 * np.maximum(sigma[:, 0], 1e-300)):
+        raise DegenerateAlignment("alignment covariance is rank deficient")
+    v, ut = vt.transpose(0, 2, 1), u.transpose(0, 2, 1)
+    flip = np.tile(np.eye(m), (cov.shape[0], 1, 1))
+    flip[:, -1, -1] = np.sign(np.linalg.det(v @ ut))
+    return v @ flip @ ut
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray):
@@ -490,6 +466,7 @@ def steady_state_report(traj: Trajectory, ref: ReferenceShape, window) -> Steady
 
     centroids = sub.positions.reshape(sub.sample_count, -1, m).mean(axis=1)
     increments = np.diff(centroids, axis=0)
+    omega_out: float | np.ndarray
     if m == 2:
         # Global-to-body mapping is the rotation by minus the shape angle.
         angles = _frame_angles(rotations)
@@ -499,17 +476,22 @@ def steady_state_report(traj: Trajectory, ref: ReferenceShape, window) -> Steady
             [cos_a * increments[:, 0] + sin_a * increments[:, 1],
              -sin_a * increments[:, 0] + cos_a * increments[:, 1]], axis=1,
         )
+        omega_out, _, omega_rms = _line_fit(sub.times, angles)
     else:
-        # Imported here and below, not at module load, so that planar
-        # runs never pay for loading SciPy.
+        # Imported here, not at module load, so that planar runs never pay
+        # for loading SciPy.
         from scipy.spatial.transform import Rotation
 
-        rotated = np.empty_like(increments)
-        for j in range(increments.shape[0]):
-            first = Rotation.from_matrix(rotations[j])
-            second = Rotation.from_matrix(rotations[j + 1])
-            midrot = first * (first.inv() * second) ** 0.5
-            rotated[j] = midrot.apply(increments[j])
+        first = Rotation.from_matrix(rotations[:-1])
+        mids = first * (first.inv() * Rotation.from_matrix(rotations[1:])) ** 0.5
+        # A matmul keeps the bits of applying one rotation at a time; a
+        # stacked apply moves them.
+        rotated = (mids.as_matrix() @ increments[:, :, None])[:, :, 0]
+        # Orientation increment of the shape between consecutive samples.
+        steps = Rotation.from_matrix(rotations[1:].transpose(0, 2, 1) @ rotations[:-1])
+        rates = steps.as_rotvec() / np.diff(sub.times)[:, None]
+        omega_out = rates.mean(axis=0)
+        omega_rms = float(np.linalg.norm(rates - omega_out, axis=1).mean())
     displacement = np.vstack([np.zeros(m), np.cumsum(rotated, axis=0)])
     v_body = np.empty(m)
     v_rms = 0.0
@@ -518,22 +500,6 @@ def steady_state_report(traj: Trajectory, ref: ReferenceShape, window) -> Steady
         v_body[axis] = slope
         v_rms = max(v_rms, rms)
     residuals["v_fit_rms"] = v_rms
-
-    if m == 2:
-        angles = _frame_angles(rotations)
-        omega, _, omega_rms = _line_fit(sub.times, angles)
-        omega_out: float | np.ndarray = omega
-    else:
-        from scipy.spatial.transform import Rotation
-
-        rates = np.empty((sub.sample_count - 1, 3))
-        dt_samples = np.diff(sub.times)
-        for j in range(rates.shape[0]):
-            # Orientation increment of the shape between consecutive samples.
-            step = Rotation.from_matrix(rotations[j + 1].T @ rotations[j])
-            rates[j] = step.as_rotvec() / dt_samples[j]
-        omega_out = rates.mean(axis=0)
-        omega_rms = float(np.linalg.norm(rates - omega_out, axis=1).mean())
     residuals["omega_fit_rms"] = float(omega_rms)
 
     kernel = control_kernel(ref.graph, m)

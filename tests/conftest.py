@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from formsim import Framework, ReferenceShape, SensingGraph
+from formsim import DegenerateAlignment, Framework, ReferenceShape, SensingGraph
 
 SQUARE_EDGES = ((1, 2), (2, 3), (3, 1), (4, 3), (4, 1))
 SQUARE_POINTS = np.array([[0.0, 0.0], [15.0, 0.0], [15.0, 15.0], [0.0, 15.0]])
@@ -116,6 +116,26 @@ def null_space(matrix, tol=1e-9):
     _, sigma, vh = np.linalg.svd(matrix)
     rank = int(np.count_nonzero(sigma > tol * sigma[0])) if sigma.size and sigma[0] > 0 else 0
     return vh[rank:].T
+
+
+def kabsch_rotations(positions, ref):
+    """Per-sample Kabsch rotations (samples, dim, dim) mapping the centered
+    agents onto the centered reference shape, one SVD per sample.
+
+    The tests' oracle for the stacked alignment of the simulator.
+    """
+    m = ref.dim
+    ref_centered = ref.centered_points()
+    rotations = np.empty((positions.shape[0], m, m))
+    for j, row in enumerate(positions):
+        pts = row.reshape(-1, m)
+        u, sigma, vt = np.linalg.svd((pts - pts.mean(axis=0)).T @ ref_centered)
+        if sigma[-1] <= 1e-12 * max(sigma[0], 1e-300):
+            raise DegenerateAlignment("alignment covariance is rank deficient")
+        flip = np.eye(m)
+        flip[-1, -1] = np.sign(np.linalg.det(vt.T @ u.T))
+        rotations[j] = vt.T @ flip @ u.T
+    return rotations
 
 
 def henneberg_framework(n, dim, seed):

@@ -17,7 +17,6 @@ from formsim import (
     SimConfig,
     Trajectory,
     bearings,
-    body_frame_transform,
     bundled_scenario_path,
     control_law,
     decay_rate_fit,
@@ -36,7 +35,7 @@ from formsim import (
     time_varying_params,
     translation_params,
 )
-from formsim.simulate import _frame_angles
+from formsim.simulate import _frame_angles, _frame_rotations
 from conftest import SCALE_PATTERN, SPIN_PATTERN, null_space
 
 
@@ -196,11 +195,11 @@ def test_criterion_07_steady_state_velocity(square_ref):
     idx = converged[:40]
     sub = Trajectory(traj.times[idx], traj.positions[idx], traj.errors[idx],
                      traj.potential[idx], traj.scale[idx], traj.reference_distances)
-    body = body_frame_transform(sub, square_ref)
+    rotations = _frame_rotations(sub.positions, square_ref)
     designed = (np.tile(v_target, 4)
                 + rotation_field(square_ref.centered_points(), omega_target)).reshape(4, 2)
     worst = 0.0
-    for row, t, rot in zip(sub.positions, sub.times, body.rotations):
+    for row, t, rot in zip(sub.positions, sub.times, rotations):
         fw = Framework(square_ref.graph, 2, row)
         d_t, _ = scheduled_distances(square_ref, cfg.schedule, t)
         u = control_law(fw, d_t, time_varying_params(cfg, t), cfg.gain)
@@ -218,8 +217,7 @@ def test_criterion_08_periodic_scaling_reproduction(bundled_trajectory):
     mask = traj.times >= transient
     rel_tracking = float((np.abs(traj.errors[mask]) / ref.distances[None, :]).max())
 
-    body = body_frame_transform(traj, ref)
-    angles = _frame_angles(body.rotations)
+    angles = _frame_angles(_frame_rotations(traj.positions, ref))
     sample_pts = traj.positions.reshape(traj.sample_count, 4, 2)
     tails = np.array([e[0] - 1 for e in ref.graph.edges])
     heads = np.array([e[1] - 1 for e in ref.graph.edges])

@@ -20,7 +20,6 @@ from formsim import (
     Unreachable,
     apply_perturbation,
     control_law,
-    body_frame_transform,
     decay_rate_fit,
     distance_errors,
     integrate,
@@ -33,8 +32,8 @@ from formsim import (
     time_varying_params,
     translation_params,
 )
-from formsim.simulate import _CHUNK_ELEMENTS, make_rhs
-from conftest import SQUARE_POINTS, henneberg_framework
+from formsim.simulate import _CHUNK_ELEMENTS, _frame_rotations, _line_fit, make_rhs
+from conftest import SQUARE_POINTS, henneberg_framework, kabsch_rotations
 
 
 def quiet_config(ref, gain=5.0):
@@ -355,6 +354,14 @@ class TestCentroid:
         assert drift <= 1e-6 * 2.0  # at most 1e-6 length units per unit time
 
 
+def body_points(traj, ref):
+    """Centered agents of every sample (samples, n, dim), rotated onto the
+    reference orientation."""
+    pts = traj.positions.reshape(traj.sample_count, -1, ref.dim)
+    rotations = _frame_rotations(traj.positions, ref)
+    return (pts - pts.mean(axis=1, keepdims=True)) @ rotations.transpose(0, 2, 1)
+
+
 class TestBodyFrame:
     def test_pure_rotation_freezes_body_positions(self, square_ref):
         times = np.linspace(0.0, 2.0, 41)
@@ -370,40 +377,128 @@ class TestBodyFrame:
 
         traj = Trajectory(times, np.array(rows), np.zeros((41, 5)),
                           np.zeros(41), np.ones(41), square_ref.distances)
-        body = body_frame_transform(traj, square_ref)
-        for row in body.positions:
-            np.testing.assert_allclose(
-                row, (SQUARE_POINTS - center).reshape(-1), atol=1e-9
-            )
+        for pts in body_points(traj, square_ref):
+            np.testing.assert_allclose(pts, SQUARE_POINTS - center, atol=1e-9)
 
     def test_pure_translation_freezes_body_positions(self, square_ref):
         cfg = motion_config(square_ref, v=(1.0, 0.5))
         traj = integrate(square_ref.framework, square_ref, cfg,
                          SimConfig(dt=1e-3, duration=1.0, record_stride=20))
-        body = body_frame_transform(traj, square_ref)
-        for row in body.positions:
-            np.testing.assert_allclose(row, body.positions[0], atol=1e-8)
+        body = body_points(traj, square_ref)
+        for pts in body:
+            np.testing.assert_allclose(pts, body[0], atol=1e-8)
 
     def test_pure_scaling_scales_body_norms_and_keeps_bearings(self, square_ref):
         sched = ScalingSchedule.linear(0.05)
         cfg = motion_config(square_ref, schedule=sched)
         traj = integrate(square_ref.framework, square_ref, cfg,
                          SimConfig(dt=1e-3, duration=2.0, record_stride=40))
-        body = body_frame_transform(traj, square_ref)
-        base = body.positions[0].reshape(4, 2)
-        for j, t in enumerate(body.times):
-            pts = body.positions[j].reshape(4, 2)
+        body = body_points(traj, square_ref)
+        for pts, t in zip(body, traj.times):
             factor = 1 + sched.value(t)
-            np.testing.assert_allclose(pts, factor * base, atol=1e-6)
+            np.testing.assert_allclose(pts, factor * body[0], atol=1e-6)
 
     def test_collinear_shape_rejected(self, square_ref):
-        from formsim import Trajectory
-
         collinear = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]).reshape(-1)
-        traj = Trajectory(np.array([0.0, 0.1, 0.2]), np.tile(collinear, (3, 1)),
-                          np.zeros((3, 5)), np.zeros(3), np.ones(3), square_ref.distances)
         with pytest.raises(DegenerateAlignment):
-            body_frame_transform(traj, square_ref)
+            _frame_rotations(np.tile(collinear, (3, 1)), square_ref)
+
+
+def tetra_run(tetra_ref):
+    """A perturbed tetrahedron that translates, spins and breathes."""
+    cfg = ControllerConfig(
+        5.0,
+        translation_params(tetra_ref, [0.2, -0.1, 0.15]),
+        rotation_params(tetra_ref, [0.3, 0.2, 1.0]),
+        scaling_params(tetra_ref, 1.0),
+        ScalingSchedule.periodic(0.1, 1.0),
+    )
+    return integrate(tetra_ref.framework, tetra_ref, cfg,
+                     SimConfig(dt=0.002, duration=6.0, record_stride=5,
+                               perturbation=Perturbation(4, 0.05)))
+
+
+def rotated_stack(ref, samples, seed):
+    """samples copies of the reference shape, each turned about the
+    origin, shifted and jittered by seeded draws."""
+    from scipy.spatial.transform import Rotation
+
+    rng = np.random.default_rng(seed)
+    if ref.dim == 2:
+        angles = rng.uniform(0.0, 2.0 * np.pi, samples)
+        turns = np.stack([np.stack([np.cos(angles), -np.sin(angles)], axis=1),
+                          np.stack([np.sin(angles), np.cos(angles)], axis=1)], axis=1)
+    else:
+        turns = Rotation.random(samples, rng=rng).as_matrix()
+    pts = ref.framework.points @ turns.transpose(0, 2, 1)
+    pts += rng.normal(0.0, 5.0, (samples, 1, ref.dim))
+    pts += rng.normal(0.0, 0.1, pts.shape)
+    return pts.reshape(samples, -1)
+
+
+class TestFrameRotations:
+    """The stacked alignment gives the per-sample Kabsch rotations bit for bit."""
+
+    def test_planar_run_matches_per_sample_kabsch(self):
+        ref = ReferenceShape(henneberg_framework(64, 2, 3))
+        cfg = motion_config(ref, v=(0.5, 0.3), omega=0.2,
+                            schedule=ScalingSchedule.periodic(0.1, 1.0))
+        traj = integrate(ref.framework, ref, cfg,
+                         SimConfig(dt=0.01, duration=3.0, perturbation=Perturbation(1, 0.3)))
+        np.testing.assert_array_equal(_frame_rotations(traj.positions, ref),
+                                      kabsch_rotations(traj.positions, ref))
+
+    def test_tetrahedron_run_matches_per_sample_kabsch(self, tetra_ref):
+        traj = tetra_run(tetra_ref)
+        np.testing.assert_array_equal(_frame_rotations(traj.positions, tetra_ref),
+                                      kabsch_rotations(traj.positions, tetra_ref))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stack_of_several_chunks_matches_per_sample_kabsch(self, dim):
+        ref = ReferenceShape(henneberg_framework(50, dim, 5))
+        chunk_rows = _CHUNK_ELEMENTS // (50 * dim)
+        positions = rotated_stack(ref, 2 * chunk_rows + 7, 11)
+        # Mirror images, whose best orthogonal fit is a reflection.
+        positions.reshape(positions.shape[0], -1, dim)[::3, :, 0] *= -1.0
+        rotations = _frame_rotations(positions, ref)
+        np.testing.assert_array_equal(rotations, kabsch_rotations(positions, ref))
+        np.testing.assert_allclose(np.linalg.det(rotations), 1.0, atol=1e-12)
+
+    def test_one_collinear_sample_in_a_stack_is_rejected(self, square_ref):
+        positions = rotated_stack(square_ref, 9, 2)
+        positions[4] = [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
+        kabsch_rotations(np.delete(positions, 4, axis=0), square_ref)
+        with pytest.raises(DegenerateAlignment, match="rank deficient"):
+            _frame_rotations(positions, square_ref)
+
+    def test_tetrahedron_steady_state_matches_per_sample_rotations(self, tetra_ref):
+        from scipy.spatial.transform import Rotation
+
+        traj = tetra_run(tetra_ref)
+        report = steady_state_report(traj, tetra_ref, (2.0, 6.0))
+        # The spatial fit with one SciPy rotation per sample.
+        keep = (traj.times >= 2.0) & (traj.times <= 6.0)
+        times, positions = traj.times[keep], traj.positions[keep]
+        rotations = kabsch_rotations(positions, tetra_ref)
+        centroids = positions.reshape(times.size, -1, 3).mean(axis=1)
+        increments = np.diff(centroids, axis=0)
+        rotated = np.empty_like(increments)
+        rates = np.empty_like(increments)
+        for j in range(increments.shape[0]):
+            first = Rotation.from_matrix(rotations[j])
+            second = Rotation.from_matrix(rotations[j + 1])
+            rotated[j] = (first * (first.inv() * second) ** 0.5).apply(increments[j])
+            step = Rotation.from_matrix(rotations[j + 1].T @ rotations[j])
+            rates[j] = step.as_rotvec() / (times[j + 1] - times[j])
+        displacement = np.vstack([np.zeros(3), np.cumsum(rotated, axis=0)])
+        fits = [_line_fit(times, displacement[:, axis]) for axis in range(3)]
+        omega = rates.mean(axis=0)
+
+        np.testing.assert_array_equal(report.v_body, [fit[0] for fit in fits])
+        np.testing.assert_array_equal(report.omega, omega)
+        assert report.residuals["v_fit_rms"] == max(fit[2] for fit in fits)
+        assert report.residuals["omega_fit_rms"] == float(
+            np.linalg.norm(rates - omega, axis=1).mean())
 
 
 class TestSteadyStateReport:
