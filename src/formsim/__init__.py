@@ -11,8 +11,6 @@ from .control import (
     control_law,
     distance_errors,
     elastic_potential,
-    scheduled_distances,
-    stiffness_matrix,
     time_varying_params,
 )
 from .errors import (
@@ -44,7 +42,6 @@ from .rigidity import (
     Framework,
     RigidityReport,
     SensingGraph,
-    bearing_rigidity_matrix,
     bearings,
     edge_lengths,
     edge_vectors,
@@ -57,7 +54,6 @@ from .scenario import (
     bundled_scenario_path,
     load_scenario,
     parse_scenario,
-    serialize_scenario,
     write_trajectory_csv,
 )
 from .simulate import (

@@ -152,6 +152,13 @@ def cmd_design(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = _load(args)
+    prefix = args.output_prefix or Path(args.scenario).stem
+    csv_path, report_path = Path(f"{prefix}.csv"), Path(f"{prefix}.json")
+    for out in (csv_path, report_path):
+        for src in (args.scenario, args.params):
+            if src and out.exists() and os.path.samefile(out, src):
+                raise FileExistsError(f"output {out} would overwrite the input {src}; "
+                                      f"pass another --output-prefix")
     ref = scenario.reference_shape()
     if args.params:
         parts = parse_design(Path(args.params).read_text(), ref.graph.edge_count)
@@ -167,8 +174,6 @@ def cmd_simulate(args) -> int:
     log.info("integrating %s for %g time units", scenario.name, scenario.sim.duration)
     traj = integrate(scenario.initial_framework(), ref, cfg, scenario.sim)
 
-    prefix = args.output_prefix or Path(args.scenario).stem
-    csv_path = Path(f"{prefix}.csv")
     with csv_path.open("w") as fh:
         write_trajectory_csv(traj, scenario.dimension, fh)
 
@@ -195,7 +200,6 @@ def cmd_simulate(args) -> int:
     except InsufficientDecay as exc:
         report_doc["steady_state"] = None
         report_doc["note"] = str(exc)
-    report_path = Path(f"{prefix}.json")
     report_path.write_text(json.dumps(report_doc, indent=2) + "\n")
     sys.stdout.write(f"wrote {csv_path} and {report_path}\n")
     return EXIT_OK

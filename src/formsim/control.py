@@ -16,14 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityError
-from .motion import MotionParameters, ReferenceShape
-from .rigidity import (
-    Framework,
-    _place_edge_rows,
-    control_kernel,
-    edge_vectors,
-    unit_edge_vectors,
-)
+from .motion import MotionParameters
+from .rigidity import Framework, control_kernel, edge_vectors
 
 
 @dataclass(frozen=True)
@@ -108,15 +102,6 @@ class ControllerConfig:
             raise ValueError(f"gain must be positive, got {self.gain}")
 
 
-def scheduled_distances(ref: ReferenceShape, schedule: ScalingSchedule, t: float):
-    """Desired distances and their time derivatives at time t."""
-    factor = 1.0 + schedule.value(t)
-    d_t = factor * ref.distances
-    if np.any(d_t <= 0.0):
-        raise PositivityError(f"scheduled distance is not positive at t={t:.6g}")
-    return d_t, schedule.value_rate(t) * ref.distances
-
-
 def time_varying_params(cfg: ControllerConfig, t: float) -> MotionParameters:
     """Offsets applied at time t: motion parts plus rate-scaled scaling part."""
     rate = cfg.schedule.value_rate(t)
@@ -149,14 +134,3 @@ def control_law(fw: Framework, d_t: np.ndarray, pv: MotionParameters, gain: floa
         raise PositivityError("scheduled distances must be positive")
     kernel = control_kernel(fw.graph, fw.dim)
     return kernel(fw.positions[None, :], d_t, pv.tail, pv.head, gain)[0]
-
-
-def stiffness_matrix(fw: Framework) -> np.ndarray:
-    """Gram matrix of the error gradient directions, edge_count square.
-
-    R_n R_n^T, where R_n is the rigidity matrix with unit rows.  Positive
-    definite near a minimally rigid shape; its smallest eigenvalue scales
-    the exponential convergence rate.
-    """
-    unit_rows = _place_edge_rows(fw.graph, unit_edge_vectors(fw))
-    return unit_rows @ unit_rows.T

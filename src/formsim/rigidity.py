@@ -283,36 +283,12 @@ def rigidity_matrix(fw: Framework) -> np.ndarray:
     Row k carries the edge vector in the tail block and its negative in
     the head block, shape (edge_count, vertex_count * dim).
     """
-    return _place_edge_rows(fw.graph, edge_vectors(fw))
-
-
-def _place_edge_rows(graph: SensingGraph, vecs: np.ndarray) -> np.ndarray:
-    """(edge_count, vertex_count * dim) matrix with row k holding vecs[k]
-    in the tail block and -vecs[k] in the head block."""
-    ecount, m = vecs.shape
-    kernel = control_kernel(graph, m)
-    rows = np.zeros((ecount, graph.vertex_count, m))
+    kernel = control_kernel(fw.graph, fw.dim)
+    vecs, ecount = edge_vectors(fw), fw.graph.edge_count
+    rows = np.zeros((ecount, fw.graph.vertex_count, fw.dim))
     rows[np.arange(ecount), kernel.tails] = vecs
     rows[np.arange(ecount), kernel.heads] = -vecs
     return rows.reshape(ecount, -1)
-
-
-def bearing_rigidity_matrix(fw: Framework) -> np.ndarray:
-    """Jacobian of the stacked bearing map w.r.t. positions.
-
-    Block-row k is the orthogonal projector of bearing k divided by the
-    edge length, placed with opposite signs at the tail and head blocks.
-    Shape (dim * edge_count, vertex_count * dim).
-    """
-    n, m, ecount = fw.graph.vertex_count, fw.dim, fw.graph.edge_count
-    kernel = control_kernel(fw.graph, m)
-    units = unit_edge_vectors(fw)
-    norms = np.linalg.norm(edge_vectors(fw), axis=1)
-    blocks = (np.eye(m) - units[:, :, None] * units[:, None, :]) / norms[:, None, None]
-    jac = np.zeros((ecount, m, n, m))
-    jac[np.arange(ecount), :, kernel.tails, :] = blocks
-    jac[np.arange(ecount), :, kernel.heads, :] = -blocks
-    return jac.reshape(ecount * m, n * m)
 
 
 def numerical_rank(matrix: np.ndarray, rel_tol: float) -> int:
@@ -406,8 +382,8 @@ def _default_tol(fw: Framework) -> float:
 
 
 def rigidity_rank(fw: Framework) -> int:
-    """Numerical rank of the rigidity matrix at rigidity_report's default
-    cutoff, computed once per framework."""
+    """Numerical rank of the rigidity matrix at the relative singular-value
+    cutoff max(n, edge_count) * dim * eps, computed once per framework."""
     return fw._rigidity_rank
 
 
@@ -416,34 +392,42 @@ class RigidityReport:
     rank_rigidity: int
     is_infinitesimally_rigid: bool
     is_minimally_rigid: bool
-    bearing_kernel_dim: int
-    is_bearing_rigid: bool
+    bearing_kernel_dim: int | None
+    is_bearing_rigid: bool | None
 
 
-def rigidity_report(fw: Framework, tol: float | None = None) -> RigidityReport:
+def rigidity_report(fw: Framework) -> RigidityReport:
     """Rank-based rigidity classification of a framework.
 
     The framework is infinitesimally rigid when the rigidity matrix has
-    rank 2n-3 (planar) or 3n-6 (spatial), minimally rigid when the edge
-    count equals that rank target, and bearing rigid when the bearing
-    rigidity matrix kernel holds only translations plus one scaling,
-    dimension dim + 1.
+    rank 2n-3 (planar) or 3n-6 (spatial), and minimally rigid when the
+    edge count equals that rank target too.  It is bearing rigid when the
+    kernel of the bearing rigidity matrix holds only the translations
+    and one scaling, dimension dim + 1.
 
-    tol overrides the relative singular-value cutoff; the default is
-    max(n * dim, edge_count * dim) times the float64 machine epsilon.
+    The bearing fields follow from the rank, with no bearing matrix
+    built.  Infinitesimal distance rigidity implies infinitesimal bearing
+    rigidity in any dimension (Zhao and Zelazo, IEEE TAC 61(5), 2016).
+    In the plane the converse holds as well: each bearing block is
+    u_perp u_perp^T / |z|, so the bearing rigidity matrix is the rigidity
+    matrix of the shape turned by 90 degrees with rescaled rows, and the
+    two have equal rank.  In space a framework that is not
+    infinitesimally rigid gets None for both bearing fields: the rank
+    does not decide them there.
     """
     n, m, ecount = fw.graph.vertex_count, fw.dim, fw.graph.edge_count
-    if tol is None:
-        tol = _default_tol(fw)
-        rank_r = rigidity_rank(fw)
-    else:
-        rank_r = numerical_rank(rigidity_matrix(fw), tol)
+    rank_r = rigidity_rank(fw)
     target = rigid_rank_target(n, m)
-    kernel_dim = n * m - numerical_rank(bearing_rigidity_matrix(fw), tol)
+    if rank_r == target:
+        kernel_dim, bearing_rigid = m + 1, True
+    elif m == 2:
+        kernel_dim, bearing_rigid = n * m - rank_r, False
+    else:
+        kernel_dim, bearing_rigid = None, None
     return RigidityReport(
         rank_rigidity=rank_r,
         is_infinitesimally_rigid=rank_r == target,
         is_minimally_rigid=rank_r == ecount == target,
         bearing_kernel_dim=kernel_dim,
-        is_bearing_rigid=kernel_dim == m + 1,
+        is_bearing_rigid=bearing_rigid,
     )

@@ -278,42 +278,6 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(Path(path).read_text())
 
 
-def serialize_scenario(scenario: Scenario) -> str:
-    """Render a scenario back to its JSON document form."""
-    schedule: dict = {"kind": scenario.schedule.kind}
-    if scenario.schedule.kind == "linear":
-        schedule["rate"] = scenario.schedule.rate
-    elif scenario.schedule.kind == "periodic":
-        schedule["amplitude"] = scenario.schedule.amplitude
-        schedule["frequency"] = scenario.schedule.frequency
-    doc = {
-        "name": scenario.name,
-        "dimension": scenario.dimension,
-        "edges": [list(edge) for edge in scenario.edges],
-        "reference_positions": scenario.reference_positions.tolist(),
-        "initial_positions": None if scenario.initial_positions is None
-        else scenario.initial_positions.tolist(),
-        "gain": scenario.gain,
-        "targets": {
-            "v_body": scenario.v_body.tolist(),
-            "omega": scenario.omega if isinstance(scenario.omega, float)
-            else np.asarray(scenario.omega).tolist(),
-            "schedule": schedule,
-        },
-        "sim": {
-            "dt": scenario.sim.dt,
-            "duration": scenario.sim.duration,
-            "integrator": scenario.sim.integrator,
-            "record_stride": scenario.sim.record_stride,
-            "perturbation": None if scenario.sim.perturbation is None else {
-                "seed": scenario.sim.perturbation.seed,
-                "magnitude": scenario.sim.perturbation.magnitude,
-            },
-        },
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def bundled_scenario_path(name: str) -> Path:
     """Filesystem path of a scenario shipped with the package."""
     return Path(resources.files("formsim.scenarios") / f"{name}.json")

@@ -98,12 +98,6 @@ class Trajectory:
     def sample_count(self) -> int:
         return self.times.size
 
-    @property
-    def distances(self) -> np.ndarray:
-        """Scheduled distances (samples, E), built on each access for tests
-        and oracles; the program itself never reads them."""
-        return self.scale[:, None] * self.reference_distances
-
     def error_norms(self) -> np.ndarray:
         norms = np.empty(self.sample_count)
         for rows in _chunks(*self.errors.shape):
@@ -218,11 +212,12 @@ def make_rhs(ref: ReferenceShape, cfg: ControllerConfig):
     p stacks one run per row, shape (batch, vertex_count * dim); the
     batch size is read from p.  Hoists every per-run constant and
     evaluates the same kernel as control_law applied to
-    time_varying_params and scheduled_distances, so both paths produce
-    identical floating-point values.  The scheduled distances and both
-    coefficient vectors live in (batch, E) buffers, rewritten only when
-    the scale factor or its rate changes and rebuilt when the batch size
-    does; under a flat schedule they are written once per run.
+    time_varying_params at the distances (1 + s(t)) * ref.distances, so
+    both paths produce identical floating-point values.  The scheduled
+    distances and both coefficient vectors live in (batch, E) buffers,
+    rewritten only when the scale factor or its rate changes and rebuilt
+    when the batch size does; under a flat schedule they are written
+    once per run.
     """
     kernel = control_kernel(ref.graph, ref.dim)
     base = np.stack([cfg.translation_part.tail + cfg.rotation_part.tail,
@@ -487,8 +482,10 @@ def steady_state_report(traj: Trajectory, ref: ReferenceShape, window) -> Steady
         # A matmul keeps the bits of applying one rotation at a time; a
         # stacked apply moves them.
         rotated = (mids.as_matrix() @ increments[:, :, None])[:, :, 0]
-        # Orientation increment of the shape between consecutive samples.
-        steps = Rotation.from_matrix(rotations[1:].transpose(0, 2, 1) @ rotations[:-1])
+        # The shape's orientation is rotations[j].T, so its increment
+        # between consecutive samples, in the body frame, is
+        # rotations[j] @ rotations[j + 1].T.
+        steps = Rotation.from_matrix(rotations[:-1] @ rotations[1:].transpose(0, 2, 1))
         rates = steps.as_rotvec() / np.diff(sub.times)[:, None]
         omega_out = rates.mean(axis=0)
         omega_rms = float(np.linalg.norm(rates - omega_out, axis=1).mean())

@@ -1,9 +1,20 @@
+import json
 import os
 
 import numpy as np
 import pytest
 
-from formsim import DegenerateAlignment, Framework, ReferenceShape, SensingGraph
+from formsim import (
+    DegenerateAlignment,
+    Framework,
+    PositivityError,
+    ReferenceShape,
+    SensingGraph,
+    edge_lengths,
+    rigidity_matrix,
+    unit_edge_vectors,
+)
+from formsim.rigidity import control_kernel
 
 SQUARE_EDGES = ((1, 2), (2, 3), (3, 1), (4, 3), (4, 1))
 SQUARE_POINTS = np.array([[0.0, 0.0], [15.0, 0.0], [15.0, 15.0], [0.0, 15.0]])
@@ -168,3 +179,83 @@ def random_planar_framework(rng, vertex_count=4):
         dists = np.linalg.norm(diffs, axis=2) + np.eye(vertex_count)
         if dists.min() > 0.5:
             return Framework.from_points(graph, points)
+
+
+def bearing_rigidity_matrix(fw):
+    """Jacobian of the stacked bearing map w.r.t. positions.
+
+    Block-row k is the orthogonal projector of bearing k divided by the
+    edge length, placed with opposite signs at the tail and head blocks.
+    Shape (dim * edge_count, vertex_count * dim).  The tests' oracle for
+    the bearing fields that rigidity_report takes from the rigidity rank.
+    """
+    n, m, ecount = fw.graph.vertex_count, fw.dim, fw.graph.edge_count
+    kernel = control_kernel(fw.graph, m)
+    units = unit_edge_vectors(fw)
+    norms = edge_lengths(fw)
+    blocks = (np.eye(m) - units[:, :, None] * units[:, None, :]) / norms[:, None, None]
+    jac = np.zeros((ecount, m, n, m))
+    jac[np.arange(ecount), :, kernel.tails, :] = blocks
+    jac[np.arange(ecount), :, kernel.heads, :] = -blocks
+    return jac.reshape(ecount * m, n * m)
+
+
+def stiffness_matrix(fw):
+    """Gram matrix of the error gradient directions, edge_count square.
+
+    R_n R_n^T, where R_n is the rigidity matrix with unit rows.  Positive
+    definite near a minimally rigid shape; its smallest eigenvalue scales
+    the exponential convergence rate.
+    """
+    unit_rows = rigidity_matrix(fw) / edge_lengths(fw)[:, None]
+    return unit_rows @ unit_rows.T
+
+
+def scheduled_distances(ref, schedule, t):
+    """Desired distances and their time derivatives at time t."""
+    factor = 1.0 + schedule.value(t)
+    d_t = factor * ref.distances
+    if np.any(d_t <= 0.0):
+        raise PositivityError(f"scheduled distance is not positive at t={t:.6g}")
+    return d_t, schedule.value_rate(t) * ref.distances
+
+
+def trajectory_distances(traj):
+    """Scheduled distances (samples, E) of a recorded run."""
+    return traj.scale[:, None] * traj.reference_distances
+
+
+def serialize_scenario(scenario):
+    """Render a scenario back to its JSON document form."""
+    schedule = {"kind": scenario.schedule.kind}
+    if scenario.schedule.kind == "linear":
+        schedule["rate"] = scenario.schedule.rate
+    elif scenario.schedule.kind == "periodic":
+        schedule["amplitude"] = scenario.schedule.amplitude
+        schedule["frequency"] = scenario.schedule.frequency
+    doc = {
+        "name": scenario.name,
+        "dimension": scenario.dimension,
+        "edges": [list(edge) for edge in scenario.edges],
+        "reference_positions": scenario.reference_positions.tolist(),
+        "initial_positions": None if scenario.initial_positions is None
+        else scenario.initial_positions.tolist(),
+        "gain": scenario.gain,
+        "targets": {
+            "v_body": scenario.v_body.tolist(),
+            "omega": scenario.omega if isinstance(scenario.omega, float)
+            else np.asarray(scenario.omega).tolist(),
+            "schedule": schedule,
+        },
+        "sim": {
+            "dt": scenario.sim.dt,
+            "duration": scenario.sim.duration,
+            "integrator": scenario.sim.integrator,
+            "record_stride": scenario.sim.record_stride,
+            "perturbation": None if scenario.sim.perturbation is None else {
+                "seed": scenario.sim.perturbation.seed,
+                "magnitude": scenario.sim.perturbation.magnitude,
+            },
+        },
+    }
+    return json.dumps(doc, indent=2) + "\n"

@@ -31,12 +31,11 @@ from formsim import (
     rotation_field,
     rotation_params,
     scaling_params,
-    scheduled_distances,
     time_varying_params,
     translation_params,
 )
 from formsim.simulate import _frame_angles, _frame_rotations
-from conftest import SCALE_PATTERN, SPIN_PATTERN, null_space
+from conftest import SCALE_PATTERN, SPIN_PATTERN, null_space, scheduled_distances
 
 
 def _report(num, title, passed, detail):

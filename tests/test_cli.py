@@ -180,6 +180,30 @@ class TestSimulate:
         report = json.loads(Path("run.json").read_text())
         assert report["samples"] == len(csv_lines) - 1
 
+    @pytest.mark.parametrize("argv, clash", [
+        (["quick.json"], "quick.json"),
+        (["quick.json", "-o", "./quick"], "quick.json"),
+        (["quick.json", "--params", "design.json", "-o", "design"], "design.json"),
+    ], ids=["default-prefix", "scenario-prefix", "params-prefix"])
+    def test_refuses_to_overwrite_its_inputs(self, tmp_path, monkeypatch, capsys, argv, clash):
+        import formsim.cli
+
+        def refuse(*args):
+            raise AssertionError("integrated before refusing")
+
+        monkeypatch.chdir(tmp_path)
+        write_scenario(tmp_path)
+        assert main(["design", "quick.json", "-o", "design.json"]) == 0
+        inputs = {name: Path(name).read_bytes() for name in ("quick.json", "design.json")}
+        capsys.readouterr()
+        monkeypatch.setattr(formsim.cli, "integrate", refuse)
+        assert main(["simulate", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert clash in err
+        assert {name: Path(name).read_bytes() for name in inputs} == inputs
+        assert not Path(f"{Path(clash).stem}.csv").exists()
+
     def test_deterministic_output(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         path = write_scenario(tmp_path)
@@ -382,7 +406,7 @@ class TestNumericalFailures:
         }
         path = tmp_path / "collapse.json"
         path.write_text(json.dumps(doc))
-        code = main(["simulate", str(path), "-o", str(tmp_path / "collapse")])
+        code = main(["simulate", str(path), "-o", str(tmp_path / "collapse-run")])
         assert code == 2
         assert "EdgeCollapse" in capsys.readouterr().err
 
@@ -552,18 +576,24 @@ class TestReferenceRigidity:
     @pytest.mark.parametrize("shape", [{}, TETRA_SCENARIO])
     def test_load_design_simulate_skip_bearing_rigidity(self, tmp_path, capsys,
                                                        monkeypatch, shape):
+        # The rank of a certified shape decides every rigidity field, so no
+        # command takes an SVD, of the rigidity matrix or of any other.
         import formsim.rigidity
         from formsim import load_scenario
 
-        def refuse(fw):
-            raise AssertionError("bearing rigidity matrix built")
+        def refuse(matrix, rel_tol):
+            raise AssertionError(f"SVD of a {matrix.shape} matrix")
 
-        monkeypatch.setattr(formsim.rigidity, "bearing_rigidity_matrix", refuse)
+        monkeypatch.setattr(formsim.rigidity, "numerical_rank", refuse)
         path = write_scenario(tmp_path, **shape)
         load_scenario(path)
+        assert main(["analyze", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["is_bearing_rigid"] is True
         assert main(["design", str(path)]) == 0
         assert main(["simulate", str(path), "--duration", "0.2",
                      "-o", str(tmp_path / "run")]) == 0
+        main(["verify", str(path), "--dt", "0.01", "--duration", "1"])
+        assert "PASS reference-rigidity" in capsys.readouterr().out
 
     @pytest.mark.parametrize("shape", [{}, TETRA_SCENARIO])
     def test_design_skips_the_velocity_map(self, tmp_path, capsys, monkeypatch, shape):
@@ -605,16 +635,15 @@ class TestReferenceRigidity:
         monkeypatch.setattr(formsim.rigidity, "certifies_full_row_rank", counted_certificate)
         path = write_scenario(tmp_path, sim={"dt": 0.005, "duration": 6.0,
                                              "record_stride": 5, "perturbation": None})
-        # The 5 x 8 rigidity matrix is certified; only the 10 x 8 bearing
-        # rigidity matrix takes an SVD.
+        # The 5 x 8 rigidity matrix is certified, and the bearing fields
+        # follow from its rank, so nothing takes an SVD.
         assert main(["analyze", str(path)]) == 0
-        assert shapes == [(10, 8)]
+        assert shapes == []
         assert len(certified) == 1
-        shapes.clear()
         certified.clear()
         main(["verify", str(path)])
         assert "PASS reference-rigidity" in capsys.readouterr().out
-        assert shapes == [(10, 8)]
+        assert shapes == []
         assert len(certified) == 1
 
     @pytest.mark.parametrize("edges, message", [

@@ -12,13 +12,11 @@ from formsim import (
     elastic_potential,
     rotation_params,
     scaling_params,
-    scheduled_distances,
-    stiffness_matrix,
     time_varying_params,
     translation_params,
     unit_edge_vectors,
 )
-from conftest import SQUARE_POINTS
+from conftest import SQUARE_POINTS, scheduled_distances, stiffness_matrix
 
 
 def full_config(ref, gain=5.0, v=(0.0, 0.0), omega=1.0,

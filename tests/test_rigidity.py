@@ -10,7 +10,6 @@ from formsim import (
     RigidityError,
     SensingGraph,
     ZeroEdge,
-    bearing_rigidity_matrix,
     bearings,
     edge_lengths,
     edge_vectors,
@@ -27,7 +26,14 @@ from formsim.rigidity import (
     numerical_rank,
     rigidity_rank,
 )
-from conftest import SQUARE_EDGES, SQUARE_POINTS, henneberg_framework, random_planar_framework
+from conftest import (
+    SQUARE_EDGES,
+    SQUARE_POINTS,
+    TETRA_POINTS,
+    bearing_rigidity_matrix,
+    henneberg_framework,
+    random_planar_framework,
+)
 
 
 class TestSensingGraph:
@@ -332,12 +338,6 @@ class TestRigidityReport:
             fw = Framework.from_points(square_graph, SQUARE_POINTS @ rot.T)
             assert rigidity_report(fw).rank_rigidity == 5
 
-    def test_tolerance_override(self, square_framework):
-        # An absurdly large cutoff discards every singular value.
-        report = rigidity_report(square_framework, tol=10.0)
-        assert report.rank_rigidity == 0
-        assert not report.is_infinitesimally_rigid
-
     def test_two_agent_segment(self):
         graph = SensingGraph(2, ((1, 2),))
         fw = Framework.from_points(graph, [[0.0, 0.0], [1.0, 0.0]])
@@ -432,3 +432,67 @@ class TestRankCertificate:
             fw = Framework.from_points(square_graph, SQUARE_POINTS * 10.0 ** k)
             assert certifies_full_row_rank(fw, default_cutoff(fw)), k
             assert rigidity_rank(fw) == 5
+
+
+def bearing_kernel_dim(fw):
+    """Kernel dimension of the bearing rigidity matrix from its SVD."""
+    return fw.positions.size - numerical_rank(bearing_rigidity_matrix(fw), default_cutoff(fw))
+
+
+def random_connected_framework(rng, n, ecount):
+    """Random points in the plane on a random connected graph of ecount
+    edges: a random spanning tree plus random extra pairs."""
+    order = rng.permutation(n) + 1
+    edges = [(int(order[k]), int(order[rng.integers(k)])) for k in range(1, n)]
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+             if (i, j) not in edges and (j, i) not in edges]
+    extra = rng.choice(len(pairs), ecount - (n - 1), replace=False)
+    edges += [pairs[k] for k in extra]
+    return Framework.from_points(SensingGraph(n, tuple(edges)), rng.uniform(-5.0, 5.0, (n, 2)))
+
+
+class TestBearingRigidityFromRank:
+    """Infinitesimal distance rigidity implies infinitesimal bearing
+    rigidity, and in the plane the two matrices have equal rank (Zhao and
+    Zelazo, IEEE TAC 61(5), 2016); rigidity_report relies on both."""
+
+    @pytest.mark.parametrize("n, dim, seed", CERTIFIED_SHAPES.values(), ids=CERTIFIED_SHAPES)
+    def test_henneberg_shapes_are_bearing_rigid(self, n, dim, seed):
+        fw = henneberg_framework(n, dim, seed)
+        report = rigidity_report(fw)
+        assert bearing_kernel_dim(fw) == dim + 1 == report.bearing_kernel_dim
+        assert report.is_bearing_rigid
+
+    def test_bundled_square_and_tetrahedron_are_bearing_rigid(self, tetra_framework):
+        from formsim import bundled_scenario_path, load_scenario
+
+        square = load_scenario(bundled_scenario_path("square")).reference_shape().framework
+        for fw in (square, tetra_framework):
+            report = rigidity_report(fw)
+            assert bearing_kernel_dim(fw) == fw.dim + 1 == report.bearing_kernel_dim
+            assert report.is_bearing_rigid
+
+    def test_planar_bearing_rank_is_the_rigidity_rank(self):
+        rng = np.random.default_rng(11)
+        kinds = set()
+        for _ in range(200):
+            n = int(rng.integers(3, 13))
+            target = 2 * n - 3
+            ecount = int(rng.integers(n - 1, min(n * (n - 1) // 2, target + 4) + 1))
+            fw = random_connected_framework(rng, n, ecount)
+            rank = numerical_rank(rigidity_matrix(fw), default_cutoff(fw))
+            report = rigidity_report(fw)
+            assert numerical_rank(bearing_rigidity_matrix(fw), default_cutoff(fw)) == rank
+            assert report.bearing_kernel_dim == bearing_kernel_dim(fw) == 2 * n - rank
+            assert report.is_bearing_rigid == (rank == target)
+            kinds.add((int(np.sign(ecount - target)), rank == target))
+        # Flexible, minimal and over-braced frameworks all came up, rigid or not.
+        assert kinds >= {(-1, False), (0, True), (1, True), (1, False)}
+
+    def test_flexible_spatial_framework_leaves_bearing_fields_open(self):
+        graph = SensingGraph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4)))
+        report = rigidity_report(Framework.from_points(graph, TETRA_POINTS))
+        assert report.rank_rigidity == 5
+        assert not report.is_infinitesimally_rigid
+        assert report.bearing_kernel_dim is None
+        assert report.is_bearing_rigid is None

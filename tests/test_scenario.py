@@ -14,12 +14,16 @@ from formsim import (
     bundled_scenario_path,
     load_scenario,
     parse_scenario,
-    serialize_scenario,
     write_trajectory_csv,
 )
 from formsim.scenario import parse_design, trajectory_csv_header
 
-from conftest import assert_no_children, fail_csv_workers
+from conftest import (
+    assert_no_children,
+    fail_csv_workers,
+    serialize_scenario,
+    trajectory_distances,
+)
 
 
 def minimal_doc(**overrides):
@@ -228,9 +232,10 @@ def per_value_csv(traj, dim):
     buf = io.StringIO()
     header = trajectory_csv_header(dim, traj.positions.shape[1] // dim, traj.errors.shape[1])
     buf.write(",".join(header) + "\n")
+    distances = trajectory_distances(traj)
     for j in range(traj.sample_count):
         row = [traj.times[j], *traj.positions[j], *traj.errors[j],
-               traj.potential[j], *traj.distances[j]]
+               traj.potential[j], *distances[j]]
         buf.write(",".join(repr(float(v)) for v in row) + "\n")
     return buf.getvalue()
 
@@ -263,17 +268,18 @@ class TestTrajectoryCsv:
 
     def test_flat_schedule_matches_per_value_writer(self, square_ref):
         traj = flat_trajectory(square_ref, duration=1.0, stride=2)
-        assert (traj.distances == traj.distances[0]).all()
+        distances = trajectory_distances(traj)
+        assert (distances == distances[0]).all()
         assert csv_text(traj, 2) == per_value_csv(traj, 2)
 
     def test_periodic_schedule_matches_per_value_writer(self):
         traj = periodic_trajectory()
-        assert len({row.tobytes() for row in traj.distances}) == traj.sample_count
+        assert len({row.tobytes() for row in trajectory_distances(traj)}) == traj.sample_count
         assert csv_text(traj, 2) == per_value_csv(traj, 2)
 
     def test_spatial_trajectory_matches_per_value_writer(self, tetra_ref):
         traj = spatial_trajectory(tetra_ref)
-        assert len({row.tobytes() for row in traj.distances}) == traj.sample_count
+        assert len({row.tobytes() for row in trajectory_distances(traj)}) == traj.sample_count
         assert csv_text(traj, 3) == per_value_csv(traj, 3)
 
     def test_special_values_match_per_value_writer(self):

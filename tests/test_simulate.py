@@ -27,13 +27,18 @@ from formsim import (
     perturb_to_error_norm,
     rotation_params,
     scaling_params,
-    scheduled_distances,
     steady_state_report,
     time_varying_params,
     translation_params,
 )
 from formsim.simulate import _CHUNK_ELEMENTS, _frame_rotations, _line_fit, make_rhs
-from conftest import SQUARE_POINTS, henneberg_framework, kabsch_rotations
+from conftest import (
+    SQUARE_POINTS,
+    henneberg_framework,
+    kabsch_rotations,
+    scheduled_distances,
+    trajectory_distances,
+)
 
 
 def quiet_config(ref, gain=5.0):
@@ -88,7 +93,7 @@ class TestIntegrate:
         start = apply_perturbation(square_ref.framework, 5, 0.5)
         traj = integrate(start, square_ref, cfg, SimConfig(dt=1e-3, duration=0.5, record_stride=7))
         for t, row, errors, dists in zip(traj.times, traj.positions, traj.errors,
-                                         traj.distances):
+                                         trajectory_distances(traj)):
             d_t, _ = scheduled_distances(square_ref, cfg.schedule, t)
             assert np.array_equal(dists, d_t)
             assert np.array_equal(errors, distance_errors(Framework(square_ref.graph, 2, row), d_t))
@@ -476,7 +481,7 @@ class TestFrameRotations:
 
         traj = tetra_run(tetra_ref)
         report = steady_state_report(traj, tetra_ref, (2.0, 6.0))
-        # The spatial fit with one SciPy rotation per sample.
+        # The body-frame fit with one SciPy rotation per sample.
         keep = (traj.times >= 2.0) & (traj.times <= 6.0)
         times, positions = traj.times[keep], traj.positions[keep]
         rotations = kabsch_rotations(positions, tetra_ref)
@@ -488,7 +493,7 @@ class TestFrameRotations:
             first = Rotation.from_matrix(rotations[j])
             second = Rotation.from_matrix(rotations[j + 1])
             rotated[j] = (first * (first.inv() * second) ** 0.5).apply(increments[j])
-            step = Rotation.from_matrix(rotations[j + 1].T @ rotations[j])
+            step = Rotation.from_matrix(rotations[j] @ rotations[j + 1].T)
             rates[j] = step.as_rotvec() / (times[j + 1] - times[j])
         displacement = np.vstack([np.zeros(3), np.cumsum(rotated, axis=0)])
         fits = [_line_fit(times, displacement[:, axis]) for axis in range(3)]
@@ -562,6 +567,30 @@ class TestSteadyStateReport:
         np.testing.assert_allclose(report.v_body, v, atol=5e-3)
         np.testing.assert_allclose(report.omega, omega, atol=0.02)
 
+    def test_round_trip_3d_away_from_the_reference_orientation(self, tetra_ref):
+        # Started on the reference orientation, the spatial and body-frame
+        # spins agree; turned away from it, only the body frame gives omega.
+        from scipy.spatial.transform import Rotation
+
+        v = np.array([0.2, -0.1, 0.15])
+        omega = np.array([0.3, 0.2, 1.0])
+        cfg = ControllerConfig(
+            5.0,
+            translation_params(tetra_ref, v),
+            rotation_params(tetra_ref, omega),
+            MotionParameters.zero(6),
+            ScalingSchedule.none(),
+        )
+        turn = Rotation.from_rotvec([0.9, -1.4, 0.6]).as_matrix()
+        start = Framework.from_points(tetra_ref.graph,
+                                      tetra_ref.centered_points() @ turn.T + [2.0, -1.0, 0.5])
+        traj = integrate(start, tetra_ref, cfg,
+                         SimConfig(dt=1e-3, duration=3.0, record_stride=10))
+        report = steady_state_report(traj, tetra_ref, (0.0, 3.0))
+        np.testing.assert_allclose(report.v_body, v, atol=5e-3)
+        np.testing.assert_allclose(report.omega, omega, atol=0.02)
+        assert np.linalg.norm(turn @ omega - omega) > 0.5
+
     def test_insufficient_decay_raised_for_slow_gain(self, square_ref):
         start = perturb_to_error_norm(square_ref.framework, square_ref.distances, 7, 1.5)
         traj = integrate(start, square_ref, quiet_config(square_ref, gain=0.01),
@@ -627,4 +656,5 @@ class TestRunMemory:
                          motion_config(square_ref, omega=1.0, schedule=schedule),
                          SimConfig(dt=1e-2, duration=1.0, record_stride=3))
         factors = np.array([1.0 + schedule.value(t) for t in traj.times])
-        assert traj.distances.tobytes() == (factors[:, None] * square_ref.distances).tobytes()
+        expected = factors[:, None] * square_ref.distances
+        assert trajectory_distances(traj).tobytes() == expected.tobytes()
