@@ -105,8 +105,20 @@ def _load(args) -> Scenario:
     return scenario
 
 
+def _refuse_to_overwrite(outputs, inputs, option: str) -> None:
+    """Raise FileExistsError, naming the option that sets the outputs,
+    when an output path is an existing input file.  None stands for an
+    output or input the command was not given."""
+    for out in outputs:
+        for src in inputs:
+            if out and src and os.path.exists(out) and os.path.samefile(out, src):
+                raise FileExistsError(f"output {out} would overwrite the input {src}; "
+                                      f"pass another {option}")
+
+
 def cmd_analyze(args) -> int:
     scenario = _load(args)
+    _refuse_to_overwrite([args.output], [args.scenario], "--output")
     report = scenario.reference_shape().report
     doc = json.dumps(dataclasses.asdict(report), indent=2) + "\n"
     sys.stdout.write(doc)
@@ -140,6 +152,7 @@ def _design_document(scenario: Scenario) -> dict:
 
 def cmd_design(args) -> int:
     scenario = _load(args)
+    _refuse_to_overwrite([args.output], [args.scenario], "--output")
     doc = json.dumps(_design_document(scenario), indent=2) + "\n"
     if args.output:
         Path(args.output).write_text(doc)
@@ -154,11 +167,8 @@ def cmd_simulate(args) -> int:
     scenario = _load(args)
     prefix = args.output_prefix or Path(args.scenario).stem
     csv_path, report_path = Path(f"{prefix}.csv"), Path(f"{prefix}.json")
-    for out in (csv_path, report_path):
-        for src in (args.scenario, args.params):
-            if src and out.exists() and os.path.samefile(out, src):
-                raise FileExistsError(f"output {out} would overwrite the input {src}; "
-                                      f"pass another --output-prefix")
+    _refuse_to_overwrite([csv_path, report_path], [args.scenario, args.params],
+                         "--output-prefix")
     ref = scenario.reference_shape()
     if args.params:
         parts = parse_design(Path(args.params).read_text(), ref.graph.edge_count)
@@ -182,7 +192,7 @@ def cmd_simulate(args) -> int:
         "samples": int(traj.sample_count),
         # A (1, E) slice keeps the row reduction of error_norms; a 1-D
         # norm takes a BLAS dot, which can differ in the last bit.
-        "final_error_norm": float(np.linalg.norm(traj.errors[-1:], axis=1)[0]),
+        "final_error_norm": float(np.linalg.norm(traj.errors(slice(-1, None)), axis=1)[0]),
     }
     window = (0.5 * scenario.sim.duration, scenario.sim.duration)
     try:

@@ -119,7 +119,8 @@ class ReferenceShape:
     The framework's own coordinates define the body pose used for all
     calibration targets.  Desired distances are the framework's edge
     lengths.  Raises RigidityError unless the rank of the rigidity matrix
-    and the edge count both equal 2n-3 (plane) or 3n-6 (space).
+    and the edge count both equal rigid_rank_target: 2n-3 (plane) or
+    3n-6 (space, from n = 3 on).
     """
 
     framework: Framework

@@ -371,10 +371,13 @@ def _invert_upper_in_place(tri: np.ndarray, work: np.ndarray) -> None:
 
 
 def rigid_rank_target(vertex_count: int, dim: int) -> int:
-    """Full rank of the rigidity matrix for a generically rigid framework."""
-    if dim == 2:
-        return 2 * vertex_count - 3
-    return 3 * vertex_count - 6
+    """Full rank of the rigidity matrix for a generically rigid framework:
+    dim * n - dim * (dim + 1) / 2 from n = dim agents on, and n (n - 1) / 2,
+    one per pair, below that."""
+    n = vertex_count
+    if n < dim:
+        return n * (n - 1) // 2
+    return dim * n - dim * (dim + 1) // 2
 
 
 def _default_tol(fw: Framework) -> float:
@@ -400,10 +403,10 @@ def rigidity_report(fw: Framework) -> RigidityReport:
     """Rank-based rigidity classification of a framework.
 
     The framework is infinitesimally rigid when the rigidity matrix has
-    rank 2n-3 (planar) or 3n-6 (spatial), and minimally rigid when the
-    edge count equals that rank target too.  It is bearing rigid when the
-    kernel of the bearing rigidity matrix holds only the translations
-    and one scaling, dimension dim + 1.
+    rank rigid_rank_target: 2n-3 in the plane, 3n-6 in space from n = 3
+    on.  It is minimally rigid when the edge count equals that target
+    too.  It is bearing rigid when the kernel of the bearing rigidity
+    matrix holds only the translations and one scaling, dimension dim + 1.
 
     The bearing fields follow from the rank, with no bearing matrix
     built.  Infinitesimal distance rigidity implies infinitesimal bearing

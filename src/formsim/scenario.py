@@ -316,7 +316,7 @@ def write_trajectory_csv(traj: Trajectory, dim: int, fh) -> None:
     raises, it kills and reaps every worker first.
     """
     vertex_count = traj.positions.shape[1] // dim
-    header = trajectory_csv_header(dim, vertex_count, traj.errors.shape[1])
+    header = trajectory_csv_header(dim, vertex_count, traj.reference.distances.size)
     fh.write(",".join(header) + "\n")
     starts = _block_starts(traj.sample_count, len(header), fh)
     name = getattr(fh, "name", None)
@@ -348,23 +348,27 @@ def write_trajectory_csv(traj: Trajectory, dim: int, fh) -> None:
 def _write_rows(traj: Trajectory, lo: int, hi: int, fh) -> None:
     """Write rows lo to hi - 1 of the CSV body.
 
-    A row's distances are its scale factor times the reference
-    distances; their text is formatted only when the scale factor
-    differs, byte for byte, from the previous row's, so a flat schedule
-    formats it once per call.
+    The errors and potential are formed one chunk of rows at a time.  A
+    row's distances are its scale factor times the reference distances;
+    their text is formatted only when the scale factor differs, byte for
+    byte, from the previous row's, so a flat schedule formats it once
+    per call.
     """
     last_scale, row_end = None, ""
-    rows = slice(lo, hi)
-    for t, positions, errors, potential, scale in zip(
-            traj.times[rows].tolist(), traj.positions[rows], traj.errors[rows],
-            traj.potential[rows].tolist(), traj.scale[rows]):
-        key = scale.tobytes()
-        if key != last_scale:
-            last_scale = key
-            distances = scale * traj.reference_distances
-            row_end = "," + ",".join(map(repr, distances.tolist())) + "\n"
-        fh.write(",".join(map(repr, [t, *positions.tolist(), *errors.tolist(), potential])))
-        fh.write(row_end)
+    for rows in traj.chunks(lo, hi):
+        errors = traj.errors(rows)
+        potential = 0.5 * (errors * errors).sum(axis=1)
+        for t, positions, row_errors, row_potential, scale in zip(
+                traj.times[rows].tolist(), traj.positions[rows], errors,
+                potential.tolist(), traj.scale[rows]):
+            key = scale.tobytes()
+            if key != last_scale:
+                last_scale = key
+                distances = scale * traj.reference.distances
+                row_end = "," + ",".join(map(repr, distances.tolist())) + "\n"
+            fh.write(",".join(map(repr, [t, *positions.tolist(), *row_errors.tolist(),
+                                         row_potential])))
+            fh.write(row_end)
 
 
 def _block_starts(samples: int, width: int, fh) -> list[int]:
@@ -401,9 +405,10 @@ def _fork_rows(traj: Trajectory, lo: int, hi: int, out) -> int:
     The worker reads the trajectory copy-on-write and never returns: it
     leaves through os._exit, with status 0 once its rows are flushed.
     It prints nothing, so a failure reaches the user only through the
-    caller's OSError.  It runs only Python and numpy formatting code,
-    which takes none of the locks another thread of the caller may have
-    held at the fork.
+    caller's OSError.  It runs only Python, numpy formatting, take,
+    elementwise ufuncs and add.reduce, none of which takes a lock another
+    thread of the caller may have held at the fork; no BLAS call runs
+    in it.
     """
     pid = os.fork()
     if pid:

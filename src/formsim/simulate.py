@@ -76,51 +76,63 @@ class SimConfig:
         return self.steps * self.dt
 
 
+# Elements per post-processing temporary, about 1 MiB of float64 at any n.
+_CHUNK_ELEMENTS = 1 << 17
+
+
+def _chunks(stop: int, width: int, start: int = 0):
+    """Row slices from start to stop of an array width elements wide,
+    each about _CHUNK_ELEMENTS elements."""
+    step = max(1, _CHUNK_ELEMENTS // width)
+    for lo in range(start, stop, step):
+        yield slice(lo, min(lo + step, stop))
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Uniformly sampled record of one run.
+    """Uniformly sampled record of one run against its reference shape.
 
-    positions holds stacked agent coordinates per sample and errors the
-    per-edge distance errors; potential is half the squared error norm
-    at each sample.  The scheduled distances of sample j are
-    scale[j] * reference_distances, with scale the factor 1 + s(t) per
-    sample, so a run holds no (samples, E) distances matrix.
+    positions holds stacked agent coordinates per sample and scale the
+    factor 1 + s(t) per sample, so the scheduled distances of sample j
+    are scale[j] * reference.distances.  A run holds nothing it can
+    recompute: errors() gives the distance errors of any samples.
     """
 
     times: np.ndarray
     positions: np.ndarray
-    errors: np.ndarray
-    potential: np.ndarray
     scale: np.ndarray
-    reference_distances: np.ndarray
+    reference: ReferenceShape
 
     @property
     def sample_count(self) -> int:
         return self.times.size
 
+    def chunks(self, start: int = 0, stop: int | None = None):
+        """Row slices from start to stop (default: the last sample) whose
+        errors() temporaries are each about 1 MiB."""
+        ref = self.reference
+        stop = self.sample_count if stop is None else stop
+        # The gather's temporaries are dim * E wide.
+        return _chunks(stop, ref.dim * ref.distances.size, start)
+
+    def errors(self, rows=slice(None)) -> np.ndarray:
+        """Distance errors (samples, E) of the samples rows picks, computed
+        with a take, elementwise ufuncs and add.reduce: no BLAS call."""
+        ref = self.reference
+        lengths = control_kernel(ref.graph, ref.dim).lengths(self.positions[rows])
+        return lengths - self.scale[rows, None] * ref.distances
+
     def error_norms(self) -> np.ndarray:
         norms = np.empty(self.sample_count)
-        for rows in _chunks(*self.errors.shape):
-            norms[rows] = np.linalg.norm(self.errors[rows], axis=1)
+        for rows in self.chunks():
+            norms[rows] = np.linalg.norm(self.errors(rows), axis=1)
         return norms
 
 
 def _subsample(traj: Trajectory, idx) -> Trajectory:
     """The samples of traj that idx (an index array or a slice) picks; a
     slice gives views, not copies."""
-    return Trajectory(traj.times[idx], traj.positions[idx], traj.errors[idx],
-                      traj.potential[idx], traj.scale[idx], traj.reference_distances)
-
-
-# Elements per post-processing temporary, about 1 MiB of float64 at any n.
-_CHUNK_ELEMENTS = 1 << 17
-
-
-def _chunks(rows: int, width: int):
-    """Row slices of a (rows, width) array, each about _CHUNK_ELEMENTS elements."""
-    step = max(1, _CHUNK_ELEMENTS // width)
-    for start in range(0, rows, step):
-        yield slice(start, start + step)
+    return Trajectory(traj.times[idx], traj.positions[idx], traj.scale[idx], traj.reference)
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,15 +337,13 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
     scale = np.array([1.0 + cfg.schedule.value(t) for t in times])
     out: list[Trajectory | FormsimError] = [failures.get(i) for i in range(len(starts))]
     for row in live:
+        traj = Trajectory(times, positions[row], scale, ref)
         # A finite state whose squared edge lengths overflow has diverged too.
         with np.errstate(over="ignore"):
-            errors, potential = _edge_errors(positions[row], ref, scale)
-        overflow = np.flatnonzero(~np.isfinite(potential))
+            overflow = np.flatnonzero(~np.isfinite(traj.error_norms()))
+        out[row] = traj
         if overflow.size:
             out[row] = Divergence(f"edge lengths overflow at t={times[overflow[0]]:.6g}")
-        else:
-            out[row] = Trajectory(times, positions[row], errors, potential, scale,
-                                  ref.distances)
     return out
 
 
@@ -353,26 +363,6 @@ def _stepper(rhs, integrator: str, dt: float):
         return p + sixth * (k1 + two * k2 + two * k3 + k4)
 
     return rk4
-
-
-def _edge_errors(positions: np.ndarray, ref: ReferenceShape, scale: np.ndarray):
-    """Distance errors (samples, E) and potential (samples,) of one run.
-
-    Sample j's scheduled distances are scale[j] * ref.distances.  Both
-    outputs are filled one chunk of samples at a time, so the only
-    whole-run array allocated is the errors.
-    """
-    kernel = control_kernel(ref.graph, ref.dim)
-    # C order: the potential's row sums then add each row as one pairwise sum.
-    errors = np.empty((positions.shape[0], ref.distances.size))
-    potential = np.empty(positions.shape[0])
-    # The gather's temporaries are dim * E wide.
-    for rows in _chunks(positions.shape[0], ref.dim * ref.distances.size):
-        chunk = errors[rows]
-        np.subtract(kernel.lengths(positions[rows]), scale[rows, None] * ref.distances,
-                    out=chunk)
-        np.multiply(0.5, (chunk * chunk).sum(axis=1), out=potential[rows])
-    return errors, potential
 
 
 def _frame_rotations(positions: np.ndarray, ref: ReferenceShape) -> np.ndarray:
@@ -501,7 +491,7 @@ def steady_state_report(traj: Trajectory, ref: ReferenceShape, window) -> Steady
 
     kernel = control_kernel(ref.graph, m)
     measured = np.empty(sub.sample_count)
-    for rows in _chunks(sub.sample_count, m * ref.distances.size):
+    for rows in sub.chunks():
         ratios = kernel.lengths(sub.positions[rows]) / ref.distances
         # Edge-major, so the mean adds one edge at a time in edge order; a
         # pairwise sum along each row would move scale_rate in its last bits.

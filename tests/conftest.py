@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,25 +151,24 @@ def kabsch_rotations(positions, ref):
     return rotations
 
 
-def henneberg_framework(n, dim, seed):
-    """Seeded Henneberg type-I framework: minimally rigid for generic points.
+def _perfbench_henneberg():
+    """perfbench's seeded Henneberg generator, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "henneberg.py"
+    spec = importlib.util.spec_from_file_location("perfbench_henneberg", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.henneberg
 
-    The first dim agents form a complete graph and every later agent
-    links to its dim nearest predecessors.  Agents are redrawn while they
-    land within 2 length units of one already placed.
-    """
-    rng = np.random.default_rng(seed)
-    side = 10.0 * n ** (1.0 / dim)
-    points = np.empty((n, dim))
-    edges = []
-    for k in range(n):
-        while True:
-            points[k] = rng.uniform(0.0, side, dim)
-            dist = np.linalg.norm(points[:k] - points[k], axis=1)
-            if k == 0 or dist.min() >= 2.0:
-                break
-        edges.extend((int(j) + 1, k + 1) for j in np.argsort(dist, kind="stable")[:min(k, dim)])
-    return Framework.from_points(SensingGraph(n, tuple(edges)), points)
+
+_henneberg = _perfbench_henneberg()
+
+
+def henneberg_framework(n, dim, seed):
+    """Seeded Henneberg type-I framework: minimally rigid for generic
+    points.  The benchmark's generator builds it, so tests and benchmark
+    share their formations."""
+    points, edges = _henneberg(n, dim, seed)
+    return Framework.from_points(SensingGraph(n, tuple(map(tuple, edges))), points)
 
 
 def random_planar_framework(rng, vertex_count=4):
@@ -222,7 +223,7 @@ def scheduled_distances(ref, schedule, t):
 
 def trajectory_distances(traj):
     """Scheduled distances (samples, E) of a recorded run."""
-    return traj.scale[:, None] * traj.reference_distances
+    return traj.scale[:, None] * traj.reference.distances
 
 
 def serialize_scenario(scenario):

@@ -144,7 +144,7 @@ def test_criterion_04_reference_offset_vectors(square_ref):
 def test_criterion_05_shape_invariance(square_ref, full_config):
     sim = SimConfig(dt=1e-3, duration=20.0, integrator="rk4", record_stride=10)
     traj = integrate(square_ref.framework, square_ref, full_config, sim)
-    worst = float(np.abs(traj.errors).max())
+    worst = float(np.abs(traj.errors()).max())
     _report(5, "shape invariance", worst <= 1e-6,
             f"max distance error {worst:.2e} over 20 time units")
 
@@ -192,8 +192,7 @@ def test_criterion_07_steady_state_velocity(square_ref):
     converged = np.nonzero(norms < 1e-6)[0]
     assert converged.size > 0, "error norm never fell below 1e-6"
     idx = converged[:40]
-    sub = Trajectory(traj.times[idx], traj.positions[idx], traj.errors[idx],
-                     traj.potential[idx], traj.scale[idx], traj.reference_distances)
+    sub = Trajectory(traj.times[idx], traj.positions[idx], traj.scale[idx], traj.reference)
     rotations = _frame_rotations(sub.positions, square_ref)
     designed = (np.tile(v_target, 4)
                 + rotation_field(square_ref.centered_points(), omega_target)).reshape(4, 2)
@@ -214,7 +213,7 @@ def test_criterion_08_periodic_scaling_reproduction(bundled_trajectory):
     ref, traj = bundled_trajectory
     transient = 3.0
     mask = traj.times >= transient
-    rel_tracking = float((np.abs(traj.errors[mask]) / ref.distances[None, :]).max())
+    rel_tracking = float((np.abs(traj.errors(mask)) / ref.distances[None, :]).max())
 
     angles = _frame_angles(_frame_rotations(traj.positions, ref))
     sample_pts = traj.positions.reshape(traj.sample_count, 4, 2)

@@ -204,6 +204,19 @@ class TestSimulate:
         assert {name: Path(name).read_bytes() for name in inputs} == inputs
         assert not Path(f"{Path(clash).stem}.csv").exists()
 
+    @pytest.mark.parametrize("output", ["quick.json", "./quick.json"])
+    @pytest.mark.parametrize("command", ["design", "analyze"])
+    def test_design_and_analyze_refuse_to_overwrite_the_scenario(self, tmp_path, monkeypatch,
+                                                                 capsys, command, output):
+        monkeypatch.chdir(tmp_path)
+        kept = write_scenario(tmp_path).read_bytes()
+        assert main([command, "quick.json", "-o", output]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"output {output} would overwrite the input quick.json" in captured.err
+        assert Path("quick.json").read_bytes() == kept
+
     def test_deterministic_output(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         path = write_scenario(tmp_path)
@@ -335,16 +348,23 @@ class TestVerify:
         (0.05, False),  # drifting invariant run: floor 0.5 leaves 0.1 decades
     ])
     def test_convergence_floor_comes_from_the_invariant_run(self, invariant_peak, passed):
-        from formsim import Divergence, Trajectory
+        from formsim import Divergence, Framework, ReferenceShape, SensingGraph, Trajectory
         from formsim.checks import check_exponential_convergence
 
+        segment = ReferenceShape(Framework.from_points(SensingGraph(2, ((1, 2),)),
+                                                       [[0.0, 0.0], [1.0, 0.0]]))
+
         def run(norms):
+            # At scale 0 the scheduled distance is 0, so the error is the
+            # length, sqrt(norm ** 2), which rounds back to norm.
             zeros = np.zeros_like(times)
-            return Trajectory(times, zeros[:, None], norms[:, None], zeros, zeros, np.zeros(1))
+            positions = np.stack([zeros, zeros, norms, zeros], axis=1)
+            return Trajectory(times, positions, zeros, segment)
 
         times = np.linspace(0.0, 6.0, 241)
         plateau = 1.2e-7 * (1.0 + 0.2 * np.sin(37.0 * times))
         converging = run(1.5 * np.exp(-3.4 * times) + plateau)
+        assert np.array_equal(converging.error_norms(), 1.5 * np.exp(-3.4 * times) + plateau)
         invariant = (Divergence("state is not finite") if invariant_peak is None
                      else run(invariant_peak * np.abs(np.sin(times))))
         result = check_exponential_convergence(None, converging, invariant)
@@ -411,12 +431,14 @@ class TestNumericalFailures:
         assert "EdgeCollapse" in capsys.readouterr().err
 
     def test_degenerate_design_space_exits_with_numerical_code(self, tmp_path, capsys):
-        # A two-agent segment and a triangle in space are minimally rigid,
-        # but some agent's bearings do not span the space, so its offsets
+        # A two-agent segment, in the plane or in space, and a triangle in
+        # space are minimally rigid, but some agent's bearings do not span the space, so its offsets
         # cannot move it in every direction.
         still = {"v_body": [0.0, 0.0], "omega": 0.0, "schedule": {"kind": "none"}}
         shapes = {
             "segment": (2, [[1, 2]], [[0.0, 0.0], [1.0, 0.0]], still),
+            "space-segment": (3, [[1, 2]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                              {**still, "v_body": [0.0, 0.0, 0.0], "omega": [0.0, 0.0, 0.0]}),
             "triangle": (3, [[1, 2], [2, 3], [3, 1]],
                          [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
                          {**still, "v_body": [0.0, 0.0, 0.0], "omega": [0.0, 0.0, 0.0]}),

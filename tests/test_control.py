@@ -264,12 +264,13 @@ class TestErrorDynamics:
                           + np.array([0.2, -0.1, 0.1, 0.15, -0.2, 0.1, 0.05, -0.1]))
         dt = 1e-4
         traj = integrate(start, square_ref, cfg, SimConfig(dt=dt, duration=0.02))
+        errors = traj.errors()
         for j in (50, 100, 150):
             fw = Framework(square_ref.graph, 2, traj.positions[j])
             t = traj.times[j]
             d_t, ddot = scheduled_distances(square_ref, cfg.schedule, t)
             rhs = error_rates(fw, d_t, ddot, time_varying_params(cfg, t), cfg.gain)
-            fd = (traj.errors[j + 1] - traj.errors[j - 1]) / (2 * dt)
+            fd = (errors[j + 1] - errors[j - 1]) / (2 * dt)
             assert np.abs(rhs - fd).max() <= 1e-5
 
     def test_stiffness_positive_definite_at_reference(self, square_ref):
@@ -293,5 +294,6 @@ class TestEnergyDecay:
         start = Framework(square_ref.graph, 2,
                           square_ref.framework.positions + rng.uniform(-1.5, 1.5, 8))
         traj = integrate(start, square_ref, cfg, SimConfig(dt=1e-3, duration=3.0))
-        diffs = np.diff(traj.potential)
+        errors = traj.errors()
+        diffs = np.diff(0.5 * (errors * errors).sum(axis=1))
         assert diffs.max() <= 1e-12

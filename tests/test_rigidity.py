@@ -338,14 +338,18 @@ class TestRigidityReport:
             fw = Framework.from_points(square_graph, SQUARE_POINTS @ rot.T)
             assert rigidity_report(fw).rank_rigidity == 5
 
-    def test_two_agent_segment(self):
+    # One edge is the full rank of two agents in any dimension: 2n - 3 in
+    # the plane, and in space n (n - 1) / 2 where 3n - 6 would give 0.
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_two_agent_segment(self, dim):
         graph = SensingGraph(2, ((1, 2),))
-        fw = Framework.from_points(graph, [[0.0, 0.0], [1.0, 0.0]])
+        fw = Framework.from_points(graph, np.eye(2, dim))
         report = rigidity_report(fw)
-        assert report.rank_rigidity == 1  # 2n - 3
+        assert report.rank_rigidity == 1
         assert report.is_minimally_rigid
-        assert report.bearing_kernel_dim == 3
+        assert report.bearing_kernel_dim == dim + 1
         assert report.is_bearing_rigid
+        assert ReferenceShape(fw).distances.tolist() == [np.sqrt(2.0)]
 
 
 def default_cutoff(fw):

@@ -214,28 +214,39 @@ def spatial_trajectory(tetra_ref):
 
 def special_trajectory():
     """Scale factors repeat, then change only in the sign of a zero, which
-    compares equal as a float but prints differently."""
-    from formsim import Trajectory
+    compares equal as a float but prints differently.  The errors run
+    from 1e16 down to -1e-05, whose square is near the bottom of V."""
+    from formsim import Framework, ReferenceShape, SensingGraph, Trajectory
 
+    segment = Framework.from_points(SensingGraph(2, ((1, 2),)), [[0.0, 0.0], [1.0, 0.0]])
     return Trajectory(
         times=np.array([0.0, 1e-05, 0.1, 1e16]),
-        positions=np.array([[-0.0, 5e-324, 1e16, 0.1]] * 4) * [[1.0], [-1.0], [1.0], [2.0]],
-        errors=np.array([[1e-05, -0.0], [5e-324, 1e16], [0.0, -1e-05], [3.0, 1e-300]]),
-        potential=np.array([-0.0, 1e16, 5e-324, 1e-05]),
+        positions=np.array([[-0.0, 5e-324, 1e16, 0.1],
+                            [0.0, -5e-324, -1e16, -0.1],
+                            [-0.0, 0.0, 1e-05, -0.0],
+                            [2.0, 1e-300, 2.0, 1e-300]]),
         scale=np.array([-0.0, -0.0, 0.0, 1e-05]),
-        reference_distances=np.array([1e16, 1.0]),
+        reference=ReferenceShape(segment),
     )
 
 
 def per_value_csv(traj, dim):
-    """The oracle writer: every value of every row through repr(float(v))."""
+    """The oracle writer: every value of every row through repr(float(v)).
+
+    A row's errors are its edge-vector norms minus its scheduled
+    distances, and V is half their sum of squares.
+    """
+    from formsim import Framework, edge_lengths
+
+    graph = traj.reference.graph
     buf = io.StringIO()
-    header = trajectory_csv_header(dim, traj.positions.shape[1] // dim, traj.errors.shape[1])
+    header = trajectory_csv_header(dim, graph.vertex_count, graph.edge_count)
     buf.write(",".join(header) + "\n")
     distances = trajectory_distances(traj)
     for j in range(traj.sample_count):
-        row = [traj.times[j], *traj.positions[j], *traj.errors[j],
-               traj.potential[j], *distances[j]]
+        errors = edge_lengths(Framework(graph, dim, traj.positions[j])) - distances[j]
+        row = [traj.times[j], *traj.positions[j], *errors,
+               0.5 * np.add.reduce(errors * errors), *distances[j]]
         buf.write(",".join(repr(float(v)) for v in row) + "\n")
     return buf.getvalue()
 

@@ -62,7 +62,7 @@ class TestIntegrate:
                          SimConfig(dt=1e-2, duration=1.0))
         for row in traj.positions:
             np.testing.assert_array_equal(row, square_ref.framework.positions)
-        np.testing.assert_array_equal(traj.errors, np.zeros_like(traj.errors))
+        np.testing.assert_array_equal(traj.errors(), np.zeros((traj.sample_count, 5)))
 
     def test_pure_translation_moves_in_a_straight_line(self, square_ref):
         v = np.array([0.8, -0.3])
@@ -80,19 +80,20 @@ class TestIntegrate:
         traj = integrate(square_ref.framework, square_ref, quiet_config(square_ref), sim)
         assert traj.sample_count == int(1.0 / (1e-2 * 3)) + 1
 
-    def test_potential_matches_errors(self, square_ref):
+    def test_error_norms_match_errors(self, square_ref):
         start = apply_perturbation(square_ref.framework, 5, 0.5)
         traj = integrate(start, square_ref, quiet_config(square_ref),
                          SimConfig(dt=1e-3, duration=0.5))
         np.testing.assert_allclose(
-            traj.potential, 0.5 * (traj.errors ** 2).sum(axis=1), rtol=1e-14
+            traj.error_norms() ** 2, (traj.errors() ** 2).sum(axis=1), rtol=1e-14
         )
+        assert np.array_equal(traj.error_norms(), np.linalg.norm(traj.errors(), axis=1))
 
     def test_errors_match_per_sample_reference(self, square_ref):
         cfg = motion_config(square_ref, omega=1.0, schedule=ScalingSchedule.periodic(0.25, 1.5))
         start = apply_perturbation(square_ref.framework, 5, 0.5)
         traj = integrate(start, square_ref, cfg, SimConfig(dt=1e-3, duration=0.5, record_stride=7))
-        for t, row, errors, dists in zip(traj.times, traj.positions, traj.errors,
+        for t, row, errors, dists in zip(traj.times, traj.positions, traj.errors(),
                                          trajectory_distances(traj)):
             d_t, _ = scheduled_distances(square_ref, cfg.schedule, t)
             assert np.array_equal(dists, d_t)
@@ -103,7 +104,7 @@ class TestIntegrate:
         one = integrate(square_ref.framework, square_ref, quiet_config(square_ref), sim)
         two = integrate(square_ref.framework, square_ref, quiet_config(square_ref), sim)
         assert np.array_equal(one.positions, two.positions)
-        assert np.array_equal(one.errors, two.errors)
+        assert np.array_equal(one.errors(), two.errors())
 
     def test_edge_collapse_detected(self):
         graph = SensingGraph(2, ((1, 2),))
@@ -175,9 +176,11 @@ class TestIntegrate:
 
 
 def assert_same_run(batched, single):
-    for field in ("times", "positions", "errors", "potential", "scale",
-                  "reference_distances"):
+    for field in ("times", "positions", "scale"):
         assert np.array_equal(getattr(batched, field), getattr(single, field)), field
+    assert batched.reference is single.reference
+    assert np.array_equal(batched.errors(), single.errors())
+    assert np.array_equal(batched.error_norms(), single.error_norms())
 
 
 class TestIntegrateBatch:
@@ -380,8 +383,7 @@ class TestBodyFrame:
             rows.append(((SQUARE_POINTS - center) @ rot.T + center).reshape(-1))
         from formsim import Trajectory
 
-        traj = Trajectory(times, np.array(rows), np.zeros((41, 5)),
-                          np.zeros(41), np.ones(41), square_ref.distances)
+        traj = Trajectory(times, np.array(rows), np.ones(41), square_ref)
         for pts in body_points(traj, square_ref):
             np.testing.assert_allclose(pts, SQUARE_POINTS - center, atol=1e-9)
 
@@ -614,7 +616,7 @@ class TestSteadyStateReport:
 
 
 class TestRunMemory:
-    """A run holds its positions and errors; the rest is views and chunks."""
+    """A run holds its positions; the rest is views and chunks."""
 
     # A chunk's gather holds about three temporaries of _CHUNK_ELEMENTS
     # float64 values at once.
@@ -642,9 +644,9 @@ class TestRunMemory:
         assert traj.sample_count > 8 * rows
         return traj, integrate_peak - before, post_peak - held
 
-    def test_integrate_holds_positions_errors_and_one_chunk(self, traced_run):
+    def test_integrate_holds_positions_and_one_chunk(self, traced_run):
         traj, integrate_peak, _ = traced_run
-        assert integrate_peak <= traj.positions.nbytes + traj.errors.nbytes + self.CHUNK_BUDGET
+        assert integrate_peak <= traj.positions.nbytes + self.CHUNK_BUDGET
 
     def test_post_processing_peaks_below_one_positions_array(self, traced_run):
         traj, _, post_peak = traced_run
