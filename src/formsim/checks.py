@@ -169,8 +169,8 @@ def check_exponential_convergence(scenario: Scenario, run, invariant):
     traj = _trajectory(run)
     floor = DECAY_FLOOR
     if isinstance(invariant, Trajectory):
-        floor = max(floor, 10.0 * float(invariant.error_norms().max()))
-    norms = traj.error_norms()
+        floor = max(floor, 10.0 * float(invariant.error_norms.max()))
+    norms = traj.error_norms
     below = np.flatnonzero(norms[1:] < floor)
     end = below[0] + 1 if below.size else norms.size
     rate, r_squared, decades = decay_rate_fit(traj.times[:end], norms[:end])
@@ -216,7 +216,7 @@ def _check_steady_velocities(scenario: Scenario, run, cfg: ControllerConfig):
     if speed_floor < 1e-9:
         return True, "no motion designed, nothing to track"
     traj = _trajectory(run)
-    norms = traj.error_norms()
+    norms = traj.error_norms
     converged = np.nonzero(norms < CONVERGED_NORM)[0]
     if converged.size == 0:
         return False, f"error norm never fell below {CONVERGED_NORM:g}"

@@ -74,11 +74,12 @@ class _Layout:
     """The control law's flat index and work buffers for one batch size.
 
     Every buffer and view is made once, so each step of the law is one
-    ufunc writing in place.
+    ufunc writing in place.  A layout belongs to the one run, or the one
+    call, that made it.
     """
 
     def __init__(self, index: np.ndarray, dim: int, batch: int):
-        self.batch, self.index = batch, index
+        self.batch, self.index, self.dim = batch, index, dim
         flat = index.size // (2 * dim)
         self.both = np.empty(index.size)
         self.tail_ends, self.head_ends = self.both.reshape(2, dim, flat)
@@ -90,6 +91,37 @@ class _Layout:
         self.weights = np.empty((2, 1, flat))
         self.tail_weights, self.head_weights = self.weights.reshape(2, batch, -1)
         self.values = np.empty((2, dim, flat))
+
+    def law(self, p: np.ndarray, d_t, tail_coef, head_coef, gain: float) -> np.ndarray:
+        """The control law's agent velocities for every row of p; see
+        ControlKernel.__call__."""
+        vecs, lengths, head = self.vecs, self.lengths, self.head_weights
+        # The index is always in range; "clip" writes out without a buffer.
+        p.take(self.index, out=self.both, mode="clip")
+        np.subtract(self.tail_ends, self.head_ends, vecs)
+        squares = np.multiply(vecs, vecs, self.squares)
+        # Axis by axis in order, as add.reduce over the axis adds them.
+        np.add(squares[0], squares[1], lengths)
+        if self.dim == 3:
+            np.add(lengths, squares[2], lengths)
+        np.sqrt(lengths, lengths)
+        if np.fmin.reduce(lengths) < COLLAPSE_TOL:
+            shortest = np.fmin.reduce(self.length_rows, axis=1)
+            raise EdgeCollapse(f"edge shorter than {COLLAPSE_TOL:g}",
+                               np.flatnonzero(shortest < COLLAPSE_TOL))
+        np.subtract(self.length_rows, d_t, head)
+        np.multiply(gain, head, head)
+        np.subtract(tail_coef, head, self.tail_weights)
+        np.add(head_coef, head, head)
+        np.divide(vecs, lengths, vecs)
+        np.multiply(self.weights, vecs, self.values)
+        return _sum_ends(self.index, self.values, self.batch)
+
+
+def _sum_ends(index: np.ndarray, values: np.ndarray, batch: int) -> np.ndarray:
+    # Every agent ends some edge, so the highest slot is batch * width - 1.
+    # bincount returns a new array, so no caller holds a work buffer.
+    return np.bincount(index, values.reshape(-1)).reshape(batch, -1)
 
 
 class ControlKernel:
@@ -103,10 +135,9 @@ class ControlKernel:
     batch: one take through it gathers the batch and one bincount
     through it scatters into the agents.  Each agent coordinate adds its
     tail ends in edge order, then its head ends, so each row of the
-    batch is computed exactly as it would be alone.  The law keeps its
-    index and work buffers for one batch size, once that size comes
-    twice in a row: a step loop builds them once, and a one-off batch
-    keeps nothing.
+    batch is computed exactly as it would be alone.  The kernel holds
+    nothing else: a step loop keeps its own layout(batch), so callers
+    on other threads share no buffer.
     """
 
     def __init__(self, graph: SensingGraph, dim: int):
@@ -115,25 +146,14 @@ class ControlKernel:
         self.tails, self.heads, self.dim = ends[0], ends[1], dim
         self.width = graph.vertex_count * dim
         self._cols = (ends[:, None, :] * dim + np.arange(dim)[:, None]).reshape(-1)
-        self._kept: _Layout | None = None
-        self._last_batch = 0
 
     def _index(self, batch: int) -> np.ndarray:
-        kept = self._kept
-        if kept is not None and kept.batch == batch:
-            return kept.index
         offsets = np.arange(batch)[:, None] * self.width
         return (self._cols.reshape(2, self.dim, 1, -1) + offsets).reshape(-1)
 
-    def _layout(self, batch: int) -> _Layout:
-        kept = self._kept
-        if kept is not None and kept.batch == batch:
-            return kept
-        layout = _Layout(self._index(batch), self.dim, batch)
-        if self._last_batch == batch:
-            self._kept = layout
-        self._last_batch = batch
-        return layout
+    def layout(self, batch: int) -> _Layout:
+        """A fresh index and set of work buffers for the law on batch rows."""
+        return _Layout(self._index(batch), self.dim, batch)
 
     def gather(self, p: np.ndarray) -> np.ndarray:
         """Edge vectors, tail minus head, of every row of p: (batch, dim, E)."""
@@ -156,13 +176,7 @@ class ControlKernel:
         values = np.empty((2, self.dim, batch, self.tails.size))
         np.multiply(weights.reshape(batch, 2, 1, -1).transpose(1, 2, 0, 3),
                     units.transpose(1, 0, 2), values)
-        return self._sum_ends(self._index(batch), values, batch)
-
-    @staticmethod
-    def _sum_ends(index: np.ndarray, values: np.ndarray, batch: int) -> np.ndarray:
-        # Every agent ends some edge, so the highest slot is batch * width - 1.
-        # bincount returns a new array, so no caller holds a reused buffer.
-        return np.bincount(index, values.reshape(-1)).reshape(batch, -1)
+        return _sum_ends(self._index(batch), values, batch)
 
     def __call__(self, p: np.ndarray, d_t, tail_coef, head_coef, gain: float) -> np.ndarray:
         """The control law's agent velocities for every row of p.
@@ -173,30 +187,9 @@ class ControlKernel:
         minus its scheduled distance d_t.  d_t and the coefficients are
         (E,) or (batch, E).  Raises EdgeCollapse naming the rows with an
         edge shorter than COLLAPSE_TOL; a row that is not finite hides
-        no other row's collapse.
+        no other row's collapse.  Each call makes its own layout.
         """
-        layout = self._layout(p.shape[0])
-        vecs, lengths, head = layout.vecs, layout.lengths, layout.head_weights
-        # The index is always in range; "clip" writes out without a buffer.
-        p.take(layout.index, out=layout.both, mode="clip")
-        np.subtract(layout.tail_ends, layout.head_ends, vecs)
-        squares = np.multiply(vecs, vecs, layout.squares)
-        # Axis by axis in order, as add.reduce over the axis adds them.
-        np.add(squares[0], squares[1], lengths)
-        if self.dim == 3:
-            np.add(lengths, squares[2], lengths)
-        np.sqrt(lengths, lengths)
-        if np.fmin.reduce(lengths) < COLLAPSE_TOL:
-            shortest = np.fmin.reduce(layout.length_rows, axis=1)
-            raise EdgeCollapse(f"edge shorter than {COLLAPSE_TOL:g}",
-                               np.flatnonzero(shortest < COLLAPSE_TOL))
-        np.subtract(layout.length_rows, d_t, head)
-        np.multiply(gain, head, head)
-        np.subtract(tail_coef, head, layout.tail_weights)
-        np.add(head_coef, head, head)
-        np.divide(vecs, lengths, vecs)
-        np.multiply(layout.weights, vecs, layout.values)
-        return self._sum_ends(layout.index, layout.values, layout.batch)
+        return self.layout(p.shape[0]).law(p, d_t, tail_coef, head_coef, gain)
 
 
 @lru_cache(maxsize=128)

@@ -39,8 +39,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 import signal
-import stat
 import tempfile
 from dataclasses import dataclass, field
 from importlib import resources
@@ -306,28 +306,29 @@ def write_trajectory_csv(traj: Trajectory, dim: int, fh) -> None:
 
     Floats are rendered with shortest round-trip formatting, so repeated
     runs of the same scenario produce byte-identical files.  A large run
-    written to a regular file is cut into contiguous row blocks, one per
-    usable CPU: the caller writes the first block into fh while forked
-    workers write the others into unnamed temporary files in fh's
-    directory (the default temporary directory when fh has no path),
-    which are then appended in order.  Every block formats its rows as
-    the serial loop does, so the bytes are the same for any block count.
-    A worker that fails raises OSError; when the caller's own block
-    raises, it kills and reaps every worker first.
+    is cut into contiguous row blocks, one per usable CPU: the caller
+    writes the first block into the text stream fh while forked workers
+    write the others into unnamed temporary files, which the caller then
+    reads back and writes into fh in order.  The temporary files sit in
+    the directory of the file fh names, or in the default temporary
+    directory when fh names no existing file.  Every block formats its
+    rows as the serial loop does, so the bytes are the same for any
+    block count.  A worker that fails raises OSError; when the caller's
+    own block raises, it kills and reaps every worker first.
     """
     vertex_count = traj.positions.shape[1] // dim
     header = trajectory_csv_header(dim, vertex_count, traj.reference.distances.size)
     fh.write(",".join(header) + "\n")
-    starts = _block_starts(traj.sample_count, len(header), fh)
+    starts = _block_starts(traj.sample_count, len(header))
     name = getattr(fh, "name", None)
-    directory = os.path.dirname(os.path.abspath(name)) if isinstance(name, str) else None
+    directory = os.path.dirname(os.path.abspath(name)) \
+        if isinstance(name, str) and os.path.isfile(name) else None
     pids, outs = [], []
     try:
         for lo, hi in zip(starts[1:-1], starts[2:]):
-            outs.append(tempfile.TemporaryFile(dir=directory))
+            outs.append(tempfile.TemporaryFile("w+", encoding="ascii", dir=directory))
             pids.append(_fork_rows(traj, lo, hi, outs[-1]))
         _write_rows(traj, starts[0], starts[1], fh)
-        fh.flush()
         for lo, out in zip(starts[1:-1], outs):
             _, status = os.waitpid(pids[0], 0)
             del pids[0]
@@ -336,7 +337,8 @@ def write_trajectory_csv(traj: Trajectory, dim: int, fh) -> None:
                 cause = f"exited with status {code}" if code > 0 \
                     else f"was killed by signal {-code}"
                 raise OSError(f"CSV writer for the rows from {lo} {cause}")
-            _append(out.fileno(), fh.fileno())
+            out.seek(0)
+            shutil.copyfileobj(out, fh, 1 << 20)
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -371,32 +373,16 @@ def _write_rows(traj: Trajectory, lo: int, hi: int, fh) -> None:
             fh.write(row_end)
 
 
-def _block_starts(samples: int, width: int, fh) -> list[int]:
+def _block_starts(samples: int, width: int) -> list[int]:
     """First row of each block, then samples: one block unless the file
-    holds at least two blocks' worth of values, more than one CPU is
-    usable and fh can take workers' output appended behind it."""
+    holds at least two blocks' worth of values and more than one CPU is
+    usable."""
     blocks = min(samples * width // MIN_BLOCK_VALUES, samples, MAX_BLOCKS)
-    if blocks > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
-            and _appendable(fh):
+    if blocks > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         blocks = min(blocks, len(os.sched_getaffinity(0)))
     else:
         blocks = 1
     return [samples * b // blocks for b in range(blocks + 1)]
-
-
-def _appendable(fh) -> bool:
-    """Whether fh is a regular file, not opened for appending, whose
-    encoding writes ASCII text unchanged: the workers' rows are ASCII,
-    copied into its descriptor at the current offset."""
-    import fcntl
-
-    try:
-        fd = fh.fileno()
-    except (AttributeError, OSError, ValueError):
-        return False
-    return (stat.S_ISREG(os.fstat(fd).st_mode)
-            and not fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_APPEND
-            and "0\n".encode(getattr(fh, "encoding", None) or "ascii") == b"0\n")
 
 
 def _fork_rows(traj: Trajectory, lo: int, hi: int, out) -> int:
@@ -415,21 +401,11 @@ def _fork_rows(traj: Trajectory, lo: int, hi: int, out) -> int:
         return pid
     status = 1
     try:
-        with open(out.fileno(), "w", encoding="ascii", closefd=False) as text:
-            _write_rows(traj, lo, hi, text)
+        _write_rows(traj, lo, hi, out)
+        out.flush()
         status = 0
     finally:
         os._exit(status)
-
-
-def _append(src: int, dst: int) -> None:
-    """Copy all of file src to dst at dst's offset, in the kernel."""
-    offset, size = 0, os.fstat(src).st_size
-    while offset < size:
-        sent = os.sendfile(dst, src, offset, size - offset)
-        if not sent:
-            raise OSError(f"CSV block ended after {offset} of {size} bytes")
-        offset += sent
 
 
 def design_to_document(dim: int, parts: dict, residuals: dict) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .errors import (
     Unreachable,
 )
 from .motion import ReferenceShape
-from .rigidity import Framework, control_kernel
+from .rigidity import ControlKernel, Framework, control_kernel
 
 # Error norms below this are treated as already converged.
 DECAY_FLOOR = 1e-8
@@ -95,7 +96,8 @@ class Trajectory:
     positions holds stacked agent coordinates per sample and scale the
     factor 1 + s(t) per sample, so the scheduled distances of sample j
     are scale[j] * reference.distances.  A run holds nothing it can
-    recompute: errors() gives the distance errors of any samples.
+    recompute: errors() gives the distance errors of any samples, and
+    error_norms, one per sample, is formed once on first use.
     """
 
     times: np.ndarray
@@ -122,6 +124,7 @@ class Trajectory:
         lengths = control_kernel(ref.graph, ref.dim).lengths(self.positions[rows])
         return lengths - self.scale[rows, None] * ref.distances
 
+    @cached_property
     def error_norms(self) -> np.ndarray:
         norms = np.empty(self.sample_count)
         for rows in self.chunks():
@@ -195,15 +198,16 @@ def perturb_to_error_norm(fw: Framework, distances: np.ndarray, seed: int,
 
 class _Stage:
     """make_rhs's scheduled distances (batch, E) and tail and head
-    coefficients (2, batch, E) at the scale factor and rate packed in key.
+    coefficients (2, batch, E) at the scale factor and rate packed in key,
+    and the control law's layout for the batch.
 
     The rows they are made from are widened to the batch once, so that a
     new key costs three ufuncs on operands of one shape.
     """
 
-    def __init__(self, distances: np.ndarray, base: np.ndarray, scale: np.ndarray,
-                 batch: int):
-        self.batch, self.key = batch, None
+    def __init__(self, kernel: ControlKernel, distances: np.ndarray, base: np.ndarray,
+                 scale: np.ndarray, batch: int):
+        self.batch, self.key, self.layout = batch, None, kernel.layout(batch)
         self.distance_rows = np.repeat(distances[None], batch, axis=0)
         self.base_rows = np.repeat(base[:, None], batch, axis=1)
         self.scale_rows = np.repeat(scale[:, None], batch, axis=1)
@@ -227,9 +231,10 @@ def make_rhs(ref: ReferenceShape, cfg: ControllerConfig):
     time_varying_params at the distances (1 + s(t)) * ref.distances, so
     both paths produce identical floating-point values.  The scheduled
     distances and both coefficient vectors live in (batch, E) buffers,
-    rewritten only when the scale factor or its rate changes and rebuilt
-    when the batch size does; under a flat schedule they are written
-    once per run.
+    rewritten only when the scale factor or its rate changes; under a
+    flat schedule they are written once per run.  They and the law's
+    layout are built on the first call and again whenever the batch size
+    changes, and belong to this rhs alone.
     """
     kernel = control_kernel(ref.graph, ref.dim)
     base = np.stack([cfg.translation_part.tail + cfg.rotation_part.tail,
@@ -238,7 +243,7 @@ def make_rhs(ref: ReferenceShape, cfg: ControllerConfig):
     schedule, distances = cfg.schedule, ref.distances
     # A 0-d array multiplies with less overhead than a float, to the same bits.
     gain = np.array(cfg.gain)
-    stage = _Stage(distances, base, scale, 0)
+    stage = None
 
     # integrate_batch checks that the scale factor stays positive up to
     # the last step before it takes the first one.
@@ -246,13 +251,13 @@ def make_rhs(ref: ReferenceShape, cfg: ControllerConfig):
         nonlocal stage
         factor = 1.0 + schedule.value(t)
         rate = schedule.value_rate(t)
-        if stage.batch != p.shape[0]:
-            stage = _Stage(distances, base, scale, p.shape[0])
+        if stage is None or stage.batch != p.shape[0]:
+            stage = _Stage(kernel, distances, base, scale, p.shape[0])
         # Packed bits, so that a rate of -0.0 does not reuse the arrays of 0.0.
         key = struct.pack("2d", factor, rate)
         if key != stage.key:
             stage.fill(key, factor, rate)
-        return kernel(p, stage.d_t, stage.tail_coef, stage.head_coef, gain)
+        return stage.layout.law(p, stage.d_t, stage.tail_coef, stage.head_coef, gain)
 
     return rhs
 
@@ -335,12 +340,15 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
 
     times = (np.arange(positions.shape[1]) * stride) * dt
     scale = np.array([1.0 + cfg.schedule.value(t) for t in times])
+    # Read-only, as Framework.positions is, so that error_norms stays valid.
+    for array in (times, positions, scale):
+        array.setflags(write=False)
     out: list[Trajectory | FormsimError] = [failures.get(i) for i in range(len(starts))]
     for row in live:
         traj = Trajectory(times, positions[row], scale, ref)
         # A finite state whose squared edge lengths overflow has diverged too.
         with np.errstate(over="ignore"):
-            overflow = np.flatnonzero(~np.isfinite(traj.error_norms()))
+            overflow = np.flatnonzero(~np.isfinite(traj.error_norms))
         out[row] = traj
         if overflow.size:
             out[row] = Divergence(f"edge lengths overflow at t={times[overflow[0]]:.6g}")
@@ -432,12 +440,13 @@ def decay_rate_fit(times: np.ndarray, error_norms: np.ndarray):
     return -slope, r_squared, decades
 
 
-def steady_state_report(traj: Trajectory, ref: ReferenceShape, window) -> SteadyStateReport:
+def steady_state_report(traj: Trajectory, window) -> SteadyStateReport:
     """Fit steady-state motion over a time window of a converged run.
 
     The window should start after the error norm settles; the decay rate
     is fitted on the whole trajectory regardless of the window.
     """
+    ref = traj.reference
     t0, t1 = float(window[0]), float(window[1])
     # Times increase, so the window is one slice and sub holds views.
     start = int(np.searchsorted(traj.times, t0, side="left"))
@@ -499,7 +508,7 @@ def steady_state_report(traj: Trajectory, ref: ReferenceShape, window) -> Steady
     scale_rate, _, scale_rms = _line_fit(sub.times, measured)
     residuals["scale_fit_rms"] = scale_rms
 
-    norms = traj.error_norms()
+    norms = traj.error_norms
     if norms[0] < DECAY_FLOOR:
         lambda_fit = None
         decades = None

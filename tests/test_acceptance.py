@@ -159,7 +159,7 @@ def test_criterion_06_exponential_convergence(square_ref):
         cfg = ControllerConfig(gain, zero, zero, zero, ScalingSchedule.none())
         traj = integrate(start, square_ref, cfg,
                          SimConfig(dt=1e-3, duration=20.0, record_stride=10))
-        fits[gain] = decay_rate_fit(traj.times, traj.error_norms())
+        fits[gain] = decay_rate_fit(traj.times, traj.error_norms)
     elapsed = time.perf_counter() - started
     rates = [fits[g][0] for g in (2.0, 5.0, 10.0)]
     r_squared = min(fits[g][1] for g in fits)
@@ -188,7 +188,7 @@ def test_criterion_07_steady_state_velocity(square_ref):
                                   0.1 * float(square_ref.distances.min()))
     traj = integrate(start, square_ref, cfg,
                      SimConfig(dt=1e-3, duration=10.0, record_stride=10))
-    norms = traj.error_norms()
+    norms = traj.error_norms
     converged = np.nonzero(norms < 1e-6)[0]
     assert converged.size > 0, "error norm never fell below 1e-6"
     idx = converged[:40]

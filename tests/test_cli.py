@@ -364,7 +364,7 @@ class TestVerify:
         times = np.linspace(0.0, 6.0, 241)
         plateau = 1.2e-7 * (1.0 + 0.2 * np.sin(37.0 * times))
         converging = run(1.5 * np.exp(-3.4 * times) + plateau)
-        assert np.array_equal(converging.error_norms(), 1.5 * np.exp(-3.4 * times) + plateau)
+        assert np.array_equal(converging.error_norms, 1.5 * np.exp(-3.4 * times) + plateau)
         invariant = (Divergence("state is not finite") if invariant_peak is None
                      else run(invariant_peak * np.abs(np.sin(times))))
         result = check_exponential_convergence(None, converging, invariant)

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import signal
+import tempfile
 import time
 
 import numpy as np
@@ -302,7 +303,8 @@ class TestTrajectoryCsv:
 
 
 class TestCsvBlocks:
-    """A CSV on a regular file is written in row blocks by forked workers."""
+    """A large CSV is written in row blocks by forked workers, into any
+    text stream."""
 
     CASES = {
         "flat": (lambda request: flat_trajectory(request.getfixturevalue("square_ref"),
@@ -332,20 +334,39 @@ class TestCsvBlocks:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["1.csv", "2.csv", "3.csv", "4.csv"]
         assert_no_children()
 
-    def test_buffers_appends_and_wide_encodings_stay_serial(self, square_ref, tmp_path,
-                                                            csv_blocks):
+    def test_buffers_appends_and_wide_encodings_take_blocks(self, square_ref, tmp_path,
+                                                            csv_blocks, monkeypatch):
+        dirs = []
+        temporary = tempfile.TemporaryFile
+
+        def recorded(*args, **kwargs):
+            dirs.append(kwargs.get("dir"))
+            return temporary(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
         traj = flat_trajectory(square_ref)
-        forks = csv_blocks(4)
-        assert csv_text(traj, 2) == per_value_csv(traj, 2)
+        expected = per_value_csv(traj, 2)
+        count = 4
+        forks = csv_blocks(count)
+        buffer = io.StringIO()
+        # A name that is no file's path leaves the temporary files where
+        # they go by default.
+        buffer.name = "<stdout>"
+        write_trajectory_csv(traj, 2, buffer)
+        assert buffer.getvalue() == expected
+        assert len(forks) == count - 1 and dirs == [None] * (count - 1)
         path = tmp_path / "run.csv"
         path.write_text("kept\n")
-        with path.open("a") as fh:
-            write_trajectory_csv(traj, 2, fh)
-        assert path.read_text() == "kept\n" + per_value_csv(traj, 2)
-        with path.open("w", encoding="utf-16") as fh:
-            write_trajectory_csv(traj, 2, fh)
-        assert path.read_text(encoding="utf-16") == per_value_csv(traj, 2)
-        assert forks == []
+        for encoding, mode, text in (("utf-8", "a", "kept\n" + expected),
+                                     ("utf-16", "w", expected)):
+            forks.clear()
+            dirs.clear()
+            with path.open(mode, encoding=encoding) as fh:
+                write_trajectory_csv(traj, 2, fh)
+            assert len(forks) == count - 1 and dirs == [str(tmp_path)] * (count - 1)
+            assert path.read_bytes() == text.encode(encoding)
+        assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+        assert_no_children()
 
     def test_failing_worker_raises_os_error(self, square_ref, tmp_path, csv_blocks, monkeypatch):
         def fail():

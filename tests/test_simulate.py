@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,13 +19,16 @@ from formsim import (
     ScalingSchedule,
     SensingGraph,
     SimConfig,
+    Trajectory,
     Unreachable,
     apply_perturbation,
+    bundled_scenario_path,
     control_law,
     decay_rate_fit,
     distance_errors,
     integrate,
     integrate_batch,
+    load_scenario,
     perturb_to_error_norm,
     rotation_params,
     scaling_params,
@@ -31,6 +36,7 @@ from formsim import (
     time_varying_params,
     translation_params,
 )
+from formsim.rigidity import control_kernel
 from formsim.simulate import _CHUNK_ELEMENTS, _frame_rotations, _line_fit, make_rhs
 from conftest import (
     SQUARE_POINTS,
@@ -85,9 +91,9 @@ class TestIntegrate:
         traj = integrate(start, square_ref, quiet_config(square_ref),
                          SimConfig(dt=1e-3, duration=0.5))
         np.testing.assert_allclose(
-            traj.error_norms() ** 2, (traj.errors() ** 2).sum(axis=1), rtol=1e-14
+            traj.error_norms ** 2, (traj.errors() ** 2).sum(axis=1), rtol=1e-14
         )
-        assert np.array_equal(traj.error_norms(), np.linalg.norm(traj.errors(), axis=1))
+        assert np.array_equal(traj.error_norms, np.linalg.norm(traj.errors(), axis=1))
 
     def test_errors_match_per_sample_reference(self, square_ref):
         cfg = motion_config(square_ref, omega=1.0, schedule=ScalingSchedule.periodic(0.25, 1.5))
@@ -180,7 +186,7 @@ def assert_same_run(batched, single):
         assert np.array_equal(getattr(batched, field), getattr(single, field)), field
     assert batched.reference is single.reference
     assert np.array_equal(batched.errors(), single.errors())
-    assert np.array_equal(batched.error_norms(), single.error_norms())
+    assert np.array_equal(batched.error_norms, single.error_norms)
 
 
 class TestIntegrateBatch:
@@ -334,11 +340,100 @@ class TestMakeRhs:
                       for seed in (1, 2, 3)])
         k1 = rhs(0.0, p)
         kept = k1.tobytes()
-        # The second call is the first on the buffers the kernel keeps.
+        # Every call writes through the one layout this rhs made.
         k2 = rhs(0.5, p + 0.1 * k1)
         k3 = rhs(0.5, p + 0.1 * k2)
         assert k1.tobytes() == kept
         assert not np.shares_memory(k2, k3)
+
+    def test_two_rhs_on_one_graph_alternate_as_they_run_alone(self, square_ref):
+        cfg = motion_config(square_ref, v=(0.3, -0.2), omega=0.7,
+                            schedule=ScalingSchedule.linear(0.05))
+        starts = {batch: np.array([apply_perturbation(square_ref.framework, seed, 0.2).positions
+                                   for seed in range(1, batch + 1)]) for batch in (1, 3)}
+        times = (0.0, 0.35, 0.35, 1.2, 0.0, 2.05)
+
+        def solo(batch):
+            rhs = make_rhs(square_ref, cfg)
+            return [rhs(t, starts[batch] + 0.01 * t).tobytes() for t in times]
+
+        alone = {batch: solo(batch) for batch in starts}
+        rhs = {batch: make_rhs(square_ref, cfg) for batch in starts}
+        for k, t in enumerate(times):
+            for batch in starts:
+                assert rhs[batch](t, starts[batch] + 0.01 * t).tobytes() == alone[batch][k]
+
+
+class TestRunState:
+    """Nothing outside a run holds that run's state."""
+
+    def test_threads_integrating_at_once_match_a_solo_run(self):
+        scenario = load_scenario(bundled_scenario_path("square"))
+        ref = scenario.reference_shape()
+        cfg = scenario.controller_config(ref)
+        sim = dataclasses.replace(scenario.sim, duration=2.0)
+        start = scenario.initial_framework()
+        solo = integrate(start, ref, cfg, sim).positions
+        runs = [None, None]
+
+        def run(slot):
+            runs[slot] = integrate(start, ref, cfg, sim).positions
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(slot,)) for slot in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for positions in runs:
+            assert positions.tobytes() == solo.tobytes()
+
+    def test_kernel_is_unchanged_by_its_callers(self, square_ref):
+        kernel = control_kernel(square_ref.graph, square_ref.dim)
+
+        def state():
+            return {name: (value, value.tobytes() if isinstance(value, np.ndarray) else None)
+                    for name, value in vars(kernel).items()}
+
+        def unchanged(before):
+            after = state()
+            return after.keys() == before.keys() and all(
+                after[name][0] is value and after[name][1] == data
+                for name, (value, data) in before.items())
+
+        before = state()
+        cfg = motion_config(square_ref, omega=0.7)
+        control_law(square_ref.framework, square_ref.distances,
+                    time_varying_params(cfg, 0.0), cfg.gain)
+        assert unchanged(before)
+        edges = square_ref.graph.edge_count
+        kernel.scatter(kernel.gather(square_ref.framework.positions[None]),
+                       np.ones((1, 2 * edges)))
+        assert unchanged(before)
+        starts = [apply_perturbation(square_ref.framework, seed, 0.2) for seed in (1, 2, 3)]
+        integrate_batch(starts, square_ref, cfg, SimConfig(dt=1e-2, duration=0.2))
+        assert unchanged(before)
+
+    def test_steady_state_report_reuses_the_run_error_norms(self, square_ref, monkeypatch):
+        start = perturb_to_error_norm(square_ref.framework, square_ref.distances, 7, 1.5)
+        traj = integrate(start, square_ref, quiet_config(square_ref),
+                         SimConfig(dt=1e-2, duration=3.0))
+        read = []
+        errors = Trajectory.errors
+
+        def counted(self, rows=slice(None)):
+            read.append(rows)
+            return errors(self, rows)
+
+        monkeypatch.setattr(Trajectory, "errors", counted)
+        report = steady_state_report(traj, (1.0, 3.0))
+        assert report.lambda_fit > 0.0
+        assert read == []
 
 
 class TestCentroid:
@@ -482,7 +577,7 @@ class TestFrameRotations:
         from scipy.spatial.transform import Rotation
 
         traj = tetra_run(tetra_ref)
-        report = steady_state_report(traj, tetra_ref, (2.0, 6.0))
+        report = steady_state_report(traj, (2.0, 6.0))
         # The body-frame fit with one SciPy rotation per sample.
         keep = (traj.times >= 2.0) & (traj.times <= 6.0)
         times, positions = traj.times[keep], traj.positions[keep]
@@ -512,7 +607,7 @@ class TestSteadyStateReport:
     def test_equilibrium_reports_zero_motion(self, square_ref):
         traj = integrate(square_ref.framework, square_ref, quiet_config(square_ref),
                          SimConfig(dt=1e-2, duration=2.0))
-        report = steady_state_report(traj, square_ref, (0.0, 2.0))
+        report = steady_state_report(traj, (0.0, 2.0))
         np.testing.assert_allclose(report.v_body, 0.0, atol=1e-12)
         assert report.omega == pytest.approx(0.0, abs=1e-12)
         assert report.scale_rate == pytest.approx(0.0, abs=1e-12)
@@ -524,7 +619,7 @@ class TestSteadyStateReport:
         cfg = motion_config(square_ref, omega=omega)
         traj = integrate(square_ref.framework, square_ref, cfg,
                          SimConfig(dt=1e-3, duration=4.0, record_stride=10))
-        report = steady_state_report(traj, square_ref, (0.0, 4.0))
+        report = steady_state_report(traj, (0.0, 4.0))
         assert report.omega == pytest.approx(omega, rel=0.02)
 
     def test_translation_round_trip_in_body_frame(self, square_ref):
@@ -532,7 +627,7 @@ class TestSteadyStateReport:
         cfg = motion_config(square_ref, v=v, omega=0.7)
         traj = integrate(square_ref.framework, square_ref, cfg,
                          SimConfig(dt=1e-3, duration=4.0, record_stride=10))
-        report = steady_state_report(traj, square_ref, (0.0, 4.0))
+        report = steady_state_report(traj, (0.0, 4.0))
         np.testing.assert_allclose(report.v_body, v, atol=5e-3)
 
     def test_linear_scaling_rate_recovered(self, square_ref):
@@ -540,7 +635,7 @@ class TestSteadyStateReport:
         cfg = motion_config(square_ref, schedule=ScalingSchedule.linear(rate))
         traj = integrate(square_ref.framework, square_ref, cfg,
                          SimConfig(dt=1e-3, duration=3.0, record_stride=10))
-        report = steady_state_report(traj, square_ref, (0.0, 3.0))
+        report = steady_state_report(traj, (0.0, 3.0))
         assert report.scale_rate == pytest.approx(rate, rel=1e-3)
 
     def test_spin_round_trip_3d(self, tetra_ref):
@@ -550,7 +645,7 @@ class TestSteadyStateReport:
                                zero, ScalingSchedule.none())
         traj = integrate(tetra_ref.framework, tetra_ref, cfg,
                          SimConfig(dt=1e-3, duration=3.0, record_stride=10))
-        report = steady_state_report(traj, tetra_ref, (0.0, 3.0))
+        report = steady_state_report(traj, (0.0, 3.0))
         np.testing.assert_allclose(report.omega, omega, atol=0.02)
 
     def test_translation_with_spin_round_trip_3d(self, tetra_ref):
@@ -565,7 +660,7 @@ class TestSteadyStateReport:
         )
         traj = integrate(tetra_ref.framework, tetra_ref, cfg,
                          SimConfig(dt=1e-3, duration=3.0, record_stride=10))
-        report = steady_state_report(traj, tetra_ref, (0.0, 3.0))
+        report = steady_state_report(traj, (0.0, 3.0))
         np.testing.assert_allclose(report.v_body, v, atol=5e-3)
         np.testing.assert_allclose(report.omega, omega, atol=0.02)
 
@@ -588,7 +683,7 @@ class TestSteadyStateReport:
                                       tetra_ref.centered_points() @ turn.T + [2.0, -1.0, 0.5])
         traj = integrate(start, tetra_ref, cfg,
                          SimConfig(dt=1e-3, duration=3.0, record_stride=10))
-        report = steady_state_report(traj, tetra_ref, (0.0, 3.0))
+        report = steady_state_report(traj, (0.0, 3.0))
         np.testing.assert_allclose(report.v_body, v, atol=5e-3)
         np.testing.assert_allclose(report.omega, omega, atol=0.02)
         assert np.linalg.norm(turn @ omega - omega) > 0.5
@@ -598,7 +693,7 @@ class TestSteadyStateReport:
         traj = integrate(start, square_ref, quiet_config(square_ref, gain=0.01),
                          SimConfig(dt=1e-2, duration=3.0))
         with pytest.raises(InsufficientDecay):
-            steady_state_report(traj, square_ref, (1.0, 3.0))
+            steady_state_report(traj, (1.0, 3.0))
 
     def test_decay_fit_recovers_known_rate(self):
         times = np.linspace(0.0, 10.0, 400)
@@ -612,7 +707,7 @@ class TestSteadyStateReport:
         traj = integrate(square_ref.framework, square_ref, quiet_config(square_ref),
                          SimConfig(dt=1e-2, duration=1.0))
         with pytest.raises(InsufficientDecay, match="window"):
-            steady_state_report(traj, square_ref, (5.0, 6.0))
+            steady_state_report(traj, (5.0, 6.0))
 
 
 class TestRunMemory:
@@ -636,8 +731,7 @@ class TestRunMemory:
             traj = integrate(ref.framework, ref, quiet_config(ref, gain=1.0), sim)
             held, integrate_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            traj.error_norms()
-            steady_state_report(traj, ref, (0.5 * sim.duration, sim.duration))
+            steady_state_report(traj, (0.5 * sim.duration, sim.duration))
             post_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
