@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -237,10 +238,9 @@ class Framework:
     def _rigidity_rank(self) -> int:
         # Positions are read-only, so the rank is decided once: by the
         # certificate when it holds, else by the SVD's count.
-        tol, ecount = _default_tol(self), self.graph.edge_count
-        if (ecount == rigid_rank_target(self.graph.vertex_count, self.dim)
-                and certifies_full_row_rank(self, tol)):
-            return ecount
+        tol = _default_tol(self)
+        if certifies_full_row_rank(self, tol):
+            return self.graph.edge_count
         return numerical_rank(rigidity_matrix(self), tol)
 
 
@@ -294,73 +294,114 @@ def numerical_rank(matrix: np.ndarray, rel_tol: float) -> int:
 
 # How far the certificate's bound must clear the SVD's cutoff.  The
 # cutoff max(n, E) * dim * eps is itself the size of the rounding in both
-# the QR behind the bound and the SVD behind numerical_rank, so a bound
-# that clears it a thousandfold is no artefact of either, and the SVD
-# counts every singular value as nonzero too.
+# the substitution behind the bound and the SVD behind numerical_rank, so
+# a bound that clears it a thousandfold is no artefact of either, and
+# the SVD counts every singular value as nonzero too.
 RANK_CERTIFICATE_MARGIN = 1e3
-# Blocks at most this wide are inverted by np.linalg.inv.
-_INVERSE_BASE = 64
+# The certificate forms its inverse this many floats (1 MiB) at a time.
+_BLOCK_FLOATS = 2 ** 17
+
+
+def _type_one_order(graph: SensingGraph, dim: int):
+    """A Henneberg type-I construction order of the graph, or None.
+
+    Peels vertices with exactly dim edges to those still present until
+    dim vertices joined by all their edges remain, the base; on a type-I
+    graph any peeling order gets there.  Returns the 0-based vertices,
+    the base first and then the rest by depth (one more than the deepest
+    of the dim they were peeled from); the positions of those dim for
+    each vertex after the base; and the first position of each depth
+    from 2 on.
+    """
+    n = graph.vertex_count
+    links = [[] for _ in range(n)]
+    for i, j in graph.edges:
+        links[i - 1].append(j - 1)
+        links[j - 1].append(i - 1)
+    degree = [len(near) for near in links]
+    ready, earlier = [v for v in range(n) if degree[v] == dim], {}
+    while ready and len(earlier) < n - dim:
+        v = ready.pop()
+        if degree[v] == dim:
+            earlier[v] = [u for u in links[v] if u not in earlier]
+            for u in earlier[v]:
+                degree[u] -= 1
+                if degree[u] == dim:
+                    ready.append(u)
+    depth = {v: 0 for v in range(n) if v not in earlier}
+    if len(depth) != dim or sum(degree[v] for v in depth) != dim * (dim - 1):
+        return None
+    for v in reversed(earlier):
+        depth[v] = 1 + max(depth[u] for u in earlier[v])
+    order = sorted(depth, key=depth.get)
+    position = {v: t for t, v in enumerate(order)}
+    feeds = np.array([[position[u] for u in earlier[v]] for v in order[dim:]], dtype=np.intp)
+    starts = np.searchsorted([depth[v] for v in order], range(2, depth[order[-1]] + 1))
+    return np.array(order), feeds.reshape(-1, dim), starts.tolist()
 
 
 def certifies_full_row_rank(fw: Framework, rel_tol: float) -> bool:
     """True when the rigidity matrix R provably has full row rank at the
-    relative singular-value cutoff rel_tol, decided without an SVD.
+    relative singular-value cutoff rel_tol, decided without forming R.
 
-    T, the triangular factor of a QR of R.T, has R's singular values, so
-    1 / ||T^-1||_F <= sigma_min(R) and ||R||_F >= sigma_max(R).  When the
-    first clears RANK_CERTIFICATE_MARGIN * rel_tol times the second,
+    In a type-I order (_type_one_order) each vertex after the base adds
+    dim edges to earlier ones.  With dim (dim + 1) / 2 base coordinates
+    pinned, R's other columns form a square R_p, block lower-triangular
+    in that order, with each vertex's dim edge vectors as its diagonal
+    block.  R R^T = R_p R_p^T + (pinned part), so 1 / ||R_p^-1||_F <=
+    sigma_min(R), and ||R||_F >= sigma_max(R).  When the first clears
+    RANK_CERTIFICATE_MARGIN * rel_tol times the second,
     numerical_rank(R, rel_tol) is R's row count.  False means undecided,
-    including for a singular or overflowing T; it never warns.
+    as for a graph with no type-I order or a singular block; it never warns.
     """
-    matrix = rigidity_matrix(fw)
-    rows = matrix.shape[0]
-    if rows > matrix.shape[1]:
+    n, dim = fw.points.shape
+    construction = _type_one_order(fw.graph, dim)
+    if construction is None:
         return False
-    # Allocated before anything large is freed, so that the C library
-    # maps it apart and returns it on release instead of growing the heap.
-    work = np.empty(rows // 2 * (rows - rows // 2))
+    order, feeds, starts = construction
+    pts = fw.points[order]
     with np.errstate(all="ignore"):
+        # Row k of spokes[t] is the edge from position dim + t to feeds[t, k],
+        # and row k of base is base edge (i_k, j_k) in the base's columns.
+        spokes = pts[dim:, None] - pts[feeds]
+        i, j = np.triu_indices(dim, 1)
+        base = (np.eye(dim)[i] - np.eye(dim)[j])[:, :, None] * (pts[i] - pts[j])[:, None]
         # A power-of-two rescale is exact and keeps both norms in range.
-        # Each row holds an edge vector and its negative, so the largest
-        # entry is the largest magnitude.
-        np.ldexp(matrix, -np.frexp(matrix.max())[1], out=matrix)
-        frobenius = np.linalg.norm(matrix)
+        shift = -np.frexp(max(np.abs(base).max(), np.abs(spokes).max(initial=0.0)))[1]
+        base, spokes = np.ldexp(base.reshape(i.size, -1), shift), np.ldexp(spokes, shift)
+        frobenius = np.sqrt(np.vdot(base, base) + 2.0 * np.vdot(spokes, spokes))
         try:
-            # T is the upper triangle of the raw factor's leading rows;
-            # Householder vectors fill the rest.
-            tri = np.linalg.qr(matrix.T, mode="raw")[0].T[:rows]
-            del matrix
-            _invert_upper_in_place(tri, work)
+            # Keep the base columns whose square block is best conditioned.
+            choices = np.array(list(combinations(range(dim * dim), i.size)))
+            sigma = np.linalg.svd(base[:, choices].transpose(1, 0, 2), compute_uv=False)
+            kept = choices[np.argmax(sigma[:, -1])]
+            base_inverse, spoke_inverses = np.linalg.inv(base[:, kept]), np.linalg.inv(spokes)
         except np.linalg.LinAlgError:
             return False
-        # einsum reads the strided view without copying it.
-        return bool(1.0 / np.sqrt(np.einsum("ij,ij->", tri, tri))
-                    > RANK_CERTIFICATE_MARGIN * rel_tol * frobenius)
-
-
-def _invert_upper_in_place(tri: np.ndarray, work: np.ndarray) -> None:
-    """Overwrite the square tri with the inverse of its upper triangle.
-
-    The inverse of [[A, B], [0, D]] is [[A^-1, -A^-1 B D^-1], [0, D^-1]],
-    so each half is inverted in place and B is replaced, which costs
-    about size^3 / 3 multiply-adds.  Entries below the diagonal are
-    ignored and come out zero.  work holds at least
-    (size // 2) * (size - size // 2) floats.  Raises LinAlgError when a
-    diagonal block is singular.
-    """
-    size = tri.shape[0]
-    if size <= _INVERSE_BASE:
-        tri[...] = np.linalg.inv(np.triu(tri))
-        return
-    half = size // 2
-    upper, corner, lower = tri[:half, :half], tri[:half, half:], tri[half:, half:]
-    tri[half:, :half] = 0.0
-    _invert_upper_in_place(upper, work)
-    _invert_upper_in_place(lower, work)
-    product = work[:corner.size].reshape(corner.shape)
-    np.matmul(upper, corner, out=product)
-    np.matmul(product, lower, out=corner)
-    np.negative(corner, out=corner)
+        squares, start = 0.0, 0
+        while start < n:
+            # The columns of R_p^-1 for the edges of positions [start, stop),
+            # about _BLOCK_FLOATS at a time, by forward substitution over its
+            # rows from position start on; row 0 stands for every earlier
+            # position, where they are zero.  A position's rows hold its
+            # right-hand side until the step for its depth solves them.
+            if start:
+                stop = min(n, start + max(1, _BLOCK_FLOATS // ((n - start + 1) * dim * dim)))
+                block = np.zeros((n - start + 1, dim, (stop - start) * dim))
+                np.fill_diagonal(block[1:].reshape(-1, block.shape[2]), 1.0)
+            else:
+                stop, block = dim, np.zeros((n + 1, dim, i.size))
+                block[1:].reshape(-1, i.size)[kept] = base_inverse
+            local = np.maximum(feeds - (start - 1), 0)
+            cuts = [max(start, dim)] + [t for t in starts if t > start] + [n]
+            for lo, hi in zip(cuts, cuts[1:]):
+                rhs = block[lo - start + 1:hi - start + 1]
+                rhs += np.einsum("tij,tijc->tic", spokes[lo - dim:hi - dim],
+                                 block[local[lo - dim:hi - dim]])
+                rhs[...] = np.matmul(spoke_inverses[lo - dim:hi - dim], rhs)
+            squares += np.vdot(block, block)
+            start = stop
+        return bool(1.0 / np.sqrt(squares) > RANK_CERTIFICATE_MARGIN * rel_tol * frobenius)
 
 
 def rigid_rank_target(vertex_count: int, dim: int) -> int:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,6 @@ from formsim import (
 import formsim.rigidity
 from formsim.rigidity import (
     RANK_CERTIFICATE_MARGIN,
-    _invert_upper_in_place,
     certifies_full_row_rank,
     control_kernel,
     numerical_rank,
@@ -365,21 +366,22 @@ CERTIFIED_SHAPES = {
 
 
 class TestRankCertificate:
-    @pytest.mark.parametrize("size", [1, 5, 64, 65, 200])
-    def test_inverts_the_upper_triangle_in_place(self, size):
-        rng = np.random.default_rng(size)
-        full = rng.standard_normal((size, size)) + 4.0 * np.eye(size)
-        expected = np.linalg.inv(np.triu(full))
-        tri = np.asfortranarray(full)
-        _invert_upper_in_place(tri, np.empty(size * size // 4 + 1))
-        np.testing.assert_allclose(tri, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
-
     @pytest.mark.parametrize("n, dim, seed", CERTIFIED_SHAPES.values(), ids=CERTIFIED_SHAPES)
     def test_henneberg_shapes_certify_to_the_svd_count(self, n, dim, seed):
         fw = henneberg_framework(n, dim, seed)
         assert certifies_full_row_rank(fw, default_cutoff(fw))
         assert numerical_rank(rigidity_matrix(fw), default_cutoff(fw)) == fw.graph.edge_count
         assert rigidity_rank(fw) == fw.graph.edge_count
+
+    @pytest.mark.parametrize("n, dim, seed", CERTIFIED_SHAPES.values(), ids=CERTIFIED_SHAPES)
+    def test_bound_lies_below_the_smallest_singular_value(self, n, dim, seed):
+        fw = henneberg_framework(n, dim, seed)
+        matrix = rigidity_matrix(fw)
+        sigma_min = np.linalg.svd(matrix, compute_uv=False)[-1]
+        # The cutoff that a bound of exactly sigma_min would just clear.
+        cutoff = sigma_min / (RANK_CERTIFICATE_MARGIN * np.linalg.norm(matrix))
+        assert not certifies_full_row_rank(fw, cutoff * (1.0 + 1e-6))
+        assert certifies_full_row_rank(fw, cutoff / 100.0)
 
     def test_small_shapes_certify_to_the_svd_count(self, square_graph, tetra_framework):
         shapes = [tetra_framework]
@@ -428,6 +430,54 @@ class TestRankCertificate:
         monkeypatch.setattr(formsim.rigidity, "numerical_rank", refuse)
         ReferenceShape(fw)
         assert rigidity_report(fw).rank_rigidity == fw.graph.edge_count
+
+    def test_swarm_settle_shape_certifies_without_the_rigidity_matrix(self, monkeypatch):
+        fw = henneberg_framework(512, 2, 5)
+
+        def refuse(fw):
+            raise AssertionError("rigidity matrix formed")
+
+        monkeypatch.setattr(formsim.rigidity, "rigidity_matrix", refuse)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            assert certifies_full_row_rank(fw, default_cutoff(fw))
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # The dense 1021 x 1024 matrix alone would be 8 MiB.
+        assert peak < 4 * 2 ** 20
+
+    # K3,3 at generic points is minimally rigid, 9 = 2 * 6 - 3 edges, but
+    # every vertex has three edges, so none can be peeled.  The four-cycle
+    # peels to two vertices without their edge.
+    @pytest.mark.parametrize("edges, rank", [
+        (tuple((i, j) for i in (1, 2, 3) for j in (4, 5, 6)), 9),
+        (((1, 2), (2, 3), (3, 4), (4, 1)), 4),
+    ], ids=["k33", "four-cycle"])
+    def test_graph_with_no_type_one_order_takes_the_svd_rank(self, edges, rank):
+        n = max(max(edge) for edge in edges)
+        points = np.random.default_rng(1).uniform(-5.0, 5.0, (n, 2))
+        fw = Framework.from_points(SensingGraph(n, edges), points)
+        assert not certifies_full_row_rank(fw, default_cutoff(fw))
+        assert numerical_rank(rigidity_matrix(fw), default_cutoff(fw)) == rank
+        assert rigidity_rank(fw) == rank
+        if rank == 2 * n - 3:
+            assert ReferenceShape(fw).report.rank_rigidity == rank
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_relabelled_henneberg_shape_certifies_like_the_original(self, dim):
+        fw = henneberg_framework(64, dim, 2)
+        rng = np.random.default_rng(dim)
+        label = rng.permutation(64)
+        edges = [(int(label[i - 1]) + 1, int(label[j - 1]) + 1) for i, j in fw.graph.edges]
+        edges = tuple(edges[k] for k in rng.permutation(len(edges)))
+        points = np.empty_like(fw.points)
+        points[label] = fw.points
+        relabelled = Framework.from_points(SensingGraph(64, edges), points)
+        for shape in (fw, relabelled):
+            assert certifies_full_row_rank(shape, default_cutoff(shape))
+            assert rigidity_rank(shape) == shape.graph.edge_count
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_decision_is_scale_free(self, square_graph, square_framework):
