@@ -283,14 +283,12 @@ def bundled_scenario_path(name: str) -> Path:
     return Path(resources.files("formsim.scenarios") / f"{name}.json")
 
 
-def trajectory_csv_header(dim: int, vertex_count: int, edge_count: int) -> list[str]:
+def trajectory_csv_header(dim: int, vertex_count: int) -> list[str]:
     columns = ["t"]
     for i in range(1, vertex_count + 1):
         for axis in range(dim):
             columns.append(f"p_{i}{_AXES[axis]}")
-    columns.extend(f"e_{k}" for k in range(1, edge_count + 1))
-    columns.append("V")
-    columns.extend(f"d_{k}" for k in range(1, edge_count + 1))
+    columns.extend(("scale", "V"))
     return columns
 
 
@@ -302,8 +300,10 @@ MAX_BLOCKS = 8
 
 
 def write_trajectory_csv(traj: Trajectory, dim: int, fh) -> None:
-    """Write a trajectory as CSV: t, positions, errors, potential, distances.
+    """Write a trajectory as CSV: t, positions, scale factor, potential.
 
+    The distance errors and scheduled distances are not written: they
+    are recomputed exactly from a row's positions and scale factor.
     Floats are rendered with shortest round-trip formatting, so repeated
     runs of the same scenario produce byte-identical files.  A large run
     is cut into contiguous row blocks, one per usable CPU: the caller
@@ -317,7 +317,7 @@ def write_trajectory_csv(traj: Trajectory, dim: int, fh) -> None:
     own block raises, it kills and reaps every worker first.
     """
     vertex_count = traj.positions.shape[1] // dim
-    header = trajectory_csv_header(dim, vertex_count, traj.reference.distances.size)
+    header = trajectory_csv_header(dim, vertex_count)
     fh.write(",".join(header) + "\n")
     starts = _block_starts(traj.sample_count, len(header))
     name = getattr(fh, "name", None)
@@ -348,29 +348,16 @@ def write_trajectory_csv(traj: Trajectory, dim: int, fh) -> None:
 
 
 def _write_rows(traj: Trajectory, lo: int, hi: int, fh) -> None:
-    """Write rows lo to hi - 1 of the CSV body.
-
-    The errors and potential are formed one chunk of rows at a time.  A
-    row's distances are its scale factor times the reference distances;
-    their text is formatted only when the scale factor differs, byte for
-    byte, from the previous row's, so a flat schedule formats it once
-    per call.
-    """
-    last_scale, row_end = None, ""
+    """Write rows lo to hi - 1 of the CSV body; the errors behind V are
+    formed one chunk of rows at a time."""
     for rows in traj.chunks(lo, hi):
         errors = traj.errors(rows)
         potential = 0.5 * (errors * errors).sum(axis=1)
-        for t, positions, row_errors, row_potential, scale in zip(
-                traj.times[rows].tolist(), traj.positions[rows], errors,
-                potential.tolist(), traj.scale[rows]):
-            key = scale.tobytes()
-            if key != last_scale:
-                last_scale = key
-                distances = scale * traj.reference.distances
-                row_end = "," + ",".join(map(repr, distances.tolist())) + "\n"
-            fh.write(",".join(map(repr, [t, *positions.tolist(), *row_errors.tolist(),
-                                         row_potential])))
-            fh.write(row_end)
+        for t, positions, scale, row_potential in zip(
+                traj.times[rows].tolist(), traj.positions[rows], traj.scale[rows].tolist(),
+                potential.tolist()):
+            fh.write(",".join(map(repr, [t, *positions.tolist(), scale, row_potential])))
+            fh.write("\n")
 
 
 def _block_starts(samples: int, width: int) -> list[int]:
@@ -391,7 +378,7 @@ def _fork_rows(traj: Trajectory, lo: int, hi: int, out) -> int:
     The worker reads the trajectory copy-on-write and never returns: it
     leaves through os._exit, with status 0 once its rows are flushed.
     It prints nothing, so a failure reaches the user only through the
-    caller's OSError.  It runs only Python, numpy formatting, take,
+    caller's OSError.  It runs only Python, tolist, take,
     elementwise ufuncs and add.reduce, none of which takes a lock another
     thread of the caller may have held at the fork; no BLAS call runs
     in it.

@@ -157,34 +157,41 @@ class SteadyStateReport:
     residuals: dict
 
 
-def apply_perturbation(fw: Framework, seed: int, magnitude: float) -> Framework:
-    """Displace every agent uniformly inside a ball of the given radius."""
+def _perturbation_steps(fw: Framework, seed: int, magnitude: float) -> np.ndarray:
+    """Seeded displacements (n, dim), uniform inside a ball of the given
+    radius."""
     rng = np.random.default_rng(seed)
     n, m = fw.graph.vertex_count, fw.dim
     directions = rng.standard_normal((n, m))
     directions /= np.linalg.norm(directions, axis=1)[:, None]
     radii = magnitude * rng.random(n) ** (1.0 / m)
-    return Framework(fw.graph, m, (fw.points + radii[:, None] * directions).reshape(-1))
+    return radii[:, None] * directions
+
+
+def apply_perturbation(fw: Framework, seed: int, magnitude: float) -> Framework:
+    """Displace every agent uniformly inside a ball of the given radius."""
+    steps = _perturbation_steps(fw, seed, magnitude)
+    return Framework(fw.graph, fw.dim, (fw.points + steps).reshape(-1))
 
 
 def perturb_to_error_norm(fw: Framework, distances: np.ndarray, seed: int,
                           target_norm: float) -> Framework:
     """Perturb positions until the distance-error norm matches target_norm.
 
-    The displacement direction is seeded; its length is bisected by
-    rescaling, accurate to about 0.1 percent.  Raises Unreachable when 60
-    rescalings do not get there.
+    The displacement direction is seeded; its length starts at the mean
+    distance, so the search works at any scale of the shape, and is
+    bisected by rescaling, accurate to about 0.1 percent.  Raises
+    Unreachable when 60 rescalings do not get there.
     """
     distances = np.asarray(distances, dtype=float).reshape(-1)
-    candidate = apply_perturbation(fw, seed, 1.0)
-    delta = candidate.positions - fw.positions
+    delta = _perturbation_steps(fw, seed, 1.0).reshape(-1)
     kernel = control_kernel(fw.graph, fw.dim)
 
     def err_at(scale: float) -> float:
         lengths = kernel.lengths((fw.positions + scale * delta)[None])[0]
         return float(np.linalg.norm(lengths - distances))
 
-    scale = 1.0
+    scale = float(distances.mean())
     for _ in range(60):
         current = err_at(scale)
         if abs(current - target_norm) <= 1e-3 * target_norm:

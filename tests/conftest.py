@@ -226,6 +226,30 @@ def trajectory_distances(traj):
     return traj.scale[:, None] * traj.reference.distances
 
 
+def error_columns_csv(traj, dim):
+    """The trajectory CSV as formsim wrote it while it still had per-edge
+    columns: t, positions, the distance errors e_k, V and the scheduled
+    distances d_k.  The oracle for recomputing e_k and d_k from a row's
+    positions and scale factor."""
+    from formsim.scenario import trajectory_csv_header
+
+    ref = traj.reference
+    edges = range(1, ref.distances.size + 1)
+    header = [*trajectory_csv_header(dim, ref.graph.vertex_count)[:-2],
+              *(f"e_{k}" for k in edges), "V", *(f"d_{k}" for k in edges)]
+    lines = [",".join(header)]
+    for rows in traj.chunks():
+        errors = traj.errors(rows)
+        potential = 0.5 * (errors * errors).sum(axis=1)
+        for t, positions, row_errors, row_potential, scale in zip(
+                traj.times[rows].tolist(), traj.positions[rows], errors,
+                potential.tolist(), traj.scale[rows]):
+            distances = scale * ref.distances
+            lines.append(",".join(map(repr, [t, *positions.tolist(), *row_errors.tolist(),
+                                             row_potential, *distances.tolist()])))
+    return "\n".join(lines) + "\n"
+
+
 def serialize_scenario(scenario):
     """Render a scenario back to its JSON document form."""
     schedule = {"kind": scenario.schedule.kind}

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from formsim import load_scenario
 from formsim.cli import main
+from formsim.rigidity import control_kernel
 
 from conftest import assert_no_children, fail_csv_workers
 
@@ -241,12 +243,16 @@ class TestSimulate:
                                    "perturbation": None})
         assert main(["simulate", str(path), "-o", "osc"]) == 0
         rows = [line.split(",") for line in Path("osc.csv").read_text().strip().split("\n")[1:]]
-        data = np.array(rows, dtype=float)
-        errors = data[:, 9:14]
+        data = np.array([[float(v) for v in row] for row in rows])
+        # The CSV holds t, positions, scale and V; errors and distances
+        # are recomputed from a row's positions and scale factor.
+        ref = load_scenario(path).reference_shape()
+        distances = data[:, -2, None] * ref.distances
+        errors = control_kernel(ref.graph, 2).lengths(data[:, 1:-2]) - distances
         first_error = np.abs(errors[0]).max()
         last_error = np.abs(errors[-1]).max()
         assert last_error < 1e-4 * first_error
-        d_first = data[:, 15]
+        d_first = distances[:, 0]
         assert d_first.max() > 15.0 * 1.4
         assert d_first.min() < 15.0 * 0.6
 
@@ -287,6 +293,20 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("PASS") == 7
+
+    def test_square_scaled_by_1e150_converges_and_tracks(self, tmp_path, capsys):
+        from formsim import bundled_scenario_path
+
+        doc = json.loads(bundled_scenario_path("square").read_text())
+        for key in ("reference_positions", "initial_positions"):
+            doc[key] = [[x * 1e150 for x in point] for point in doc[key]]
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        main(["verify", str(path), "--dt", "0.002"])
+        out = capsys.readouterr().out
+        assert "Unreachable" not in out
+        assert "PASS exponential-convergence" in out
+        assert "PASS distance-tracking" in out
 
     def test_quick_scenario_passes(self, tmp_path, capsys):
         path = write_scenario(tmp_path)

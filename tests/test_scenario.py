@@ -17,10 +17,12 @@ from formsim import (
     parse_scenario,
     write_trajectory_csv,
 )
+from formsim.rigidity import control_kernel
 from formsim.scenario import parse_design, trajectory_csv_header
 
 from conftest import (
     assert_no_children,
+    error_columns_csv,
     fail_csv_workers,
     serialize_scenario,
     trajectory_distances,
@@ -180,8 +182,27 @@ def flat_trajectory(square_ref, duration=0.5, stride=5):
     return integrate(square_ref.framework, square_ref, cfg, sim)
 
 
+def linear_trajectory(square_ref):
+    """The square scaled at a constant rate: every row's scale differs."""
+    from formsim import (
+        ControllerConfig,
+        MotionParameters,
+        Perturbation,
+        ScalingSchedule,
+        SimConfig,
+        integrate,
+        scaling_params,
+    )
+
+    zero = MotionParameters.zero(5)
+    cfg = ControllerConfig(5.0, zero, zero, scaling_params(square_ref, 1.0),
+                           ScalingSchedule.linear(0.05))
+    sim = SimConfig(dt=1e-2, duration=1.0, record_stride=2, perturbation=Perturbation(3, 0.4))
+    return integrate(square_ref.framework, square_ref, cfg, sim)
+
+
 def periodic_trajectory():
-    """The bundled square's periodic schedule: every row's d_k differ."""
+    """The bundled square's periodic schedule: every row's scale differs."""
     import dataclasses
 
     from formsim import integrate
@@ -234,22 +255,35 @@ def special_trajectory():
 def per_value_csv(traj, dim):
     """The oracle writer: every value of every row through repr(float(v)).
 
-    A row's errors are its edge-vector norms minus its scheduled
-    distances, and V is half their sum of squares.
+    V is half the sum of squares of a row's errors, its edge-vector norms
+    minus its scheduled distances.
     """
     from formsim import Framework, edge_lengths
 
     graph = traj.reference.graph
     buf = io.StringIO()
-    header = trajectory_csv_header(dim, graph.vertex_count, graph.edge_count)
+    header = trajectory_csv_header(dim, graph.vertex_count)
     buf.write(",".join(header) + "\n")
     distances = trajectory_distances(traj)
     for j in range(traj.sample_count):
         errors = edge_lengths(Framework(graph, dim, traj.positions[j])) - distances[j]
-        row = [traj.times[j], *traj.positions[j], *errors,
-               0.5 * np.add.reduce(errors * errors), *distances[j]]
+        row = [traj.times[j], *traj.positions[j], traj.scale[j],
+               0.5 * np.add.reduce(errors * errors)]
         buf.write(",".join(repr(float(v)) for v in row) + "\n")
     return buf.getvalue()
+
+
+# Trajectory builders by name, each with its dimension.
+TRAJECTORIES = {
+    "flat": (lambda request: flat_trajectory(request.getfixturevalue("square_ref"),
+                                             duration=1.0, stride=2), 2),
+    "periodic": (lambda request: periodic_trajectory(), 2),
+    "linear": (lambda request: linear_trajectory(request.getfixturevalue("square_ref")), 2),
+    "tetrahedron": (lambda request: spatial_trajectory(request.getfixturevalue("tetra_ref")), 3),
+    # Every split of its 4 rows in 2 to 4 blocks starts a block at row
+    # 2, between the -0.0 and 0.0 scale factors.
+    "special": (lambda request: special_trajectory(), 2),
+}
 
 
 def csv_text(traj, dim):
@@ -260,12 +294,12 @@ def csv_text(traj, dim):
 
 class TestTrajectoryCsv:
     def test_header_layout(self):
-        header = trajectory_csv_header(2, 4, 5)
+        header = trajectory_csv_header(2, 4)
         assert header[:4] == ["t", "p_1x", "p_1y", "p_2x"]
-        assert header[9] == "e_1"
-        assert header[14] == "V"
-        assert header[15] == "d_1"
-        assert len(header) == 1 + 8 + 5 + 1 + 5
+        assert header[8:] == ["p_4y", "scale", "V"]
+        assert len(header) == 1 + 4 * 2 + 2
+        assert trajectory_csv_header(3, 2) == ["t", "p_1x", "p_1y", "p_1z",
+                                               "p_2x", "p_2y", "p_2z", "scale", "V"]
 
     def test_row_count_and_round_trip(self, square_ref):
         traj = flat_trajectory(square_ref)
@@ -280,46 +314,55 @@ class TestTrajectoryCsv:
 
     def test_flat_schedule_matches_per_value_writer(self, square_ref):
         traj = flat_trajectory(square_ref, duration=1.0, stride=2)
-        distances = trajectory_distances(traj)
-        assert (distances == distances[0]).all()
+        assert (traj.scale == traj.scale[0]).all()
         assert csv_text(traj, 2) == per_value_csv(traj, 2)
 
     def test_periodic_schedule_matches_per_value_writer(self):
         traj = periodic_trajectory()
-        assert len({row.tobytes() for row in trajectory_distances(traj)}) == traj.sample_count
+        assert len({scale.tobytes() for scale in traj.scale}) == traj.sample_count
         assert csv_text(traj, 2) == per_value_csv(traj, 2)
 
     def test_spatial_trajectory_matches_per_value_writer(self, tetra_ref):
         traj = spatial_trajectory(tetra_ref)
-        assert len({row.tobytes() for row in trajectory_distances(traj)}) == traj.sample_count
+        assert len({scale.tobytes() for scale in traj.scale}) == traj.sample_count
         assert csv_text(traj, 3) == per_value_csv(traj, 3)
 
     def test_special_values_match_per_value_writer(self):
         traj = special_trajectory()
         text = csv_text(traj, 2)
         assert text == per_value_csv(traj, 2)
-        assert [line.split(",")[-1] for line in text.split("\n")[1:-1]] == [
+        assert [line.split(",")[-2] for line in text.split("\n")[1:-1]] == [
             "-0.0", "-0.0", "0.0", "1e-05"]
+
+
+class TestRecomputedColumns:
+    """The per-edge errors e_k and scheduled distances d_k that the CSV no
+    longer holds are recomputed exactly from a row's positions and scale
+    factor: d_k = scale * d_k0 and e_k = |z_k| - d_k."""
+
+    @pytest.mark.parametrize("case", TRAJECTORIES)
+    def test_recomputed_columns_match_the_error_column_writer(self, case, request):
+        build, dim = TRAJECTORIES[case]
+        traj = build(request)
+        ref = traj.reference
+        rows = [line.split(",") for line in csv_text(traj, dim).split("\n")[1:-1]]
+        data = np.array([[float(v) for v in row] for row in rows])
+        distances = data[:, -2, None] * ref.distances
+        errors = control_kernel(ref.graph, dim).lengths(data[:, 1:-2]) - distances
+        recomputed = [",".join([*row[:-2], *map(repr, row_errors), row[-1],
+                                *map(repr, row_distances)])
+                      for row, row_errors, row_distances
+                      in zip(rows, errors.tolist(), distances.tolist())]
+        assert recomputed == error_columns_csv(traj, dim).split("\n")[1:-1]
 
 
 class TestCsvBlocks:
     """A large CSV is written in row blocks by forked workers, into any
     text stream."""
 
-    CASES = {
-        "flat": (lambda request: flat_trajectory(request.getfixturevalue("square_ref"),
-                                                 duration=1.0, stride=2), 2),
-        "periodic": (lambda request: periodic_trajectory(), 2),
-        "tetrahedron": (lambda request: spatial_trajectory(request.getfixturevalue("tetra_ref")),
-                        3),
-        # Every split of its 4 rows in 2 to 4 blocks starts a block at row
-        # 2, between the -0.0 and 0.0 scale factors.
-        "special": (lambda request: special_trajectory(), 2),
-    }
-
-    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("case", TRAJECTORIES)
     def test_any_block_count_writes_the_same_bytes(self, case, request, tmp_path, csv_blocks):
-        build, dim = self.CASES[case]
+        build, dim = TRAJECTORIES[case]
         traj = build(request)
         expected = per_value_csv(traj, dim).encode()
         for count in (1, 2, 3, 4):

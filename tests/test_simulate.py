@@ -304,6 +304,18 @@ class TestPerturbations:
         achieved = np.linalg.norm(distance_errors(moved, square_ref.distances))
         assert achieved == pytest.approx(target, rel=2e-3)
 
+    def test_error_norm_targeting_far_from_the_origin(self, square_ref):
+        # A displacement of length 1 rounds away next to coordinates of
+        # 1e150; the search starts at the mean distance instead.
+        far = ReferenceShape(Framework.from_points(square_ref.graph,
+                                                   square_ref.framework.points * 1e150))
+        target = 0.1 * far.distances.min()
+        moved = perturb_to_error_norm(far.framework, far.distances, 7, target)
+        from formsim import distance_errors
+
+        achieved = np.linalg.norm(distance_errors(moved, far.distances))
+        assert achieved == pytest.approx(target, rel=2e-3)
+
     # A negative norm is never met; a norm far below rounding moves no
     # edge length at all.
     @pytest.mark.parametrize("target", [-1.0, 1e-300])
