@@ -9,9 +9,6 @@ from .control import (
     ControllerConfig,
     ScalingSchedule,
     control_law,
-    distance_errors,
-    elastic_potential,
-    time_varying_params,
 )
 from .errors import (
     DegenerateAlignment,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PositivityError
 from .motion import MotionParameters
-from .rigidity import Framework, control_kernel, edge_vectors
+from .rigidity import Framework, control_kernel
 
 
 @dataclass(frozen=True)
@@ -100,26 +100,6 @@ class ControllerConfig:
     def __post_init__(self):
         if self.gain <= 0.0:
             raise ValueError(f"gain must be positive, got {self.gain}")
-
-
-def time_varying_params(cfg: ControllerConfig, t: float) -> MotionParameters:
-    """Offsets applied at time t: motion parts plus rate-scaled scaling part."""
-    rate = cfg.schedule.value_rate(t)
-    return cfg.translation_part + cfg.rotation_part + cfg.scaling_part.scaled(rate)
-
-
-def distance_errors(fw: Framework, d_t: np.ndarray) -> np.ndarray:
-    """Edge length minus scheduled distance, one entry per edge."""
-    d_t = np.asarray(d_t, dtype=float).reshape(-1)
-    if np.any(d_t <= 0.0):
-        raise PositivityError("scheduled distances must be positive")
-    return np.linalg.norm(edge_vectors(fw), axis=1) - d_t
-
-
-def elastic_potential(fw: Framework, d_t: np.ndarray) -> float:
-    """Half the sum of squared distance errors."""
-    e = distance_errors(fw, d_t)
-    return 0.5 * float(e @ e)
 
 
 def control_law(fw: Framework, d_t: np.ndarray, pv: MotionParameters, gain: float) -> np.ndarray:

@@ -143,10 +143,10 @@ class SteadyStateReport:
     """Fitted steady-state motion of a converged run.
 
     v_body is the centroid velocity seen from the body frame, omega the
-    spin rate (scalar in the plane, vector in space), scale_rate the
-    slope of the measured scale factor, lambda_fit the exponential decay
-    rate of the error norm (None when the run started converged).  Every
-    fit's residual lands in the residuals dict.
+    scale-weighted spin rate (scalar in the plane, vector in space),
+    scale_rate the slope of the measured scale factor, lambda_fit the
+    exponential decay rate of the error norm (None when the run started
+    converged).  Every fit's residual lands in the residuals dict.
     """
 
     v_body: np.ndarray
@@ -234,9 +234,9 @@ def make_rhs(ref: ReferenceShape, cfg: ControllerConfig):
 
     p stacks one run per row, shape (batch, vertex_count * dim); the
     batch size is read from p.  Hoists every per-run constant and
-    evaluates the same kernel as control_law applied to
-    time_varying_params at the distances (1 + s(t)) * ref.distances, so
-    both paths produce identical floating-point values.  The scheduled
+    evaluates the same kernel as control_law applied to cfg's offsets at
+    time t and the distances (1 + s(t)) * ref.distances, so both paths
+    produce identical floating-point values.  The scheduled
     distances and both coefficient vectors live in (batch, E) buffers,
     rewritten only when the scale factor or its rate changes; under a
     flat schedule they are written once per run.  They and the law's
@@ -447,12 +447,11 @@ def decay_rate_fit(times: np.ndarray, error_norms: np.ndarray):
     return -slope, r_squared, decades
 
 
-def steady_state_report(traj: Trajectory, window) -> SteadyStateReport:
-    """Fit steady-state motion over a time window of a converged run.
-
-    The window should start after the error norm settles; the decay rate
-    is fitted on the whole trajectory regardless of the window.
-    """
+def _body_motion(traj: Trajectory, window):
+    """The samples of traj inside a time window, as views, and the
+    body-frame velocity, the scale-weighted spin and their fit residuals
+    over them.  Raises InsufficientDecay when the window holds fewer than
+    three samples."""
     ref = traj.reference
     t0, t1 = float(window[0]), float(window[1])
     # Times increase, so the window is one slice and sub holds views.
@@ -463,21 +462,24 @@ def steady_state_report(traj: Trajectory, window) -> SteadyStateReport:
     sub = _subsample(traj, slice(start, stop))
     rotations = _frame_rotations(sub.positions, ref)
     m = ref.dim
-    residuals: dict = {}
 
     centroids = sub.positions.reshape(sub.sample_count, -1, m).mean(axis=1)
     increments = np.diff(centroids, axis=0)
+    # At scale factor 1 + s the offsets spin the shape at omega / (1 + s), so
+    # each spin increment is weighted by its mid-sample factor (1 when flat).
+    mid = 0.5 * (sub.scale[1:] + sub.scale[:-1])
     omega_out: float | np.ndarray
     if m == 2:
         # Global-to-body mapping is the rotation by minus the shape angle.
         angles = _frame_angles(rotations)
-        mid = 0.5 * (angles[1:] + angles[:-1])
-        cos_a, sin_a = np.cos(mid), np.sin(mid)
+        mid_angles = 0.5 * (angles[1:] + angles[:-1])
+        cos_a, sin_a = np.cos(mid_angles), np.sin(mid_angles)
         rotated = np.stack(
             [cos_a * increments[:, 0] + sin_a * increments[:, 1],
              -sin_a * increments[:, 0] + cos_a * increments[:, 1]], axis=1,
         )
-        omega_out, _, omega_rms = _line_fit(sub.times, angles)
+        weighted = angles + np.concatenate([[0.0], np.cumsum(np.diff(angles) * (mid - 1.0))])
+        omega_out, _, omega_rms = _line_fit(sub.times, weighted)
     else:
         # Imported here, not at module load, so that planar runs never pay
         # for loading SciPy.
@@ -492,7 +494,7 @@ def steady_state_report(traj: Trajectory, window) -> SteadyStateReport:
         # between consecutive samples, in the body frame, is
         # rotations[j] @ rotations[j + 1].T.
         steps = Rotation.from_matrix(rotations[:-1] @ rotations[1:].transpose(0, 2, 1))
-        rates = steps.as_rotvec() / np.diff(sub.times)[:, None]
+        rates = steps.as_rotvec() / np.diff(sub.times)[:, None] * mid[:, None]
         omega_out = rates.mean(axis=0)
         omega_rms = float(np.linalg.norm(rates - omega_out, axis=1).mean())
     displacement = np.vstack([np.zeros(m), np.cumsum(rotated, axis=0)])
@@ -502,10 +504,18 @@ def steady_state_report(traj: Trajectory, window) -> SteadyStateReport:
         slope, _, rms = _line_fit(sub.times, displacement[:, axis])
         v_body[axis] = slope
         v_rms = max(v_rms, rms)
-    residuals["v_fit_rms"] = v_rms
-    residuals["omega_fit_rms"] = float(omega_rms)
+    return sub, v_body, omega_out, {"v_fit_rms": v_rms, "omega_fit_rms": float(omega_rms)}
 
-    kernel = control_kernel(ref.graph, m)
+
+def steady_state_report(traj: Trajectory, window) -> SteadyStateReport:
+    """Fit steady-state motion over a time window of a converged run.
+
+    The window should start after the error norm settles; the decay rate
+    is fitted on the whole trajectory regardless of the window.
+    """
+    ref = traj.reference
+    sub, v_body, omega_out, residuals = _body_motion(traj, window)
+    kernel = control_kernel(ref.graph, ref.dim)
     measured = np.empty(sub.sample_count)
     for rows in sub.chunks():
         ratios = kernel.lengths(sub.positions[rows]) / ref.distances

@@ -13,6 +13,7 @@ from formsim import (
     ReferenceShape,
     SensingGraph,
     edge_lengths,
+    edge_vectors,
     rigidity_matrix,
     unit_edge_vectors,
 )
@@ -219,6 +220,28 @@ def scheduled_distances(ref, schedule, t):
     if np.any(d_t <= 0.0):
         raise PositivityError(f"scheduled distance is not positive at t={t:.6g}")
     return d_t, schedule.value_rate(t) * ref.distances
+
+
+def distance_errors(fw, d_t):
+    """Edge length minus scheduled distance, one entry per edge.  The
+    tests' oracle for the errors of a run and of the gradient check."""
+    d_t = np.asarray(d_t, dtype=float).reshape(-1)
+    if np.any(d_t <= 0.0):
+        raise PositivityError("scheduled distances must be positive")
+    return np.linalg.norm(edge_vectors(fw), axis=1) - d_t
+
+
+def elastic_potential(fw, d_t):
+    """Half the sum of squared distance errors, one Framework at a time."""
+    e = distance_errors(fw, d_t)
+    return 0.5 * float(e @ e)
+
+
+def time_varying_params(cfg, t):
+    """Offsets applied at time t: motion parts plus rate-scaled scaling
+    part.  The tests' oracle for the offsets make_rhs applies."""
+    rate = cfg.schedule.value_rate(t)
+    return cfg.translation_part + cfg.rotation_part + cfg.scaling_part.scaled(rate)
 
 
 def trajectory_distances(traj):

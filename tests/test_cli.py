@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from formsim import load_scenario
+from formsim import MotionParameters, bundled_scenario_path, load_scenario
 from formsim.cli import main
 from formsim.rigidity import control_kernel
 
-from conftest import assert_no_children, fail_csv_workers
+from conftest import assert_no_children, elastic_potential, fail_csv_workers
 
 
 def write_scenario(tmp_path, name="quick.json", **overrides):
@@ -34,6 +35,46 @@ def write_scenario(tmp_path, name="quick.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def square_doc(schedule):
+    """The bundled square under the given schedule, at twice its step."""
+    doc = json.loads(bundled_scenario_path("square").read_text())
+    doc["targets"]["schedule"] = schedule
+    doc["sim"]["dt"] = 0.002
+    return doc
+
+
+def ci_tetrahedron_doc(schedule):
+    """The tetrahedron of the CI workflow under the given schedule."""
+    doc = square_doc(schedule)
+    doc.update(name="tetrahedron", dimension=3,
+               edges=[[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]],
+               reference_positions=[[0, 0, 0], [1, 0, 0], [0.5, 3 ** 0.5 / 2, 0],
+                                    [0.5, 3 ** 0.5 / 6, (2 / 3) ** 0.5]],
+               initial_positions=None)
+    doc["targets"].update(v_body=[0.2, -0.1, 0.15], omega=[0.3, 0.2, 1.0])
+    doc["sim"].update(dt=0.002, duration=6.0, record_stride=5,
+                      perturbation={"seed": 4, "magnitude": 0.05})
+    return doc
+
+
+def near_shape(doc):
+    """doc started 2e-8 off its reference shape: the error norm starts
+    near the decay floor and never halves above it, so no decay rate can
+    be fitted on the run."""
+    doc["initial_positions"] = None
+    doc["sim"]["perturbation"] = {"seed": 3, "magnitude": 2e-8}
+    doc["name"] += "-near"
+    return doc
+
+
+FLAT = {"kind": "none"}
+SQUARE_SWING = {"kind": "periodic", "amplitude": 0.25, "frequency": 1.5}
+TETRA_SWING = {"kind": "periodic", "amplitude": 0.1, "frequency": 1.0}
+# At amplitude 0.1 the tetrahedron without its scaling part misses its
+# distances by 0.999%, inside the 1% bound; at 0.2 it misses by about 2%.
+TETRA_WIDE_SWING = {"kind": "periodic", "amplitude": 0.2, "frequency": 1.0}
 
 
 class TestAnalyze:
@@ -172,6 +213,18 @@ class TestSimulate:
         assert report["steady_state"] is None
         assert "window" in report["note"]
 
+    @pytest.mark.parametrize("shape", ["square", "tetrahedron"])
+    def test_report_gives_the_designed_spin_under_scaling(self, tmp_path, capsys, shape):
+        if shape == "square":
+            path, target = bundled_scenario_path("square"), 1.0
+        else:
+            path, target = tmp_path / "tetra.json", [0.3, 0.2, 1.0]
+            path.write_text(json.dumps(ci_tetrahedron_doc(TETRA_SWING)))
+        prefix = tmp_path / "run"
+        assert main(["simulate", str(path), "-o", str(prefix)]) == 0
+        steady = json.loads(Path(f"{prefix}.json").read_text())["steady_state"]
+        np.testing.assert_allclose(steady["omega"], target, rtol=0.0, atol=1e-4)
+
     def test_writes_csv_and_report(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         path = write_scenario(tmp_path)
@@ -294,6 +347,37 @@ class TestVerify:
         assert code == 0
         assert out.count("PASS") == 7
 
+    @pytest.mark.parametrize("shape", ["square", "tetrahedron"])
+    def test_gradient_check_matches_one_potential_per_row(self, monkeypatch, shape):
+        import formsim.simulate
+        from formsim import Framework, control_law, parse_scenario
+        from formsim.checks import check_gradient_consistency
+
+        doc = square_doc(FLAT) if shape == "square" else ci_tetrahedron_doc(FLAT)
+        scenario = parse_scenario(json.dumps(doc))
+        ref = scenario.reference_shape()
+        graph, m, nd = ref.graph, ref.dim, ref.framework.positions.size
+        rng = np.random.default_rng(99)
+        zero = MotionParameters.zero(graph.edge_count)
+        scale = float(np.abs(ref.framework.positions).max())
+        h = 1e-6 * max(1.0, scale)
+        worst = 0.0
+        for _ in range(100):
+            p = ref.framework.positions + rng.uniform(-0.2, 0.2, nd) * scale
+            analytic = -control_law(Framework(graph, m, p), ref.distances, zero, 1.0)
+            fd = np.empty(nd)
+            for i in range(nd):
+                plus, minus = p.copy(), p.copy()
+                plus[i] += h
+                minus[i] -= h
+                fd[i] = (elastic_potential(Framework(graph, m, plus), ref.distances)
+                         - elastic_potential(Framework(graph, m, minus), ref.distances)) / (2 * h)
+            worst = max(worst, float(np.linalg.norm(analytic - fd) / np.linalg.norm(fd)))
+        # Chunks of a few rows, so that the check's batch spans several.
+        monkeypatch.setattr(formsim.simulate, "_CHUNK_ELEMENTS", 100)
+        result = check_gradient_consistency(scenario)
+        assert result.detail == f"max relative gradient error {worst:.2e}"
+
     def test_square_scaled_by_1e150_converges_and_tracks(self, tmp_path, capsys):
         from formsim import bundled_scenario_path
 
@@ -338,7 +422,7 @@ class TestVerify:
         sim = SimConfig(dt=0.002, duration=1.0, record_stride=5)
         for controller, passed in ((cfg, True), (doubled, False)):
             run = integrate(ref.framework, ref, controller, sim)
-            result = check_motion_tracking(scenario, run, controller)
+            result = check_motion_tracking(scenario, run)
             assert result.name == "steady-velocity"
             assert result.passed is passed, result.detail
 
@@ -389,6 +473,55 @@ class TestVerify:
                      else run(invariant_peak * np.abs(np.sin(times))))
         result = check_exponential_convergence(None, converging, invariant)
         assert result.passed is passed, result.detail
+
+
+class TestMotionTracking:
+    """check_motion_tracking measures the integrated run: a controller
+    whose offsets miss the design fails it, the designed one passes."""
+
+    @staticmethod
+    def controller(cfg, mutant):
+        zero = MotionParameters.zero(cfg.translation_part.tail.size)
+        return {
+            "designed": cfg,
+            "no-motion": dataclasses.replace(cfg, translation_part=zero, rotation_part=zero),
+            "half-rotation": dataclasses.replace(cfg, rotation_part=cfg.rotation_part.scaled(0.5)),
+            "no-scaling": dataclasses.replace(cfg, scaling_part=zero),
+        }[mutant]
+
+    @pytest.mark.parametrize("doc, mutant", [
+        (square_doc(FLAT), "designed"),
+        (square_doc(FLAT), "no-motion"),
+        (square_doc(FLAT), "half-rotation"),
+        (square_doc(SQUARE_SWING), "designed"),
+        (square_doc(SQUARE_SWING), "no-motion"),
+        (square_doc(SQUARE_SWING), "half-rotation"),
+        (square_doc(SQUARE_SWING), "no-scaling"),
+        (near_shape(square_doc(FLAT)), "designed"),
+        (near_shape(square_doc(SQUARE_SWING)), "designed"),
+        (ci_tetrahedron_doc(FLAT), "designed"),
+        (ci_tetrahedron_doc(FLAT), "no-motion"),
+        (ci_tetrahedron_doc(FLAT), "half-rotation"),
+        (ci_tetrahedron_doc(TETRA_SWING), "designed"),
+        (ci_tetrahedron_doc(TETRA_SWING), "no-motion"),
+        (ci_tetrahedron_doc(TETRA_SWING), "half-rotation"),
+        (ci_tetrahedron_doc(TETRA_WIDE_SWING), "designed"),
+        (ci_tetrahedron_doc(TETRA_WIDE_SWING), "no-scaling"),
+    ], ids=lambda value: value if isinstance(value, str) else
+        f"{value['name']}-{value['targets']['schedule']['kind']}"
+        f"-{value['targets']['schedule'].get('amplitude', 0)}")
+    def test_only_the_designed_controller_passes(self, doc, mutant):
+        from formsim import integrate, parse_scenario
+        from formsim.checks import check_motion_tracking
+
+        scenario = parse_scenario(json.dumps(doc))
+        ref = scenario.reference_shape()
+        cfg = self.controller(scenario.controller_config(ref), mutant)
+        run = integrate(scenario.initial_framework(), ref, cfg, scenario.sim)
+        result = check_motion_tracking(scenario, run)
+        assert result.name == ("steady-velocity" if scenario.schedule.kind == "none"
+                               else "distance-tracking")
+        assert result.passed is (mutant == "designed"), result.detail
 
 
 class TestSpatialScenario:

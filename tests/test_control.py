@@ -8,15 +8,19 @@ from formsim import (
     PositivityError,
     ScalingSchedule,
     control_law,
-    distance_errors,
-    elastic_potential,
     rotation_params,
     scaling_params,
-    time_varying_params,
     translation_params,
     unit_edge_vectors,
 )
-from conftest import SQUARE_POINTS, scheduled_distances, stiffness_matrix
+from conftest import (
+    SQUARE_POINTS,
+    distance_errors,
+    elastic_potential,
+    scheduled_distances,
+    stiffness_matrix,
+    time_varying_params,
+)
 
 
 def full_config(ref, gain=5.0, v=(0.0, 0.0), omega=1.0,

@@ -25,7 +25,6 @@ from formsim import (
     bundled_scenario_path,
     control_law,
     decay_rate_fit,
-    distance_errors,
     integrate,
     integrate_batch,
     load_scenario,
@@ -33,16 +32,17 @@ from formsim import (
     rotation_params,
     scaling_params,
     steady_state_report,
-    time_varying_params,
     translation_params,
 )
 from formsim.rigidity import control_kernel
 from formsim.simulate import _CHUNK_ELEMENTS, _frame_rotations, _line_fit, make_rhs
 from conftest import (
     SQUARE_POINTS,
+    distance_errors,
     henneberg_framework,
     kabsch_rotations,
     scheduled_distances,
+    time_varying_params,
     trajectory_distances,
 )
 
@@ -299,8 +299,6 @@ class TestPerturbations:
     def test_error_norm_targeting(self, square_ref):
         target = 0.1 * square_ref.distances.min()
         moved = perturb_to_error_norm(square_ref.framework, square_ref.distances, 7, target)
-        from formsim import distance_errors
-
         achieved = np.linalg.norm(distance_errors(moved, square_ref.distances))
         assert achieved == pytest.approx(target, rel=2e-3)
 
@@ -311,8 +309,6 @@ class TestPerturbations:
                                                    square_ref.framework.points * 1e150))
         target = 0.1 * far.distances.min()
         moved = perturb_to_error_norm(far.framework, far.distances, 7, target)
-        from formsim import distance_errors
-
         achieved = np.linalg.norm(distance_errors(moved, far.distances))
         assert achieved == pytest.approx(target, rel=2e-3)
 
@@ -592,7 +588,7 @@ class TestFrameRotations:
         report = steady_state_report(traj, (2.0, 6.0))
         # The body-frame fit with one SciPy rotation per sample.
         keep = (traj.times >= 2.0) & (traj.times <= 6.0)
-        times, positions = traj.times[keep], traj.positions[keep]
+        times, positions, scale = traj.times[keep], traj.positions[keep], traj.scale[keep]
         rotations = kabsch_rotations(positions, tetra_ref)
         centroids = positions.reshape(times.size, -1, 3).mean(axis=1)
         increments = np.diff(centroids, axis=0)
@@ -603,7 +599,9 @@ class TestFrameRotations:
             second = Rotation.from_matrix(rotations[j + 1])
             rotated[j] = (first * (first.inv() * second) ** 0.5).apply(increments[j])
             step = Rotation.from_matrix(rotations[j] @ rotations[j + 1].T)
-            rates[j] = step.as_rotvec() / (times[j + 1] - times[j])
+            # Each spin increment is weighted by its mid-sample scale factor.
+            mid = 0.5 * (scale[j] + scale[j + 1])
+            rates[j] = step.as_rotvec() / (times[j + 1] - times[j]) * mid
         displacement = np.vstack([np.zeros(3), np.cumsum(rotated, axis=0)])
         fits = [_line_fit(times, displacement[:, axis]) for axis in range(3)]
         omega = rates.mean(axis=0)
