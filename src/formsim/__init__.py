@@ -39,12 +39,8 @@ from .rigidity import (
     Framework,
     RigidityReport,
     SensingGraph,
-    bearings,
-    edge_lengths,
-    edge_vectors,
     rigidity_matrix,
     rigidity_report,
-    unit_edge_vectors,
 )
 from .scenario import (
     Scenario,

@@ -125,10 +125,8 @@ def check_gradient_consistency(scenario: Scenario):
             idx = np.arange(rows.start, rows.stop)
             moved = np.tile(p, (idx.size, 1))
             moved[idx - rows.start, idx % nd] += np.where(idx < nd, h, -h)
-            pts = moved.reshape(idx.size, -1, m)
-            e = np.linalg.norm(pts[:, kernel.tails] - pts[:, kernel.heads], axis=2) - ref.distances
-            # A dot product of strided rows moves the potential's last bits.
-            potentials[rows] = [0.5 * float(r @ r) for r in np.ascontiguousarray(e)]
+            e = kernel.lengths(moved) - ref.distances
+            potentials[rows] = [0.5 * float(r @ r) for r in e]
         fd = (potentials[:nd] - potentials[nd:]) / (2.0 * h)
         worst = max(worst, float(
             np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-300)

@@ -26,9 +26,8 @@ from .errors import (
     SchemaError,
 )
 from .checks import run_verification
-from .control import ControllerConfig
-from .motion import distance_rates, induced_velocities, rotation_field
-from .rigidity import bearings
+from .motion import distance_rates, rotation_field
+from .rigidity import control_kernel
 from .scenario import (
     Scenario,
     design_to_document,
@@ -135,14 +134,14 @@ def _design_document(scenario: Scenario) -> dict:
         "rotation": cfg.rotation_part,
         "scaling_unit_rate": cfg.scaling_part,
     }
-    unit_vec = bearings(ref.framework)
+    kernel = control_kernel(ref.graph, ref.dim)
     residuals = {}
     targets = {
         "translation": np.tile(scenario.v_body, ref.graph.vertex_count),
         "rotation": rotation_field(ref.centered_points(), scenario.omega),
     }
     for name in ("translation", "rotation"):
-        induced = induced_velocities(parts[name], ref.graph, unit_vec)
+        induced = kernel.scatter(ref.units, parts[name].stacked()[None])[0]
         residuals[name] = float(np.linalg.norm(induced - targets[name]))
     residuals["scaling_unit_rate"] = float(
         np.linalg.norm(distance_rates(ref, parts["scaling_unit_rate"]) - ref.distances)
@@ -170,17 +169,10 @@ def cmd_simulate(args) -> int:
     _refuse_to_overwrite([csv_path, report_path], [args.scenario, args.params],
                          "--output-prefix")
     ref = scenario.reference_shape()
+    parts = None
     if args.params:
         parts = parse_design(Path(args.params).read_text(), ref.graph.edge_count)
-        cfg = ControllerConfig(
-            gain=scenario.gain,
-            translation_part=parts["translation"],
-            rotation_part=parts["rotation"],
-            scaling_part=parts["scaling_unit_rate"],
-            schedule=scenario.schedule,
-        )
-    else:
-        cfg = scenario.controller_config(ref)
+    cfg = scenario.controller_config(ref, parts)
     log.info("integrating %s for %g time units", scenario.name, scenario.sim.duration)
     traj = integrate(scenario.initial_framework(), ref, cfg, scenario.sim)
 
@@ -205,6 +197,8 @@ def cmd_simulate(args) -> int:
             "decay_decades": report.decay_decades,
             "residuals": report.residuals,
         }
+        if report.note:
+            report_doc["note"] = report.note
     except InsufficientDecay as exc:
         report_doc["steady_state"] = None
         report_doc["note"] = str(exc)

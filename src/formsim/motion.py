@@ -21,18 +21,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateShape, RigidityError, Unreachable
+from .errors import DegenerateShape, RigidityError, Unreachable, ZeroEdge
 from .rigidity import (
     Framework,
     RigidityReport,
     SensingGraph,
     control_kernel,
-    edge_lengths,
     rigid_rank_target,
     rigidity_rank,
     rigidity_report,
-    unit_edge_vectors,
 )
+
+# Edges shorter than this have no usable bearing direction.
+ZERO_EDGE_TOL = 1e-12
 
 # An agent's bearings span R^dim when the smallest eigenvalue of their
 # Gram matrix exceeds this fraction of the largest one.
@@ -120,7 +121,8 @@ class ReferenceShape:
     calibration targets.  Desired distances are the framework's edge
     lengths.  Raises RigidityError unless the rank of the rigidity matrix
     and the edge count both equal rigid_rank_target: 2n-3 (plane) or
-    3n-6 (space, from n = 3 on).
+    3n-6 (space, from n = 3 on).  The unit edge vectors and bearing Gram
+    blocks that calibration shares are built and checked on first use.
     """
 
     framework: Framework
@@ -135,7 +137,7 @@ class ReferenceShape:
                 f"reference shape is not minimally rigid "
                 f"(rank {rank}, {edge_count} edges, target {target})"
             )
-        dist = edge_lengths(self.framework)
+        dist = control_kernel(self.graph, self.dim).lengths(self.framework.positions[None])[0]
         dist.setflags(write=False)
         self.distances = dist
 
@@ -153,9 +155,45 @@ class ReferenceShape:
         return rigidity_report(self.framework)
 
     @cached_property
+    def units(self) -> np.ndarray:
+        """Unit edge vectors, tail minus head, in the kernel's layout
+        (1, dim, E), read-only.  Raises ZeroEdge naming the shortest edge
+        when it is shorter than ZERO_EDGE_TOL."""
+        if np.any(self.distances < ZERO_EDGE_TOL):
+            bad = int(np.argmin(self.distances)) + 1
+            raise ZeroEdge(f"edge {bad} has length {self.distances[bad - 1]:.3e}")
+        units = control_kernel(self.graph, self.dim).gather(self.framework.positions[None])
+        units /= self.distances
+        units.setflags(write=False)
+        return units
+
+    @cached_property
+    def bearing_gram(self) -> np.ndarray:
+        """Per-agent Gram blocks M_i, the sum of u_k u_k^T over agent i's
+        edge ends, (n, dim, dim), read-only.  Raises DegenerateShape
+        naming the first agent whose bearings do not span R^dim."""
+        kernel = control_kernel(self.graph, self.dim)
+        units = self.units[0].T
+        gram = np.zeros((self.graph.vertex_count, self.dim, self.dim))
+        for ends in (kernel.tails, kernel.heads):
+            np.add.at(gram, ends, units[:, :, None] * units[:, None, :])
+        try:
+            eig = np.linalg.eigvalsh(gram)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateShape(f"bearing Gram decomposition failed: {exc}") from None
+        flat = np.flatnonzero(eig[:, 0] <= RANK_TOL * eig[:, -1])
+        if flat.size:
+            raise DegenerateShape(
+                f"the bearings at agent {flat[0] + 1} do not span R^{self.dim}, so its "
+                f"offsets cannot move it in every direction"
+            )
+        gram.setflags(write=False)
+        return gram
+
+    @cached_property
     def velocity_map(self) -> np.ndarray:
         """Offset-to-velocity matrix at the reference bearings."""
-        return induced_velocity_matrix(unit_edge_vectors(self.framework).reshape(-1), self.graph)
+        return induced_velocity_matrix(self.units[0].T, self.graph)
 
     def centered_points(self) -> np.ndarray:
         pts = self.framework.points
@@ -168,30 +206,16 @@ def _min_norm_offsets(ref: ReferenceShape, fields: np.ndarray) -> np.ndarray:
     fields holds one stacked velocity field per column, (n * dim, m).
     The offset at an edge end moves only the agent at that end, along
     the edge's unit vector u_k, so velocity_map @ velocity_map.T is block
-    diagonal with the d x d block M_i = sum of u_k u_k^T over agent i's
-    edge ends.  The offset at an end of agent i is u_k . M_i^-1 f_i.
-    Raises DegenerateShape naming the first agent whose bearings do not
-    span R^dim.
+    diagonal with the shape's bearing_gram blocks M_i.  The offset at an
+    end of agent i is u_k . M_i^-1 f_i.  Raises DegenerateShape as
+    bearing_gram does.
     """
-    graph, dim = ref.graph, ref.dim
-    kernel = control_kernel(graph, dim)
-    ends = np.concatenate([kernel.tails, kernel.heads])
-    units = unit_edge_vectors(ref.framework)
-    units = np.concatenate([units, units])
-    gram = np.zeros((graph.vertex_count, dim, dim))
-    np.add.at(gram, ends, units[:, :, None] * units[:, None, :])
-    try:
-        eig = np.linalg.eigvalsh(gram)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateShape(f"bearing Gram decomposition failed: {exc}") from None
-    flat = np.flatnonzero(eig[:, 0] <= RANK_TOL * eig[:, -1])
-    if flat.size:
-        raise DegenerateShape(
-            f"the bearings at agent {flat[0] + 1} do not span R^{dim}, so its "
-            f"offsets cannot move it in every direction"
-        )
-    solved = np.linalg.solve(gram, fields.reshape(graph.vertex_count, dim, -1))
-    return np.einsum("kd,kdm->km", units, solved[ends])
+    kernel = control_kernel(ref.graph, ref.dim)
+    solved = np.linalg.solve(ref.bearing_gram, fields.reshape(ref.graph.vertex_count, ref.dim, -1))
+    # Tail ends, then head ends.  einsum's last bits follow the memory
+    # order of its operands, so the rows are handed over C-ordered.
+    units = np.ascontiguousarray(np.tile(ref.units[0], 2).T)
+    return np.einsum("kd,kdm->km", units, solved[np.concatenate([kernel.tails, kernel.heads])])
 
 
 def motion_spaces(ref: ReferenceShape) -> dict:
@@ -219,7 +243,7 @@ def motion_spaces(ref: ReferenceShape) -> dict:
     )
     gates = REFINE_TOL * np.maximum(1.0, np.linalg.norm(fields, axis=0))
     offsets, _ = _refined_offsets(ref, fields, gates)
-    kernel, units = _kernel_units(ref)
+    kernel, units = control_kernel(ref.graph, dim), ref.units
     # Edge-vector rates v_tail - v_head, (m, dim, E), one row per column.
     rates = kernel.gather(kernel.scatter(units, (offsets / np.linalg.norm(offsets, axis=0)).T))
     translation, rotation, scaling = np.split(rates, [dim, dim + len(spins)])
@@ -231,18 +255,10 @@ def motion_spaces(ref: ReferenceShape) -> dict:
     }
 
 
-def _kernel_units(ref: ReferenceShape):
-    """The graph's kernel and the unit edge vectors of the reference shape
-    in its layout, (1, dim, E)."""
-    kernel = control_kernel(ref.graph, ref.dim)
-    p = ref.framework.positions[None]
-    return kernel, kernel.gather(p) / kernel.lengths(p)[:, None]
-
-
 def distance_rates(ref: ReferenceShape, pv: MotionParameters) -> np.ndarray:
     """Rate of change of every edge length when the offsets act at the
     reference bearings, u_k . (v_tail - v_head)."""
-    kernel, units = _kernel_units(ref)
+    kernel, units = control_kernel(ref.graph, ref.dim), ref.units
     rates = kernel.gather(kernel.scatter(units, pv.stacked()[None]))
     return (units * rates).sum(axis=1)[0]
 
@@ -256,7 +272,7 @@ def _refined_offsets(ref: ReferenceShape, fields: np.ndarray, gates):
     more solve on what such a column missed then recovers the lost digits;
     columns within their gate are left as the first solve made them.
     """
-    kernel, units = _kernel_units(ref)
+    kernel, units = control_kernel(ref.graph, ref.dim), ref.units
     offsets = _min_norm_offsets(ref, fields)
     missed = fields - kernel.scatter(units, offsets.T).T
     redo = np.array([np.linalg.norm(column) for column in missed.T]) > gates

@@ -4,8 +4,7 @@ A framework is a connected undirected graph embedded in the plane or in
 space, one vertex per agent.  Each edge carries an orientation (tail,
 head) fixed by the scenario; the orientation is irrelevant for rigidity
 but keeps every derived matrix deterministic.  The control kernel holds
-a graph's edge indices and does every fast edge gather and end scatter;
-the matrix builders here stay as its independent oracles.
+a graph's edge indices and does the edge gathers and end scatters.
 """
 
 from __future__ import annotations
@@ -16,10 +15,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import EdgeCollapse, ZeroEdge
+from .errors import EdgeCollapse
 
-# Edges shorter than this have no usable bearing direction.
-ZERO_EDGE_TOL = 1e-12
 # Agents closer than this along an edge count as collided.
 COLLAPSE_TOL = 1e-9
 
@@ -244,32 +241,6 @@ class Framework:
         return numerical_rank(rigidity_matrix(self), tol)
 
 
-def edge_vectors(fw: Framework) -> np.ndarray:
-    """Tail-minus-head position differences, one row per edge."""
-    kernel = control_kernel(fw.graph, fw.dim)
-    pts = fw.points
-    return pts[kernel.tails] - pts[kernel.heads]
-
-
-def edge_lengths(fw: Framework) -> np.ndarray:
-    return np.linalg.norm(edge_vectors(fw), axis=1)
-
-
-def unit_edge_vectors(fw: Framework) -> np.ndarray:
-    """Normalized edge vectors, one row per edge.  Raises ZeroEdge on collapse."""
-    vecs = edge_vectors(fw)
-    norms = np.linalg.norm(vecs, axis=1)
-    if np.any(norms < ZERO_EDGE_TOL):
-        bad = int(np.argmin(norms)) + 1
-        raise ZeroEdge(f"edge {bad} has length {norms[bad - 1]:.3e}")
-    return vecs / norms[:, None]
-
-
-def bearings(fw: Framework) -> np.ndarray:
-    """Stacked unit vectors along every edge, length dim * edge_count."""
-    return unit_edge_vectors(fw).reshape(-1)
-
-
 def rigidity_matrix(fw: Framework) -> np.ndarray:
     """Jacobian of half the stacked squared edge lengths w.r.t. positions.
 
@@ -277,7 +248,7 @@ def rigidity_matrix(fw: Framework) -> np.ndarray:
     the head block, shape (edge_count, vertex_count * dim).
     """
     kernel = control_kernel(fw.graph, fw.dim)
-    vecs, ecount = edge_vectors(fw), fw.graph.edge_count
+    vecs, ecount = kernel.gather(fw.positions[None])[0].T, fw.graph.edge_count
     rows = np.zeros((ecount, fw.graph.vertex_count, fw.dim))
     rows[np.arange(ecount), kernel.tails] = vecs
     rows[np.arange(ecount), kernel.heads] = -vecs

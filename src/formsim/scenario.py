@@ -57,7 +57,7 @@ from .motion import (
     scaling_params,
     translation_params,
 )
-from .rigidity import Framework, SensingGraph, edge_lengths
+from .rigidity import Framework, SensingGraph, control_kernel
 from .simulate import Perturbation, SimConfig, Trajectory
 
 _AXES = "xyz"
@@ -99,16 +99,17 @@ class Scenario:
             points = self.reference_positions
         return Framework.from_points(self.graph(), points)
 
-    def controller_config(self, ref: ReferenceShape | None = None) -> ControllerConfig:
-        """Calibrate all offset parts for this scenario's targets."""
+    def controller_config(self, ref: ReferenceShape | None = None,
+                          parts: dict | None = None) -> ControllerConfig:
+        """This scenario's controller with the offset parts of a design, as
+        parse_design reads them, or else all three calibrated for its targets."""
         ref = ref or self.reference_shape()
-        return ControllerConfig(
-            gain=self.gain,
-            translation_part=translation_params(ref, self.v_body),
-            rotation_part=rotation_params(ref, self.omega),
-            scaling_part=scaling_params(ref, 1.0),
-            schedule=self.schedule,
-        )
+        if parts is None:
+            parts = {"translation": translation_params(ref, self.v_body),
+                     "rotation": rotation_params(ref, self.omega),
+                     "scaling_unit_rate": scaling_params(ref, 1.0)}
+        return ControllerConfig(self.gain, parts["translation"], parts["rotation"],
+                                parts["scaling_unit_rate"], self.schedule)
 
 
 def _number(value, path) -> float:
@@ -202,7 +203,7 @@ def parse_scenario(text: str) -> Scenario:
         raise SchemaError(f"$.edges: {exc}") from None
     # Finite points can still be so far apart that a squared length overflows.
     with np.errstate(over="ignore"):
-        lengths = edge_lengths(Framework.from_points(graph, reference))
+        lengths = control_kernel(graph, dim).lengths(reference.reshape(1, -1))[0]
     if not np.isfinite(lengths).all():
         k = int(np.flatnonzero(~np.isfinite(lengths))[0]) + 1
         raise SchemaError(f"$.reference_positions: the length of edge {k} overflows")

@@ -146,7 +146,8 @@ class SteadyStateReport:
     scale-weighted spin rate (scalar in the plane, vector in space),
     scale_rate the slope of the measured scale factor, lambda_fit the
     exponential decay rate of the error norm (None when the run started
-    converged).  Every fit's residual lands in the residuals dict.
+    converged, or when its decay fit failed and note says why).  Every
+    fit's residual lands in the residuals dict.
     """
 
     v_body: np.ndarray
@@ -155,6 +156,7 @@ class SteadyStateReport:
     lambda_fit: float | None
     decay_decades: float | None
     residuals: dict
+    note: str | None = None
 
 
 def _perturbation_steps(fw: Framework, seed: int, magnitude: float) -> np.ndarray:
@@ -511,7 +513,8 @@ def steady_state_report(traj: Trajectory, window) -> SteadyStateReport:
     """Fit steady-state motion over a time window of a converged run.
 
     The window should start after the error norm settles; the decay rate
-    is fitted on the whole trajectory regardless of the window.
+    is fitted on the whole trajectory regardless of the window; when that
+    fit fails, lambda_fit is None and note says why.
     """
     ref = traj.reference
     sub, v_body, omega_out, residuals = _body_motion(traj, window)
@@ -526,10 +529,10 @@ def steady_state_report(traj: Trajectory, window) -> SteadyStateReport:
     residuals["scale_fit_rms"] = scale_rms
 
     norms = traj.error_norms
-    if norms[0] < DECAY_FLOOR:
-        lambda_fit = None
-        decades = None
-    else:
-        lambda_fit, r_squared, decades = decay_rate_fit(traj.times, norms)
-        residuals["decay_r_squared"] = r_squared
-    return SteadyStateReport(v_body, omega_out, scale_rate, lambda_fit, decades, residuals)
+    lambda_fit = decades = note = None
+    if norms[0] >= DECAY_FLOOR:
+        try:
+            lambda_fit, residuals["decay_r_squared"], decades = decay_rate_fit(traj.times, norms)
+        except InsufficientDecay as exc:
+            note = str(exc)
+    return SteadyStateReport(v_body, omega_out, scale_rate, lambda_fit, decades, residuals, note)

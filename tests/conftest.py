@@ -8,15 +8,15 @@ import pytest
 
 from formsim import (
     DegenerateAlignment,
+    DegenerateShape,
     Framework,
     PositivityError,
     ReferenceShape,
     SensingGraph,
-    edge_lengths,
-    edge_vectors,
+    ZeroEdge,
     rigidity_matrix,
-    unit_edge_vectors,
 )
+from formsim.motion import RANK_TOL, ZERO_EDGE_TOL
 from formsim.rigidity import control_kernel
 
 SQUARE_EDGES = ((1, 2), (2, 3), (3, 1), (4, 3), (4, 1))
@@ -118,6 +118,57 @@ def tetra_framework(tetra_graph):
 @pytest.fixture(scope="session")
 def tetra_ref(tetra_framework):
     return ReferenceShape(tetra_framework)
+
+
+def edge_vectors(fw):
+    """Tail-minus-head position differences, one row per edge, with the
+    ends read from the graph's edge list.  The tests' oracle for the
+    kernel's gather."""
+    tails, heads = (np.array(fw.graph.edges) - 1).T
+    return fw.points[tails] - fw.points[heads]
+
+
+def edge_lengths(fw):
+    return np.linalg.norm(edge_vectors(fw), axis=1)
+
+
+def unit_edge_vectors(fw):
+    """Normalized edge vectors, one row per edge.  Raises ZeroEdge on collapse."""
+    vecs = edge_vectors(fw)
+    norms = np.linalg.norm(vecs, axis=1)
+    if np.any(norms < ZERO_EDGE_TOL):
+        bad = int(np.argmin(norms)) + 1
+        raise ZeroEdge(f"edge {bad} has length {norms[bad - 1]:.3e}")
+    return vecs / norms[:, None]
+
+
+def bearing_gram(fw):
+    """Per-agent Gram blocks of the bearings, (n, dim, dim), summed with
+    np.add.at over the tail ends in edge order, then the head ends."""
+    ends = (np.array(fw.graph.edges) - 1).T.reshape(-1)
+    units = unit_edge_vectors(fw)
+    units = np.concatenate([units, units])
+    gram = np.zeros((fw.graph.vertex_count, fw.dim, fw.dim))
+    np.add.at(gram, ends, units[:, :, None] * units[:, None, :])
+    return gram
+
+
+def min_norm_offsets(ref, fields):
+    """Minimum-norm stacked offsets (2E, m) for the field columns
+    (n * dim, m), one Gram solve per call, as formsim computed them
+    before the reference shape kept its bearings and Gram blocks.  The
+    tests' bit-for-bit oracle for motion._min_norm_offsets."""
+    fw, dim = ref.framework, ref.dim
+    ends = (np.array(fw.graph.edges) - 1).T.reshape(-1)
+    units = unit_edge_vectors(fw)
+    units = np.concatenate([units, units])
+    gram = bearing_gram(fw)
+    eig = np.linalg.eigvalsh(gram)
+    flat = np.flatnonzero(eig[:, 0] <= RANK_TOL * eig[:, -1])
+    if flat.size:
+        raise DegenerateShape(f"the bearings at agent {flat[0] + 1} do not span R^{dim}")
+    solved = np.linalg.solve(gram, fields.reshape(fw.graph.vertex_count, dim, -1))
+    return np.einsum("kd,kdm->km", units, solved[ends])
 
 
 def null_space(matrix, tol=1e-9):

@@ -15,7 +15,6 @@ from formsim import (
     MotionParameters,
     ScalingSchedule,
     SimConfig,
-    bearings,
     bundled_scenario_path,
     control_law,
     decay_rate_fit,
@@ -32,7 +31,14 @@ from formsim import (
     translation_params,
 )
 from formsim.simulate import _frame_angles, _frame_rotations
-from conftest import SCALE_PATTERN, SPIN_PATTERN, elastic_potential, kabsch_rotations, null_space
+from conftest import (
+    SCALE_PATTERN,
+    SPIN_PATTERN,
+    elastic_potential,
+    kabsch_rotations,
+    null_space,
+    unit_edge_vectors,
+)
 
 
 def _report(num, title, passed, detail):
@@ -95,7 +101,7 @@ def test_criterion_03_space_dimensions(square_ref):
 
 
 def test_criterion_04_reference_offset_vectors(square_ref):
-    unit_vec = bearings(square_ref.framework)
+    unit_vec = unit_edge_vectors(square_ref.framework)
     spin_field = induced_velocities(
         MotionParameters.from_stacked(SPIN_PATTERN), square_ref.graph, unit_vec
     ).reshape(4, 2)

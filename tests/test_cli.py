@@ -213,6 +213,24 @@ class TestSimulate:
         assert report["steady_state"] is None
         assert "window" in report["note"]
 
+    def test_failed_decay_fit_keeps_the_fitted_motion(self, tmp_path, capsys):
+        # The run starts 2e-8 off the shape, so its error never halves
+        # above the decay floor; the motion it flies is still fitted.
+        doc = near_shape(json.loads(bundled_scenario_path("square").read_text()))
+        doc["targets"]["schedule"] = FLAT
+        path, prefix = tmp_path / "near.json", tmp_path / "near-run"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "-o", str(prefix)]) == 0
+        report = json.loads(Path(f"{prefix}.json").read_text())
+        assert report["final_error_norm"] < 1e-9
+        assert report["note"] == "error norm never decays below half its initial value"
+        steady = report["steady_state"]
+        assert steady["lambda_fit"] is None and steady["decay_decades"] is None
+        assert steady["omega"] == pytest.approx(1.0, abs=1e-9)
+        assert np.abs(steady["v_body"]).max() <= 1e-9
+        assert steady["scale_rate"] == pytest.approx(0.0, abs=1e-9)
+        assert sorted(steady["residuals"]) == ["omega_fit_rms", "scale_fit_rms", "v_fit_rms"]
+
     @pytest.mark.parametrize("shape", ["square", "tetrahedron"])
     def test_report_gives_the_designed_spin_under_scaling(self, tmp_path, capsys, shape):
         if shape == "square":
@@ -780,6 +798,38 @@ class TestReferenceRigidity:
         monkeypatch.setattr(ReferenceShape, "velocity_map", property(refuse))
         assert main(["design", str(write_scenario(tmp_path, **shape))]) == 0
         assert json.loads(capsys.readouterr().out)["residuals"]["scaling_unit_rate"] < 1e-12
+
+    @pytest.mark.parametrize("command", ["design", "verify"])
+    def test_bearing_gram_is_decomposed_once(self, tmp_path, capsys, monkeypatch, command):
+        # Calibration and the motion-spaces check share the shape's
+        # Gram blocks, so one command decomposes them once.
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, UPLO="L"):
+            calls.append(a.shape)
+            return eigvalsh(a, UPLO)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        main([command, str(bundled_scenario_path("square")), "--duration", "1"])
+        assert calls == [(4, 2, 2)]
+
+    def test_analyze_and_simulate_params_skip_the_bearings(self, tmp_path, capsys,
+                                                           monkeypatch):
+        from formsim import ReferenceShape
+
+        path = write_scenario(tmp_path)
+        design = tmp_path / "design.json"
+        assert main(["design", str(path), "-o", str(design)]) == 0
+
+        def refuse(ref):
+            raise AssertionError("bearings built")
+
+        for name in ("units", "bearing_gram"):
+            monkeypatch.setattr(ReferenceShape, name, property(refuse))
+        assert main(["analyze", str(path)]) == 0
+        assert main(["simulate", str(path), "--params", str(design), "--duration", "0.2",
+                     "-o", str(tmp_path / "run")]) == 0
 
     def test_analyze_and_verify_report_once(self, tmp_path, capsys, monkeypatch):
         path = write_scenario(tmp_path, sim={"dt": 0.005, "duration": 6.0,

@@ -11,7 +11,6 @@ from formsim import (
     rotation_params,
     scaling_params,
     translation_params,
-    unit_edge_vectors,
 )
 from conftest import (
     SQUARE_POINTS,
@@ -20,6 +19,7 @@ from conftest import (
     scheduled_distances,
     stiffness_matrix,
     time_varying_params,
+    unit_edge_vectors,
 )
 
 

@@ -11,7 +11,6 @@ from formsim import (
     RigidityError,
     SensingGraph,
     Unreachable,
-    bearings,
     distance_rates,
     induced_velocities,
     induced_velocity_matrix,
@@ -27,8 +26,14 @@ from conftest import (
     SPIN_PATTERN,
     SQUARE_EDGES,
     SQUARE_POINTS,
+    TETRA_EDGES,
+    TETRA_POINTS,
+    bearing_gram,
+    edge_lengths,
     henneberg_framework,
+    min_norm_offsets,
     null_space,
+    unit_edge_vectors,
 )
 
 
@@ -77,7 +82,7 @@ class TestInducedVelocityMatrix:
         assert worst <= 1e-12
 
     def test_tail_column_places_bearing_at_tail_block(self, square_framework):
-        unit_vec = bearings(square_framework)
+        unit_vec = unit_edge_vectors(square_framework)
         mat = induced_velocity_matrix(unit_vec, square_framework.graph)
         units = unit_vec.reshape(5, 2)
         for k, (i, _) in enumerate(SQUARE_EDGES):
@@ -87,7 +92,7 @@ class TestInducedVelocityMatrix:
             assert np.array_equal(others, np.zeros_like(others))
 
     def test_shape(self, square_framework):
-        mat = induced_velocity_matrix(bearings(square_framework), square_framework.graph)
+        mat = induced_velocity_matrix(unit_edge_vectors(square_framework), square_framework.graph)
         assert mat.shape == (8, 10)
 
 
@@ -192,7 +197,7 @@ class TestMotionSpaces:
         centered = square_ref.centered_points()
         cross = field[:, 0] * centered[:, 1] - field[:, 1] * centered[:, 0]
         assert np.abs(cross).max() <= 1e-9
-        units = bearings(square_ref.framework).reshape(5, 2)
+        units = unit_edge_vectors(square_ref.framework).reshape(5, 2)
         for k, (i, j) in enumerate(SQUARE_EDGES):
             rate = field[i - 1] - field[j - 1]
             assert np.abs(rate - (rate @ units[k]) * units[k]).max() <= 1e-9
@@ -237,7 +242,7 @@ class TestCalibration:
     def test_translation_round_trip(self, square_ref):
         target = np.array([1.2, -0.4])
         pv = translation_params(square_ref, target)
-        field = induced_velocities(pv, square_ref.graph, bearings(square_ref.framework))
+        field = induced_velocities(pv, square_ref.graph, unit_edge_vectors(square_ref.framework))
         np.testing.assert_allclose(field.reshape(4, 2), np.tile(target, (4, 1)), atol=1e-9)
 
     def test_translation_linearity(self, square_ref):
@@ -247,7 +252,7 @@ class TestCalibration:
 
     def test_rotation_round_trip(self, square_ref):
         pv = rotation_params(square_ref, 0.8)
-        field = induced_velocities(pv, square_ref.graph, bearings(square_ref.framework))
+        field = induced_velocities(pv, square_ref.graph, unit_edge_vectors(square_ref.framework))
         expected = rotation_field(square_ref.centered_points(), 0.8)
         np.testing.assert_allclose(field, expected, atol=1e-9)
 
@@ -259,7 +264,7 @@ class TestCalibration:
     def test_rotation_round_trip_3d(self, tetra_ref):
         omega = np.array([0.3, -0.5, 1.0])
         pv = rotation_params(tetra_ref, omega)
-        field = induced_velocities(pv, tetra_ref.graph, bearings(tetra_ref.framework))
+        field = induced_velocities(pv, tetra_ref.graph, unit_edge_vectors(tetra_ref.framework))
         expected = rotation_field(tetra_ref.centered_points(), omega)
         np.testing.assert_allclose(field, expected, atol=1e-9)
 
@@ -290,9 +295,43 @@ class TestCalibration:
         quad = np.array([[0.0, 0.0], [15.0, 0.0], [17.0, 14.0], [0.0, 15.0]])
         ref = ReferenceShape(Framework.from_points(square_graph, quad))
         pv = scaling_params(ref, 0.4)
-        field = induced_velocities(pv, ref.graph, bearings(ref.framework))
+        field = induced_velocities(pv, ref.graph, unit_edge_vectors(ref.framework))
         np.testing.assert_allclose(field, 0.4 * ref.centered_points().reshape(-1), atol=1e-12)
         np.testing.assert_allclose(distance_rates(ref, pv), 0.4 * ref.distances, atol=1e-12)
+
+
+SHARED_GEOMETRY_SHAPES = {
+    "square": lambda: Framework.from_points(SensingGraph(4, SQUARE_EDGES), SQUARE_POINTS),
+    "tetrahedron": lambda: Framework.from_points(SensingGraph(4, TETRA_EDGES), TETRA_POINTS),
+    "henneberg-2d-64": lambda: henneberg_framework(64, 2, 3),
+    "henneberg-3d-32": lambda: henneberg_framework(32, 3, 3),
+}
+
+
+class TestSharedGeometry:
+    """The reference shape's edge geometry, built once, has the bits of
+    the oracles that build it per call from the graph's edge list."""
+
+    @pytest.mark.parametrize("shape", SHARED_GEOMETRY_SHAPES)
+    def test_matches_the_per_call_oracle_bit_for_bit(self, shape, monkeypatch):
+        fw = SHARED_GEOMETRY_SHAPES[shape]()
+        ref = ReferenceShape(fw)
+        assert np.array_equal(ref.distances, edge_lengths(fw))
+        assert np.array_equal(ref.units[0].T, unit_edge_vectors(fw))
+        assert np.array_equal(ref.bearing_gram, bearing_gram(fw))
+        assert not (ref.units.flags.writeable or ref.bearing_gram.flags.writeable)
+
+        def parts(ref):
+            v = np.array([0.5, -0.2, 0.1])[:ref.dim]
+            omega = 0.7 if ref.dim == 2 else np.array([0.3, 0.2, 1.0])
+            return [pv.stacked() for pv in (translation_params(ref, v),
+                                            rotation_params(ref, omega),
+                                            scaling_params(ref, 1.0))]
+
+        calibrated = parts(ref)
+        monkeypatch.setattr(motion, "_min_norm_offsets", min_norm_offsets)
+        for mine, oracle in zip(calibrated, parts(ReferenceShape(fw))):
+            assert np.array_equal(mine, oracle)
 
 
 def _frameworks(dims=(2, 3)):

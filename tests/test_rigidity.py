@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -12,14 +13,12 @@ from formsim import (
     RigidityError,
     SensingGraph,
     ZeroEdge,
-    bearings,
-    edge_lengths,
-    edge_vectors,
+    bundled_scenario_path,
     rigidity_matrix,
     rigidity_report,
-    unit_edge_vectors,
 )
 import formsim.rigidity
+from formsim.cli import main
 from formsim.rigidity import (
     RANK_CERTIFICATE_MARGIN,
     certifies_full_row_rank,
@@ -32,8 +31,11 @@ from conftest import (
     SQUARE_POINTS,
     TETRA_POINTS,
     bearing_rigidity_matrix,
+    edge_lengths,
+    edge_vectors,
     henneberg_framework,
     random_planar_framework,
+    unit_edge_vectors,
 )
 
 
@@ -196,27 +198,32 @@ class TestRigidityMatrix:
 
 
 class TestBearings:
+    """The reference shape's unit edge vectors, in the kernel's layout."""
+
     def test_three_four_five(self):
         graph = SensingGraph(2, ((1, 2),))
-        fw = Framework.from_points(graph, [[3.0, 4.0], [0.0, 0.0]])
-        np.testing.assert_allclose(bearings(fw), [0.6, 0.8], rtol=1e-15)
+        ref = ReferenceShape(Framework.from_points(graph, [[3.0, 4.0], [0.0, 0.0]]))
+        np.testing.assert_allclose(ref.units, [[[0.6], [0.8]]], rtol=1e-15)
 
-    def test_scale_invariance(self, square_graph, square_framework):
-        scaled = Framework.from_points(square_graph, 3.7 * SQUARE_POINTS)
-        np.testing.assert_allclose(
-            bearings(scaled), bearings(square_framework), atol=1e-14
-        )
+    def test_scale_invariance(self, square_graph, square_ref):
+        scaled = ReferenceShape(Framework.from_points(square_graph, 3.7 * SQUARE_POINTS))
+        np.testing.assert_allclose(scaled.units, square_ref.units, atol=1e-14)
 
-    def test_square_diagonal_bearing(self, square_framework):
-        diag = bearings(square_framework).reshape(5, 2)[2]
+    def test_square_diagonal_bearing(self, square_ref):
+        diag = square_ref.units[0, :, 2]
         np.testing.assert_allclose(diag, [1 / np.sqrt(2), 1 / np.sqrt(2)], rtol=1e-15)
 
-    def test_coincident_agents_rejected(self, square_graph):
-        fw = Framework.from_points(
-            square_graph, [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
-        )
-        with pytest.raises(ZeroEdge):
-            bearings(fw)
+    def test_coincident_agents_rejected(self, tmp_path, capsys):
+        # The rank test is relative, so a tiny square still loads; its
+        # edges are too short to carry a bearing.
+        doc = json.loads(bundled_scenario_path("square").read_text())
+        doc["reference_positions"] = [[1e-14 * x for x in p] for p in doc["reference_positions"]]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        assert main(["design", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "ZeroEdge: edge 1 has length 1.500e-13" in err
+        assert "Traceback" not in err
 
 
 class TestBearingRigidityMatrix:
@@ -233,8 +240,8 @@ class TestBearingRigidityMatrix:
                 plus[col] += h
                 minus = fw.positions.copy()
                 minus[col] -= h
-                b_plus = bearings(Framework(fw.graph, fw.dim, plus))
-                b_minus = bearings(Framework(fw.graph, fw.dim, minus))
+                b_plus = unit_edge_vectors(Framework(fw.graph, fw.dim, plus)).reshape(-1)
+                b_minus = unit_edge_vectors(Framework(fw.graph, fw.dim, minus)).reshape(-1)
                 fd[:, col] = (b_plus - b_minus) / (2.0 * h)
             worst = max(worst, np.linalg.norm(analytic - fd) / np.linalg.norm(analytic))
         assert worst <= 1e-6

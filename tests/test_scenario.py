@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from formsim import (
+    Framework,
     PositivityError,
     RigidityError,
     SchemaError,
@@ -22,6 +23,7 @@ from formsim.scenario import parse_design, trajectory_csv_header
 
 from conftest import (
     assert_no_children,
+    edge_lengths,
     error_columns_csv,
     fail_csv_workers,
     serialize_scenario,
@@ -258,8 +260,6 @@ def per_value_csv(traj, dim):
     V is half the sum of squares of a row's errors, its edge-vector norms
     minus its scheduled distances.
     """
-    from formsim import Framework, edge_lengths
-
     graph = traj.reference.graph
     buf = io.StringIO()
     header = trajectory_csv_header(dim, graph.vertex_count)

@@ -702,8 +702,13 @@ class TestSteadyStateReport:
         start = perturb_to_error_norm(square_ref.framework, square_ref.distances, 7, 1.5)
         traj = integrate(start, square_ref, quiet_config(square_ref, gain=0.01),
                          SimConfig(dt=1e-2, duration=3.0))
-        with pytest.raises(InsufficientDecay):
-            steady_state_report(traj, (1.0, 3.0))
+        with pytest.raises(InsufficientDecay) as raised:
+            decay_rate_fit(traj.times, traj.error_norms)
+        # The motion fit stands; only the decay fit is missing, and why.
+        report = steady_state_report(traj, (1.0, 3.0))
+        assert report.lambda_fit is None and report.decay_decades is None
+        assert report.note == str(raised.value)
+        assert np.isfinite(report.scale_rate) and "decay_r_squared" not in report.residuals
 
     def test_decay_fit_recovers_known_rate(self):
         times = np.linspace(0.0, 10.0, 400)
