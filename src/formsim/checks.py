@@ -89,7 +89,7 @@ def check_motion_spaces(scenario: Scenario):
 
 @_check("velocity-map-identity")
 def check_velocity_map_identity(scenario: Scenario):
-    graph = scenario.graph()
+    graph = scenario.reference.graph
     m, ecount = scenario.dimension, graph.edge_count
     rng = np.random.default_rng(2024)
     worst = 0.0
@@ -248,7 +248,7 @@ def _closed_loop_runs(scenario: Scenario):
     """
     try:
         ref = scenario.reference_shape()
-        cfg = scenario.controller_config(ref)
+        cfg = scenario.controller_config()
         sim = scenario.sim
         seed = sim.perturbation.seed if sim.perturbation else 7
         converging = perturb_to_error_norm(ref.framework, ref.distances, seed,

@@ -128,7 +128,7 @@ def cmd_analyze(args) -> int:
 
 def _design_document(scenario: Scenario) -> dict:
     ref = scenario.reference_shape()
-    cfg = scenario.controller_config(ref)
+    cfg = scenario.controller_config()
     parts = {
         "translation": cfg.translation_part,
         "rotation": cfg.rotation_part,
@@ -152,10 +152,11 @@ def _design_document(scenario: Scenario) -> dict:
 def cmd_design(args) -> int:
     scenario = _load(args)
     _refuse_to_overwrite([args.output], [args.scenario], "--output")
-    doc = json.dumps(_design_document(scenario), indent=2) + "\n"
+    design = _design_document(scenario)
+    doc = json.dumps(design, indent=2) + "\n"
     if args.output:
         Path(args.output).write_text(doc)
-        dims = json.loads(doc)["space_dimensions"]
+        dims = design["space_dimensions"]
         sys.stdout.write(f"design written to {args.output}, space dimensions {dims}\n")
     else:
         sys.stdout.write(doc)
@@ -172,7 +173,7 @@ def cmd_simulate(args) -> int:
     parts = None
     if args.params:
         parts = parse_design(Path(args.params).read_text(), ref.graph.edge_count)
-    cfg = scenario.controller_config(ref, parts)
+    cfg = scenario.controller_config(parts)
     log.info("integrating %s for %g time units", scenario.name, scenario.sim.duration)
     traj = integrate(scenario.initial_framework(), ref, cfg, scenario.sim)
 

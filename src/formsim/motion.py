@@ -28,7 +28,6 @@ from .rigidity import (
     SensingGraph,
     control_kernel,
     rigid_rank_target,
-    rigidity_rank,
     rigidity_report,
 )
 
@@ -119,23 +118,25 @@ class ReferenceShape:
 
     The framework's own coordinates define the body pose used for all
     calibration targets.  Desired distances are the framework's edge
-    lengths.  Raises RigidityError unless the rank of the rigidity matrix
-    and the edge count both equal rigid_rank_target: 2n-3 (plane) or
-    3n-6 (space, from n = 3 on).  The unit edge vectors and bearing Gram
-    blocks that calibration shares are built and checked on first use.
+    lengths.  Its rigidity report is made once, here, and kept.  Raises
+    RigidityError unless the report finds it minimally rigid: the rank of
+    the rigidity matrix and the edge count both equal rigid_rank_target,
+    2n-3 (plane) or 3n-6 (space, from n = 3 on).  The unit edge vectors
+    and bearing Gram blocks that calibration shares are built and checked
+    on first use.
     """
 
     framework: Framework
     distances: np.ndarray = field(init=False)
+    report: RigidityReport = field(init=False)
 
     def __post_init__(self):
-        rank = rigidity_rank(self.framework)
-        edge_count = self.framework.graph.edge_count
-        target = rigid_rank_target(self.framework.graph.vertex_count, self.framework.dim)
-        if not rank == edge_count == target:
+        self.report = rigidity_report(self.framework)
+        if not self.report.is_minimally_rigid:
             raise RigidityError(
-                f"reference shape is not minimally rigid "
-                f"(rank {rank}, {edge_count} edges, target {target})"
+                f"reference shape is not minimally rigid (rank {self.report.rank_rigidity}, "
+                f"{self.graph.edge_count} edges, "
+                f"target {rigid_rank_target(self.graph.vertex_count, self.dim)})"
             )
         dist = control_kernel(self.graph, self.dim).lengths(self.framework.positions[None])[0]
         dist.setflags(write=False)
@@ -148,11 +149,6 @@ class ReferenceShape:
     @property
     def dim(self) -> int:
         return self.framework.dim
-
-    @cached_property
-    def report(self) -> RigidityReport:
-        """Full rigidity report, bearing rigidity included, built on first use."""
-        return rigidity_report(self.framework)
 
     @cached_property
     def units(self) -> np.ndarray:

@@ -10,7 +10,7 @@ a graph's edge indices and does the edge gathers and end scatters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -231,15 +231,6 @@ class Framework:
         """Positions as a (vertex_count, dim) array."""
         return self.positions.reshape(self.graph.vertex_count, self.dim)
 
-    @cached_property
-    def _rigidity_rank(self) -> int:
-        # Positions are read-only, so the rank is decided once: by the
-        # certificate when it holds, else by the SVD's count.
-        tol = _default_tol(self)
-        if certifies_full_row_rank(self, tol):
-            return self.graph.edge_count
-        return numerical_rank(rigidity_matrix(self), tol)
-
 
 def rigidity_matrix(fw: Framework) -> np.ndarray:
     """Jacobian of half the stacked squared edge lengths w.r.t. positions.
@@ -385,16 +376,6 @@ def rigid_rank_target(vertex_count: int, dim: int) -> int:
     return dim * n - dim * (dim + 1) // 2
 
 
-def _default_tol(fw: Framework) -> float:
-    return max(fw.graph.vertex_count, fw.graph.edge_count) * fw.dim * np.finfo(float).eps
-
-
-def rigidity_rank(fw: Framework) -> int:
-    """Numerical rank of the rigidity matrix at the relative singular-value
-    cutoff max(n, edge_count) * dim * eps, computed once per framework."""
-    return fw._rigidity_rank
-
-
 @dataclass(frozen=True)
 class RigidityReport:
     rank_rigidity: int
@@ -422,9 +403,15 @@ def rigidity_report(fw: Framework) -> RigidityReport:
     two have equal rank.  In space a framework that is not
     infinitesimally rigid gets None for both bearing fields: the rank
     does not decide them there.
+
+    The rank is the numerical rank of the rigidity matrix at the relative
+    singular-value cutoff max(n, edge_count) * dim * eps: the edge count
+    when certifies_full_row_rank holds, else the SVD's count.
     """
     n, m, ecount = fw.graph.vertex_count, fw.dim, fw.graph.edge_count
-    rank_r = rigidity_rank(fw)
+    tol = max(n, ecount) * m * np.finfo(float).eps
+    certified = certifies_full_row_rank(fw, tol)
+    rank_r = ecount if certified else numerical_rank(rigidity_matrix(fw), tol)
     target = rigid_rank_target(n, m)
     if rank_r == target:
         kernel_dim, bearing_rigid = m + 1, True

@@ -42,7 +42,7 @@ import os
 import shutil
 import signal
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -65,46 +65,36 @@ _AXES = "xyz"
 
 @dataclass(eq=False)
 class Scenario:
-    """Validated experiment description."""
+    """Validated experiment description; reference is its validated
+    reference shape, which holds the sensing graph and the rigidity report."""
 
     name: str
-    dimension: int
-    edges: tuple[tuple[int, int], ...]
-    reference_positions: np.ndarray
+    reference: ReferenceShape
     initial_positions: np.ndarray | None
     gain: float
     v_body: np.ndarray
     omega: float | np.ndarray
     schedule: ScalingSchedule
     sim: SimConfig
-    _reference: ReferenceShape | None = field(default=None, init=False, repr=False)
 
-    def graph(self) -> SensingGraph:
-        return SensingGraph(len(self.reference_positions), self.edges)
+    @property
+    def dimension(self) -> int:
+        return self.reference.dim
 
     def reference_shape(self) -> ReferenceShape:
-        """The validated reference shape, built once per scenario.
-
-        Its rigidity report is cached on it, so every command and check
-        shares it.
-        """
-        if self._reference is None:
-            self._reference = ReferenceShape(
-                Framework.from_points(self.graph(), self.reference_positions))
-        return self._reference
+        """reference, through a method that perfbench's tracer times by name."""
+        return self.reference
 
     def initial_framework(self) -> Framework:
-        points = self.initial_positions
-        if points is None:
-            points = self.reference_positions
-        return Framework.from_points(self.graph(), points)
+        if self.initial_positions is None:
+            return self.reference.framework
+        return Framework.from_points(self.reference.graph, self.initial_positions)
 
-    def controller_config(self, ref: ReferenceShape | None = None,
-                          parts: dict | None = None) -> ControllerConfig:
+    def controller_config(self, parts: dict | None = None) -> ControllerConfig:
         """This scenario's controller with the offset parts of a design, as
         parse_design reads them, or else all three calibrated for its targets."""
-        ref = ref or self.reference_shape()
         if parts is None:
+            ref = self.reference
             parts = {"translation": translation_params(ref, self.v_body),
                      "rotation": rotation_params(ref, self.omega),
                      "scaling_unit_rate": scaling_params(ref, 1.0)}
@@ -253,11 +243,10 @@ def parse_scenario(text: str) -> Scenario:
     except ValueError as exc:
         raise SchemaError(f"$.sim: {exc}") from None
 
+    # Eager physical validation: rigidity then schedule positivity.
     scenario = Scenario(
         name=str(doc.get("name", "scenario")),
-        dimension=dim,
-        edges=tuple(edges),
-        reference_positions=reference,
+        reference=ReferenceShape(Framework.from_points(graph, reference)),
         initial_positions=initial,
         gain=gain,
         v_body=v_body,
@@ -265,9 +254,6 @@ def parse_scenario(text: str) -> Scenario:
         schedule=schedule,
         sim=sim,
     )
-
-    # Eager physical validation: rigidity then schedule positivity.
-    scenario.reference_shape()
     if schedule.min_scale_factor(sim.horizon) <= 0.0:
         raise PositivityError(
             "$.targets.schedule: scale factor reaches zero by the end of the last step"

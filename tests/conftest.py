@@ -335,8 +335,8 @@ def serialize_scenario(scenario):
     doc = {
         "name": scenario.name,
         "dimension": scenario.dimension,
-        "edges": [list(edge) for edge in scenario.edges],
-        "reference_positions": scenario.reference_positions.tolist(),
+        "edges": [list(edge) for edge in scenario.reference.graph.edges],
+        "reference_positions": scenario.reference.framework.points.tolist(),
         "initial_positions": None if scenario.initial_positions is None
         else scenario.initial_positions.tolist(),
         "gain": scenario.gain,

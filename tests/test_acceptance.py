@@ -66,7 +66,7 @@ def bundled_scenario():
 @pytest.fixture(scope="module")
 def bundled_trajectory(bundled_scenario):
     ref = bundled_scenario.reference_shape()
-    cfg = bundled_scenario.controller_config(ref)
+    cfg = bundled_scenario.controller_config()
     return ref, integrate(bundled_scenario.initial_framework(), ref, cfg, bundled_scenario.sim)
 
 
@@ -291,7 +291,7 @@ def test_criterion_10_velocity_map_identity(square_graph):
 
 def test_criterion_11_integrator_order(bundled_scenario):
     ref = bundled_scenario.reference_shape()
-    cfg = bundled_scenario.controller_config(ref)
+    cfg = bundled_scenario.controller_config()
     start = bundled_scenario.initial_framework()
     horizon = 2.0
 

@@ -86,6 +86,27 @@ class TestAnalyze:
         assert report["is_minimally_rigid"] is True
         assert report["bearing_kernel_dim"] == 3
 
+    # K3,3 has no type-I order, so the SVD decides its rank; in space a
+    # two-agent segment has its one edge as full rank, not 3n - 6 = 0; the
+    # tetrahedron's bearing kernel holds 3 translations and 1 scaling.
+    @pytest.mark.parametrize("shape, key, value", [
+        ({"edges": [[i, j] for i in (1, 2, 3) for j in (4, 5, 6)],
+          "reference_positions": [[0, 0], [4, 1], [1, 5], [6, 3], [2, 8], [7, 7]]},
+         "rank_rigidity", 9),
+        ({"dimension": 3, "edges": [[1, 2]], "reference_positions": [[0, 0, 0], [1, 0, 0]],
+          "targets": {"v_body": [0, 0, 0], "omega": [0, 0, 0], "schedule": {"kind": "none"}}},
+         "rank_rigidity", 1),
+        (ci_tetrahedron_doc(TETRA_SWING), "bearing_kernel_dim", 4),
+    ], ids=["k33", "space-segment", "tetrahedron"])
+    def test_reports_rank_and_bearing_kernel_of_other_shapes(self, tmp_path, capsys, shape,
+                                                             key, value):
+        doc = json.loads(bundled_scenario_path("square").read_text())
+        doc.update(shape, initial_positions=None)
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)[key] == value
+
     def test_output_file(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
         out = tmp_path / "report.json"
@@ -249,7 +270,7 @@ class TestSimulate:
         assert main(["simulate", str(path), "--duration", "1.0", "-o", "run"]) == 0
         csv_lines = Path("run.csv").read_text().strip().split("\n")
         assert len(csv_lines) == int(1.0 / (0.002 * 5)) + 2  # header + samples
-        assert csv_lines[0].startswith("t,p_1x,p_1y,")
+        assert csv_lines[0] == "t,p_1x,p_1y,p_2x,p_2y,p_3x,p_3y,p_4x,p_4y,scale,V"
         report = json.loads(Path("run.json").read_text())
         assert report["samples"] == len(csv_lines) - 1
 
@@ -433,7 +454,7 @@ class TestVerify:
             "v_body": [0.3, 0.0], "omega": 1.0, "schedule": {"kind": "none"},
         }))
         ref = scenario.reference_shape()
-        cfg = scenario.controller_config(ref)
+        cfg = scenario.controller_config()
         doubled = ControllerConfig(cfg.gain, cfg.translation_part.scaled(2.0),
                                    cfg.rotation_part.scaled(2.0), cfg.scaling_part,
                                    cfg.schedule)
@@ -534,7 +555,7 @@ class TestMotionTracking:
 
         scenario = parse_scenario(json.dumps(doc))
         ref = scenario.reference_shape()
-        cfg = self.controller(scenario.controller_config(ref), mutant)
+        cfg = self.controller(scenario.controller_config(), mutant)
         run = integrate(scenario.initial_framework(), ref, cfg, scenario.sim)
         result = check_motion_tracking(scenario, run)
         assert result.name == ("steady-velocity" if scenario.schedule.kind == "none"
@@ -862,14 +883,32 @@ class TestReferenceRigidity:
                                              "record_stride": 5, "perturbation": None})
         # The 5 x 8 rigidity matrix is certified, and the bearing fields
         # follow from its rank, so nothing takes an SVD.
-        assert main(["analyze", str(path)]) == 0
-        assert shapes == []
-        assert len(certified) == 1
-        certified.clear()
-        main(["verify", str(path)])
+        for command, *rest in (["analyze"], ["design"],
+                               ["simulate", "-o", str(tmp_path / "run")], ["verify"]):
+            certified.clear()
+            main([command, str(path), *rest])
+            assert shapes == [], command
+            assert len(certified) == 1, command
         assert "PASS reference-rigidity" in capsys.readouterr().out
-        assert shapes == []
-        assert len(certified) == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "design", "simulate", "verify"])
+    def test_each_command_builds_one_graph(self, tmp_path, capsys, monkeypatch, command):
+        # parse_scenario builds and checks the sensing graph once; the
+        # scenario's reference shape holds it for every later step.
+        from formsim import SensingGraph
+
+        built = []
+        post_init = SensingGraph.__post_init__
+
+        def counted(graph):
+            built.append(graph.edge_count)
+            post_init(graph)
+
+        monkeypatch.setattr(SensingGraph, "__post_init__", counted)
+        rest = {"simulate": ["-o", str(tmp_path / "run")]}.get(command, [])
+        # A 1 s verify fails its convergence checks; only the count matters.
+        main([command, str(write_scenario(tmp_path)), "--duration", "1", *rest])
+        assert built == [5]
 
     @pytest.mark.parametrize("edges, message", [
         ([[1, 2], [2, 3], [3, 4], [4, 1]], "(rank 4, 4 edges, target 5)"),

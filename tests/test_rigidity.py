@@ -24,7 +24,6 @@ from formsim.rigidity import (
     certifies_full_row_rank,
     control_kernel,
     numerical_rank,
-    rigidity_rank,
 )
 from conftest import (
     SQUARE_EDGES,
@@ -378,7 +377,7 @@ class TestRankCertificate:
         fw = henneberg_framework(n, dim, seed)
         assert certifies_full_row_rank(fw, default_cutoff(fw))
         assert numerical_rank(rigidity_matrix(fw), default_cutoff(fw)) == fw.graph.edge_count
-        assert rigidity_rank(fw) == fw.graph.edge_count
+        assert rigidity_report(fw).rank_rigidity == fw.graph.edge_count
 
     @pytest.mark.parametrize("n, dim, seed", CERTIFIED_SHAPES.values(), ids=CERTIFIED_SHAPES)
     def test_bound_lies_below_the_smallest_singular_value(self, n, dim, seed):
@@ -414,7 +413,7 @@ class TestRankCertificate:
         if ecount == 5:
             assert not certifies_full_row_rank(fw, cutoff)
         assert numerical_rank(rigidity_matrix(fw), cutoff) == rank
-        assert rigidity_rank(fw) == rank
+        assert rigidity_report(fw).rank_rigidity == rank
         if rank == ecount == 5:
             sigma = np.linalg.svd(rigidity_matrix(fw), compute_uv=False)
             assert cutoff < sigma[-1] / sigma[0] < RANK_CERTIFICATE_MARGIN * cutoff
@@ -468,7 +467,7 @@ class TestRankCertificate:
         fw = Framework.from_points(SensingGraph(n, edges), points)
         assert not certifies_full_row_rank(fw, default_cutoff(fw))
         assert numerical_rank(rigidity_matrix(fw), default_cutoff(fw)) == rank
-        assert rigidity_rank(fw) == rank
+        assert rigidity_report(fw).rank_rigidity == rank
         if rank == 2 * n - 3:
             assert ReferenceShape(fw).report.rank_rigidity == rank
 
@@ -484,7 +483,7 @@ class TestRankCertificate:
         relabelled = Framework.from_points(SensingGraph(64, edges), points)
         for shape in (fw, relabelled):
             assert certifies_full_row_rank(shape, default_cutoff(shape))
-            assert rigidity_rank(shape) == shape.graph.edge_count
+            assert rigidity_report(shape).rank_rigidity == shape.graph.edge_count
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_decision_is_scale_free(self, square_graph, square_framework):
@@ -492,7 +491,7 @@ class TestRankCertificate:
         for k in range(-12, 151):
             fw = Framework.from_points(square_graph, SQUARE_POINTS * 10.0 ** k)
             assert certifies_full_row_rank(fw, default_cutoff(fw)), k
-            assert rigidity_rank(fw) == 5
+            assert rigidity_report(fw).rank_rigidity == 5
 
 
 def bearing_kernel_dim(fw):

@@ -54,7 +54,7 @@ class TestParseScenario:
     def test_bundled_square_parses(self):
         scenario = load_scenario(bundled_scenario_path("square"))
         assert scenario.dimension == 2
-        assert scenario.edges == ((1, 2), (2, 3), (3, 1), (4, 3), (4, 1))
+        assert scenario.reference.graph.edges == ((1, 2), (2, 3), (3, 1), (4, 3), (4, 1))
         assert scenario.gain == 5.0
         assert scenario.omega == 1.0
         assert scenario.schedule.kind == "periodic"
@@ -157,8 +157,9 @@ class TestRoundTrip:
     def test_parse_serialize_parse(self):
         original = load_scenario(bundled_scenario_path("square"))
         again = parse_scenario(serialize_scenario(original))
-        assert again.edges == original.edges
-        assert np.array_equal(again.reference_positions, original.reference_positions)
+        assert again.reference.graph.edges == original.reference.graph.edges
+        assert np.array_equal(again.reference.framework.points,
+                              original.reference.framework.points)
         assert np.array_equal(again.initial_positions, original.initial_positions)
         assert again.gain == original.gain
         assert np.array_equal(again.v_body, original.v_body)
@@ -213,7 +214,7 @@ def periodic_trajectory():
     assert scenario.schedule.kind == "periodic"
     ref = scenario.reference_shape()
     sim = dataclasses.replace(scenario.sim, dt=1e-2, duration=2.0, record_stride=3)
-    return integrate(scenario.initial_framework(), ref, scenario.controller_config(ref), sim)
+    return integrate(scenario.initial_framework(), ref, scenario.controller_config(), sim)
 
 
 def spatial_trajectory(tetra_ref):

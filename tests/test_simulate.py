@@ -378,7 +378,7 @@ class TestRunState:
     def test_threads_integrating_at_once_match_a_solo_run(self):
         scenario = load_scenario(bundled_scenario_path("square"))
         ref = scenario.reference_shape()
-        cfg = scenario.controller_config(ref)
+        cfg = scenario.controller_config()
         sim = dataclasses.replace(scenario.sim, duration=2.0)
         start = scenario.initial_framework()
         solo = integrate(start, ref, cfg, sim).positions
