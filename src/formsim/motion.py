@@ -7,10 +7,10 @@ velocities is linear once the shape is fixed.  Every offset moves only
 the agent that applies it, so the map decouples by agent: the
 minimum-norm offsets realizing any velocity field take one dim x dim
 solve per agent, with the Gram matrix of that agent's own bearings.
-This module calibrates offsets for a common velocity, a spin about the
-centroid and a uniform growth about the centroid that way.
-
-The offsets are computed once per reference shape; they are what the
+The offsets are linear in the field, so one such solve per reference
+shape, on the rigid-motion generators, gives a basis: the offsets for a
+common velocity, a spin about the centroid and a uniform growth about
+the centroid are weighted sums of its columns.  They are what the
 per-agent control law consumes.
 """
 
@@ -37,10 +37,10 @@ ZERO_EDGE_TOL = 1e-12
 # An agent's bearings span R^dim when the smallest eigenvalue of their
 # Gram matrix exceeds this fraction of the largest one.
 RANK_TOL = 1e-12
-# Largest acceptable residual when fitting a motion target.
+# Largest acceptable residual of a designed part, relative to its target.
 CALIBRATION_TOL = 1e-9
-# motion_spaces refines a generator column whose miss exceeds this
-# fraction of its norm; a well-shaped framework misses by rounding only.
+# A motion basis column whose miss exceeds this fraction of its field's
+# norm is refined; a well-shaped framework misses by rounding only.
 REFINE_TOL = 1e-12
 
 
@@ -121,9 +121,9 @@ class ReferenceShape:
     lengths.  Its rigidity report is made once, here, and kept.  Raises
     RigidityError unless the report finds it minimally rigid: the rank of
     the rigidity matrix and the edge count both equal rigid_rank_target,
-    2n-3 (plane) or 3n-6 (space, from n = 3 on).  The unit edge vectors
-    and bearing Gram blocks that calibration shares are built and checked
-    on first use.
+    2n-3 (plane) or 3n-6 (space, from n = 3 on).  The unit edge vectors,
+    bearing Gram blocks and motion basis that calibration shares are
+    built and checked on first use.
     """
 
     framework: Framework
@@ -187,6 +187,32 @@ class ReferenceShape:
         return gram
 
     @cached_property
+    def motion_basis(self) -> np.ndarray:
+        """Minimum-norm offsets (2E, dim + r + 1) of the unit generators, read-only:
+        dim translations, r = 1 (plane) or 3 (space) rotations about the
+        centroid, then growth about the centroid.  The Gram blocks square
+        the conditioning of an agent's bearings, so a column that misses its
+        field by more than REFINE_TOL times max(1, its norm) gets one more
+        solve on what it missed.  Raises DegenerateShape as bearing_gram does.
+        """
+        dim, n = self.dim, self.graph.vertex_count
+        centered = self.centered_points()
+        axes = np.eye(dim)
+        fields = np.column_stack(
+            [np.tile(axis, n) for axis in axes]
+            + [rotation_field(centered, omega) for omega in ([1.0] if dim == 2 else axes)]
+            + [centered.reshape(-1)]
+        )
+        basis = _min_norm_offsets(self, fields)
+        missed = fields - control_kernel(self.graph, dim).scatter(self.units, basis.T).T
+        gates = REFINE_TOL * np.maximum(1.0, np.linalg.norm(fields, axis=0))
+        redo = np.array([np.linalg.norm(column) for column in missed.T]) > gates
+        if redo.any():
+            basis[:, redo] += _min_norm_offsets(self, missed[:, redo])
+        basis.setflags(write=False)
+        return basis
+
+    @cached_property
     def velocity_map(self) -> np.ndarray:
         """Offset-to-velocity matrix at the reference bearings."""
         return induced_velocity_matrix(self.units[0].T, self.graph)
@@ -217,32 +243,17 @@ def _min_norm_offsets(ref: ReferenceShape, fields: np.ndarray) -> np.ndarray:
 def motion_spaces(ref: ReferenceShape) -> dict:
     """Worst defining-constraint violation of each rigid-motion generator.
 
-    Solves the minimum-norm offsets of the unit generator fields: dim
-    translations, 1 (plane) or 3 (space) rotations about the centroid,
-    and one uniform scaling about the centroid.  Scaled to unit norm,
-    translation offsets must induce zero edge-vector rates, rotation
-    offsets zero distance rates, and scaling offsets zero bearing rates;
-    all three should sit at rounding level.
-
-    A diagnostic: calibration does not use it.  A generator column whose
-    relative miss exceeds REFINE_TOL gets calibration's corrective solve.
+    Reads the columns of ref.motion_basis, the offsets that calibration
+    combines.  Scaled to unit norm, translation offsets must induce zero
+    edge-vector rates, rotation offsets zero distance rates, and scaling
+    offsets zero bearing rates; all three should sit at rounding level.
     Raises DegenerateShape like the calibrations do.
     """
-    dim, n = ref.dim, ref.graph.vertex_count
-    centered = ref.centered_points()
-    axes = np.eye(dim)
-    spins = [1.0] if dim == 2 else list(axes)
-    fields = np.column_stack(
-        [np.tile(axis, n) for axis in axes]
-        + [rotation_field(centered, omega) for omega in spins]
-        + [centered.reshape(-1)]
-    )
-    gates = REFINE_TOL * np.maximum(1.0, np.linalg.norm(fields, axis=0))
-    offsets, _ = _refined_offsets(ref, fields, gates)
+    dim, basis = ref.dim, ref.motion_basis
     kernel, units = control_kernel(ref.graph, dim), ref.units
     # Edge-vector rates v_tail - v_head, (m, dim, E), one row per column.
-    rates = kernel.gather(kernel.scatter(units, (offsets / np.linalg.norm(offsets, axis=0)).T))
-    translation, rotation, scaling = np.split(rates, [dim, dim + len(spins)])
+    rates = kernel.gather(kernel.scatter(units, (basis / np.linalg.norm(basis, axis=0)).T))
+    translation, rotation, scaling = np.split(rates, [dim, basis.shape[1] - 1])
     along = (units * scaling).sum(axis=1, keepdims=True)
     return {
         "translation": float(np.abs(translation).max()),
@@ -259,32 +270,19 @@ def distance_rates(ref: ReferenceShape, pv: MotionParameters) -> np.ndarray:
     return (units * rates).sum(axis=1)[0]
 
 
-def _refined_offsets(ref: ReferenceShape, fields: np.ndarray, gates):
-    """Minimum-norm offsets (2E, m) for the field columns (n * dim, m), and
-    the norm of what each column still misses.
-
-    The Gram blocks square the conditioning of an agent's bearings, so on
-    a nearly flat shape the first solve can miss a column's gate.  One
-    more solve on what such a column missed then recovers the lost digits;
-    columns within their gate are left as the first solve made them.
-    """
-    kernel, units = control_kernel(ref.graph, ref.dim), ref.units
-    offsets = _min_norm_offsets(ref, fields)
-    missed = fields - kernel.scatter(units, offsets.T).T
-    redo = np.array([np.linalg.norm(column) for column in missed.T]) > gates
-    if redo.any():
-        offsets[:, redo] += _min_norm_offsets(ref, missed[:, redo])
-        missed[:, redo] = fields[:, redo] - kernel.scatter(units, offsets[:, redo].T).T
-    return offsets, [float(np.linalg.norm(column)) for column in missed.T]
-
-
-def _calibrate(ref: ReferenceShape, target: np.ndarray, what: str) -> MotionParameters:
-    """Minimum-norm offsets inducing the stacked velocity field target."""
-    # A target whose norm overflows makes the gate infinite, and the
-    # finiteness tests below refuse what follows from it.
-    with np.errstate(over="ignore"):
+def _combine(ref: ReferenceShape, first: int, weights, target, what: str) -> MotionParameters:
+    """The motion basis columns from first on, weighted by weights and
+    added one at a time, refused with Unreachable unless they induce the
+    stacked velocity field target to within CALIBRATION_TOL relative."""
+    basis = ref.motion_basis
+    offsets = np.zeros(basis.shape[0])
+    # An overflowing target or weight leaves the residual or offsets not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for column, weight in enumerate(weights, first):
+            offsets += weight * basis[:, column]
+        induced = control_kernel(ref.graph, ref.dim).scatter(ref.units, offsets[None])[0]
+        residual = float(np.linalg.norm(target - induced))
         gate = CALIBRATION_TOL * max(1.0, float(np.linalg.norm(target)))
-        offsets, (residual,) = _refined_offsets(ref, target[:, None], gate)
     # `not residual <= gate` also refuses a NaN residual.
     if not (residual <= gate and np.isfinite(residual) and np.isfinite(offsets).all()):
         raise Unreachable(f"{what} target unreachable, residual {residual:.3e}")
@@ -296,7 +294,7 @@ def translation_params(ref: ReferenceShape, velocity) -> MotionParameters:
     velocity = np.asarray(velocity, dtype=float).reshape(-1)
     if velocity.size != ref.dim:
         raise ValueError(f"velocity must have {ref.dim} components")
-    return _calibrate(ref, np.tile(velocity, ref.graph.vertex_count), "translation")
+    return _combine(ref, 0, velocity, np.tile(velocity, ref.graph.vertex_count), "translation")
 
 
 def rotation_field(centered_points: np.ndarray, angular_velocity) -> np.ndarray:
@@ -319,9 +317,10 @@ def rotation_field(centered_points: np.ndarray, angular_velocity) -> np.ndarray:
 
 def rotation_params(ref: ReferenceShape, angular_velocity) -> MotionParameters:
     """Offsets spinning the shape about its centroid at the given rate."""
-    with np.errstate(over="ignore"):  # _calibrate refuses an overflowing target
+    with np.errstate(over="ignore"):  # _combine refuses an overflowing target
         target = rotation_field(ref.centered_points(), angular_velocity)
-    return _calibrate(ref, target, "rotation")
+    weights = np.asarray(angular_velocity, dtype=float).reshape(-1)
+    return _combine(ref, ref.dim, weights, target, "rotation")
 
 
 def scaling_params(ref: ReferenceShape, rate: float) -> MotionParameters:
@@ -331,6 +330,6 @@ def scaling_params(ref: ReferenceShape, rate: float) -> MotionParameters:
     centroid, so each desired distance grows at rate times its value: a
     unit rate grows the scale factor by one per unit time.
     """
-    with np.errstate(over="ignore"):  # _calibrate refuses an overflowing target
+    with np.errstate(over="ignore"):  # _combine refuses an overflowing target
         target = float(rate) * ref.centered_points().reshape(-1)
-    return _calibrate(ref, target, "scaling")
+    return _combine(ref, ref.motion_basis.shape[1] - 1, [float(rate)], target, "scaling")

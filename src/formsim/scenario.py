@@ -231,11 +231,12 @@ def parse_scenario(text: str) -> Scenario:
             perturbation = Perturbation(seed, magnitude)
         except ValueError as exc:
             raise SchemaError(f"$.sim.perturbation.seed: {exc}") from None
+    if raw_sim.get("integrator", "rk4") != "rk4":  # the key may still name RK4
+        raise SchemaError(f"$.sim.integrator: only 'rk4' is supported, got {raw_sim['integrator']!r}")
     try:
         sim = SimConfig(
             dt=_expect(raw_sim, "dt", float, "$.sim"),
             duration=_expect(raw_sim, "duration", float, "$.sim"),
-            integrator=raw_sim.get("integrator", "rk4"),
             record_stride=_expect(raw_sim, "record_stride", int, "$.sim")
             if "record_stride" in raw_sim else 1,
             perturbation=perturbation,

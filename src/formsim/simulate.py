@@ -47,9 +47,10 @@ class Perturbation:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Step, horizon, record stride and start perturbation of an RK4 run."""
+
     dt: float
     duration: float
-    integrator: str = "rk4"
     record_stride: int = 1
     perturbation: Perturbation | None = None
 
@@ -61,10 +62,11 @@ class SimConfig:
                              f"got {self.duration}")
         if not math.isfinite(self.duration / self.dt):
             raise ValueError(f"duration / dt overflows: {self.duration} / {self.dt}")
-        if self.integrator not in ("rk4", "euler"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
+        # A longer stride records only the start and discards every step.
+        if self.record_stride > self.steps:
+            raise ValueError(f"record_stride {self.record_stride} exceeds the run's {self.steps} steps")
 
     @property
     def steps(self) -> int:
@@ -304,7 +306,7 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
     if sim.perturbation is not None:
         starts = [apply_perturbation(fw, sim.perturbation.seed, sim.perturbation.magnitude)
                   for fw in starts]
-    step = _stepper(make_rhs(ref, cfg), sim.integrator, sim.dt)
+    step = _stepper(make_rhs(ref, cfg), sim.dt)
 
     dt, stride, steps = sim.dt, sim.record_stride, sim.steps
     p = np.array([fw.positions for fw in starts])
@@ -364,12 +366,9 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
     return out
 
 
-def _stepper(rhs, integrator: str, dt: float):
-    """One integrator step, step(t, p) -> p at t + dt."""
+def _stepper(rhs, dt: float):
+    """One classical Runge-Kutta step, step(t, p) -> p at t + dt."""
     # 0-d arrays multiply with less overhead than floats, to the same bits.
-    if integrator == "euler":
-        whole = np.array(dt)
-        return lambda t, p: p + whole * rhs(t, p)
     half, whole, sixth, two = map(np.array, (dt / 2.0, dt, dt / 6.0, 2.0))
 
     def rk4(t: float, p: np.ndarray) -> np.ndarray:

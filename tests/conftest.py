@@ -349,7 +349,7 @@ def serialize_scenario(scenario):
         "sim": {
             "dt": scenario.sim.dt,
             "duration": scenario.sim.duration,
-            "integrator": scenario.sim.integrator,
+            "integrator": "rk4",
             "record_stride": scenario.sim.record_stride,
             "perturbation": None if scenario.sim.perturbation is None else {
                 "seed": scenario.sim.perturbation.seed,

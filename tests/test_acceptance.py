@@ -145,7 +145,7 @@ def test_criterion_04_reference_offset_vectors(square_ref):
 
 
 def test_criterion_05_shape_invariance(square_ref, full_config):
-    sim = SimConfig(dt=1e-3, duration=20.0, integrator="rk4", record_stride=10)
+    sim = SimConfig(dt=1e-3, duration=20.0, record_stride=10)
     traj = integrate(square_ref.framework, square_ref, full_config, sim)
     worst = float(np.abs(traj.errors()).max())
     _report(5, "shape invariance", worst <= 1e-6,

@@ -656,11 +656,11 @@ class TestNumericalFailures:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("gain, sim, message", [
-        # Six steps at record stride 10: only the start is recorded.
-        (1e300, {"dt": 0.05, "duration": 0.3, "record_stride": 10},
+        # Six steps at record stride 4: the last step is not recorded.
+        (1e10, {"dt": 0.05, "duration": 0.3, "record_stride": 4},
          "state is not finite at t=0.3"),
-        # One Euler step lands on a finite state whose squared edges overflow.
-        (1e158, {"dt": 0.01, "duration": 0.01, "record_stride": 1, "integrator": "euler"},
+        # One step lands on a finite state whose squared edges overflow.
+        (1e45, {"dt": 0.01, "duration": 0.01, "record_stride": 1},
          "edge lengths overflow at t=0.01"),
     ])
     def test_divergence_past_the_last_recorded_check(self, tmp_path, capsys, gain, sim,
@@ -717,6 +717,31 @@ class TestOverrides:
         path = write_scenario(tmp_path, sim={"dt": 1e-300, "duration": 1e300})
         assert main(["simulate", str(path), "-o", out]) == 1
         assert "$.sim: duration / dt overflows" in capsys.readouterr().err
+
+    def test_record_stride_longer_than_the_run_is_refused(self, tmp_path, capsys):
+        # Such a stride records only the start and discards every step.
+        out = str(tmp_path / "run")
+        path = write_scenario(tmp_path, sim={"dt": 0.002, "duration": 2.0,
+                                             "record_stride": 100000, "perturbation": None})
+        assert main(["simulate", str(path), "-o", out]) == 1
+        assert "$.sim: record_stride 100000 exceeds the run's 1000 steps" \
+            in capsys.readouterr().err
+        # 4 steps at the scenario's record stride 5.
+        for command in (["simulate", "-o", out], ["verify"]):
+            path = str(write_scenario(tmp_path))
+            assert main([command[0], path, "--duration", "0.008", *command[1:]]) == 1
+            assert "command-line override: record_stride 5 exceeds the run's 4 steps" \
+                in capsys.readouterr().err
+
+    def test_rk4_is_the_only_integrator(self, tmp_path, capsys):
+        sim = {"dt": 0.002, "duration": 1.0, "record_stride": 5, "perturbation": None}
+        for integrator in ("rk4", None):
+            doc_sim = sim if integrator is None else {**sim, "integrator": integrator}
+            assert main(["design", str(write_scenario(tmp_path, sim=doc_sim))]) == 0
+        capsys.readouterr()
+        path = write_scenario(tmp_path, sim={**sim, "integrator": "euler"})
+        assert main(["design", str(path)]) == 1
+        assert "$.sim.integrator" in capsys.readouterr().err
 
     def test_negative_seed_is_validation_error(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
@@ -909,6 +934,26 @@ class TestReferenceRigidity:
         # A 1 s verify fails its convergence checks; only the count matters.
         main([command, str(write_scenario(tmp_path)), "--duration", "1", *rest])
         assert built == [5]
+
+    @pytest.mark.parametrize("command", ["design", "simulate", "verify"])
+    def test_each_command_solves_one_motion_basis(self, tmp_path, capsys, monkeypatch,
+                                                  command):
+        # The three designed parts and the motion-spaces check all read
+        # the reference shape's motion basis: one solve of its 4 columns.
+        import formsim.motion
+
+        solves = []
+        solve = formsim.motion._min_norm_offsets
+
+        def counted(ref, fields):
+            solves.append(fields.shape[1])
+            return solve(ref, fields)
+
+        monkeypatch.setattr(formsim.motion, "_min_norm_offsets", counted)
+        rest = {"simulate": ["-o", str(tmp_path / "run")]}.get(command, [])
+        path = str(bundled_scenario_path("square"))
+        assert main([command, path, "--duration", "1", *rest]) in (0, 2)
+        assert solves == [4]
 
     @pytest.mark.parametrize("edges, message", [
         ([[1, 2], [2, 3], [3, 4], [4, 1]], "(rank 4, 4 edges, target 5)"),

@@ -1,7 +1,8 @@
 """Mutated scenario files and flags end in an exit code, never a traceback.
 
 Each example mutates the bundled square scenario (drops a key, or sets a
-value to a wrong type, zero, a negative number, +-1e300 or an empty list)
+value to a wrong type, zero, a negative number, +-1e300, an empty list,
+an integrator name other than "rk4" or a record stride longer than the run)
 and runs `design` and a short `simulate` on it.  The step count stays at
 or below 1000: simulate allocates the whole trajectory up front.
 """
@@ -23,7 +24,9 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SQUARE = json.loads(bundled_scenario_path("square").read_text())
 
-BAD_VALUES = [None, True, "x", {}, [], 0, 0.0, -1, -0.5, 1e300, -1e300]
+# "euler" names an integrator formsim does not have; 10**6 is a valid
+# integer but a record stride longer than any run.
+BAD_VALUES = [None, True, "x", {}, [], 0, 0.0, -1, -0.5, 1e300, -1e300, "euler", 10**6]
 
 # Every valid step is 0.01 or 0.05 and every valid horizon at most 10, so
 # a run takes at most 1000 steps.  Valid values are listed more than once

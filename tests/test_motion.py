@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -221,12 +223,12 @@ class TestMotionSpaces:
         from formsim import bundled_scenario_path, load_scenario
         from formsim.checks import check_motion_spaces
 
-        scenario = load_scenario(bundled_scenario_path("square"))
-        assert check_motion_spaces(scenario).passed
+        assert check_motion_spaces(load_scenario(bundled_scenario_path("square"))).passed
         solve = motion._min_norm_offsets
         monkeypatch.setattr(motion, "_min_norm_offsets",
                             lambda ref, fields: np.roll(solve(ref, fields), 1, axis=0))
-        result = check_motion_spaces(scenario)
+        # A shape keeps its motion basis, so the corrupted solve needs a fresh one.
+        result = check_motion_spaces(load_scenario(bundled_scenario_path("square")))
         assert not result.passed, result.detail
 
 
@@ -281,13 +283,14 @@ class TestCalibration:
         cosine = abs(pv @ moving_part) / (np.linalg.norm(pv) * np.linalg.norm(moving_part))
         assert cosine >= 1.0 - 1e-9
 
-    def test_unreachable_translation_raises(self, square_ref, monkeypatch):
+    def test_unreachable_translation_raises(self, square_framework, monkeypatch):
         # Offsets that realize only half the target fail the residual gate.
+        # The patch goes in before the shape's motion basis is solved.
         solve = motion._min_norm_offsets
         monkeypatch.setattr(motion, "_min_norm_offsets",
                             lambda ref, fields: 0.5 * solve(ref, fields))
         with pytest.raises(Unreachable, match="translation"):
-            translation_params(square_ref, [1.0, 0.0])
+            translation_params(ReferenceShape(square_framework), [1.0, 0.0])
 
     def test_scaling_is_about_the_centroid(self, square_graph):
         # An asymmetric quad: its scaling offsets move every agent
@@ -337,6 +340,42 @@ class TestSharedGeometry:
 def _frameworks(dims=(2, 3)):
     return st.builds(henneberg_framework, st.integers(4, 12), st.sampled_from(dims),
                      st.integers(0, 2**32 - 1))
+
+
+class TestMotionBasis:
+    @given(_frameworks())
+    # A nearly flat tetrahedron: its first solve misses on several
+    # generator columns, and the corrective solve has to recover them.
+    @example(henneberg_framework(4, 3, 304721655))
+    @settings(max_examples=40, deadline=None)
+    def test_every_part_is_a_combination_of_one_basis(self, fw):
+        ref = ReferenceShape(fw)
+        dim, n = ref.dim, ref.graph.vertex_count
+        v = np.arange(1.0, dim + 1.0)
+        omega = 0.7 if dim == 2 else np.array([0.3, -0.5, 1.0])
+        spins = np.reshape(omega, -1)
+        basis = ref.motion_basis
+        assert basis.shape == (2 * ref.graph.edge_count, dim + spins.size + 1)
+        assert not basis.flags.writeable
+        cases = [
+            (translation_params(ref, v), 0, v, np.tile(v, n)),
+            (rotation_params(ref, omega), dim, spins,
+             rotation_field(ref.centered_points(), omega)),
+            (scaling_params(ref, 0.4), dim + spins.size, [0.4],
+             0.4 * ref.centered_points().reshape(-1)),
+        ]
+        for pv, first, weights, target in cases:
+            combined = np.zeros(basis.shape[0])
+            for column, weight in enumerate(weights, first):
+                combined += weight * basis[:, column]
+            assert np.array_equal(pv.stacked(), combined)
+            mismatch = np.linalg.norm(ref.velocity_map @ pv.stacked() - target)
+            assert mismatch <= motion.CALIBRATION_TOL * max(1.0, np.linalg.norm(target))
+        # motion_spaces solves nothing: it reads the basis the parts read.
+        with mock.patch.object(motion, "_min_norm_offsets",
+                               side_effect=AssertionError("solved again")):
+            assert max(motion_spaces(ref).values()) <= 1e-9
+        assert ref.motion_basis is basis
 
 
 class TestMinimumNormOffsets:

@@ -164,22 +164,6 @@ class TestIntegrate:
         err_fine = np.linalg.norm(final_state(8e-3) - reference)
         assert 8.0 <= err_coarse / err_fine <= 32.0
 
-    def test_euler_first_order_convergence(self, square_ref):
-        cfg = motion_config(square_ref, omega=1.0)
-        start = apply_perturbation(square_ref.framework, 2, 0.3)
-        horizon = 1.0
-
-        def final_state(dt):
-            traj = integrate(start, square_ref, cfg,
-                             SimConfig(dt=dt, duration=horizon, integrator="euler",
-                                       record_stride=int(round(horizon / dt))))
-            return traj.positions[-1]
-
-        reference = final_state(1.25e-4)
-        err_coarse = np.linalg.norm(final_state(8e-3) - reference)
-        err_fine = np.linalg.norm(final_state(4e-3) - reference)
-        assert 1.5 <= err_coarse / err_fine <= 3.0
-
 
 def assert_same_run(batched, single):
     for field in ("times", "positions", "scale"):
@@ -266,20 +250,20 @@ class TestIntegrateBatch:
 
     def test_not_finite_row_hides_no_collapse(self):
         # Two agents 1 apart close in at unit speed each; the gain is too
-        # small to move any bit, so after two Euler steps they coincide.
-        # The far row is NaN from the first step on and stays in the batch
-        # until the recorded last step.
+        # small to move any bit, so the last stage of the step from t=0.25
+        # makes them coincide.  The far row is NaN from the first step on
+        # and stays in the batch until the recorded last step.
         graph = SensingGraph(2, ((1, 2),))
         ref = ReferenceShape(Framework.from_points(graph, [[0.0, 0.0], [1.0, 0.0]]))
         zero = MotionParameters.zero(1)
         cfg = ControllerConfig(2.0 ** -60, MotionParameters([-1.0], [1.0]), zero, zero,
                                ScalingSchedule.none())
-        sim = SimConfig(dt=0.25, duration=1.0, integrator="euler", record_stride=4)
+        sim = SimConfig(dt=0.25, duration=1.0, record_stride=4)
         far = Framework.from_points(graph, [[0.0, 0.0], [1e300, 0.0]])
         diverged, collapsed = integrate_batch([far, ref.framework], ref, cfg, sim)
         assert isinstance(diverged, Divergence)
         assert isinstance(collapsed, EdgeCollapse)
-        assert "t=0.5" in str(collapsed)
+        assert "t=0.25" in str(collapsed)
 
 
 class TestPerturbations:
