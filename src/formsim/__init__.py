@@ -26,7 +26,6 @@ from .errors import (
 from .motion import (
     MotionParameters,
     ReferenceShape,
-    distance_rates,
     induced_velocities,
     induced_velocity_matrix,
     motion_spaces,

@@ -26,8 +26,7 @@ from .errors import (
     SchemaError,
 )
 from .checks import run_verification
-from .motion import distance_rates, rotation_field
-from .rigidity import control_kernel
+from .motion import field_residual, rotation_field
 from .scenario import (
     Scenario,
     design_to_document,
@@ -134,18 +133,14 @@ def _design_document(scenario: Scenario) -> dict:
         "rotation": cfg.rotation_part,
         "scaling_unit_rate": cfg.scaling_part,
     }
-    kernel = control_kernel(ref.graph, ref.dim)
-    residuals = {}
+    # The field each part is designed for; scaling's at unit rate.
+    centered = ref.centered_points()
     targets = {
         "translation": np.tile(scenario.v_body, ref.graph.vertex_count),
-        "rotation": rotation_field(ref.centered_points(), scenario.omega),
+        "rotation": rotation_field(centered, scenario.omega),
+        "scaling_unit_rate": centered.reshape(-1),
     }
-    for name in ("translation", "rotation"):
-        induced = kernel.scatter(ref.units, parts[name].stacked()[None])[0]
-        residuals[name] = float(np.linalg.norm(induced - targets[name]))
-    residuals["scaling_unit_rate"] = float(
-        np.linalg.norm(distance_rates(ref, parts["scaling_unit_rate"]) - ref.distances)
-    )
+    residuals = {name: field_residual(ref, parts[name], targets[name]) for name in parts}
     return design_to_document(scenario.dimension, parts, residuals)
 
 
@@ -191,8 +186,7 @@ def cmd_simulate(args) -> int:
         report_doc["steady_state"] = {
             "window": list(window),
             "v_body": report.v_body.tolist(),
-            "omega": report.omega if isinstance(report.omega, float)
-            else np.asarray(report.omega).tolist(),
+            "omega": np.asarray(report.omega).tolist(),
             "scale_rate": report.scale_rate,
             "lambda_fit": report.lambda_fit,
             "decay_decades": report.decay_decades,

@@ -262,12 +262,11 @@ def motion_spaces(ref: ReferenceShape) -> dict:
     }
 
 
-def distance_rates(ref: ReferenceShape, pv: MotionParameters) -> np.ndarray:
-    """Rate of change of every edge length when the offsets act at the
-    reference bearings, u_k . (v_tail - v_head)."""
-    kernel, units = control_kernel(ref.graph, ref.dim), ref.units
-    rates = kernel.gather(kernel.scatter(units, pv.stacked()[None]))
-    return (units * rates).sum(axis=1)[0]
+def field_residual(ref: ReferenceShape, pv: MotionParameters, target) -> float:
+    """Norm of what the velocity field the offsets induce at the reference
+    bearings misses of the stacked field target."""
+    induced = control_kernel(ref.graph, ref.dim).scatter(ref.units, pv.stacked()[None])[0]
+    return float(np.linalg.norm(target - induced))
 
 
 def _combine(ref: ReferenceShape, first: int, weights, target, what: str) -> MotionParameters:
@@ -280,13 +279,13 @@ def _combine(ref: ReferenceShape, first: int, weights, target, what: str) -> Mot
     with np.errstate(over="ignore", invalid="ignore"):
         for column, weight in enumerate(weights, first):
             offsets += weight * basis[:, column]
-        induced = control_kernel(ref.graph, ref.dim).scatter(ref.units, offsets[None])[0]
-        residual = float(np.linalg.norm(target - induced))
+        pv = MotionParameters.from_stacked(offsets)
+        residual = field_residual(ref, pv, target)
         gate = CALIBRATION_TOL * max(1.0, float(np.linalg.norm(target)))
     # `not residual <= gate` also refuses a NaN residual.
     if not (residual <= gate and np.isfinite(residual) and np.isfinite(offsets).all()):
         raise Unreachable(f"{what} target unreachable, residual {residual:.3e}")
-    return MotionParameters.from_stacked(offsets)
+    return pv
 
 
 def translation_params(ref: ReferenceShape, velocity) -> MotionParameters:

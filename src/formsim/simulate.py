@@ -381,6 +381,19 @@ def _stepper(rhs, dt: float):
     return rk4
 
 
+def _nearest_rotations(cov: np.ndarray) -> np.ndarray:
+    """The rotation R maximizing trace(R @ cov) for each matrix of a stack
+    (samples, dim, dim), which is the rotation nearest cov's transpose.
+    Raises DegenerateAlignment when any matrix is rank deficient."""
+    u, sigma, vt = np.linalg.svd(cov)
+    if np.any(sigma[:, -1] <= 1e-12 * np.maximum(sigma[:, 0], 1e-300)):
+        raise DegenerateAlignment("alignment covariance is rank deficient")
+    v, ut = vt.transpose(0, 2, 1), u.transpose(0, 2, 1)
+    flip = np.tile(np.eye(cov.shape[-1]), (cov.shape[0], 1, 1))
+    flip[:, -1, -1] = np.sign(np.linalg.det(v @ ut))
+    return v @ flip @ ut
+
+
 def _frame_rotations(positions: np.ndarray, ref: ReferenceShape) -> np.ndarray:
     """Per-sample rotation (samples, dim, dim) mapping the centered agents
     onto the centered reference shape: the Kabsch rotation of every
@@ -396,13 +409,36 @@ def _frame_rotations(positions: np.ndarray, ref: ReferenceShape) -> np.ndarray:
         pts = positions[rows].reshape(-1, n, m)
         centered = pts - pts.mean(axis=1, keepdims=True)
         np.matmul(centered.transpose(0, 2, 1), ref_centered, out=cov[rows])
-    u, sigma, vt = np.linalg.svd(cov)
-    if np.any(sigma[:, -1] <= 1e-12 * np.maximum(sigma[:, 0], 1e-300)):
-        raise DegenerateAlignment("alignment covariance is rank deficient")
-    v, ut = vt.transpose(0, 2, 1), u.transpose(0, 2, 1)
-    flip = np.tile(np.eye(m), (cov.shape[0], 1, 1))
-    flip[:, -1, -1] = np.sign(np.linalg.det(v @ ut))
-    return v @ flip @ ut
+    return _nearest_rotations(cov)
+
+
+# Within this many radians of half a turn, a turn has no reliable sense or
+# axis: its skew part and mid frame lose about 1e-16 / HALF_TURN_TOL relative.
+HALF_TURN_TOL = 1e-2
+# Index pairs (a, b) of the skew part (T[b, a] - T[a, b]) / 2 of a rotation T:
+# the sine of its angle in the plane, sin(angle) times its axis in space.
+_SKEW_PAIRS = {2: ([0], [1]), 3: ([1, 2, 0], [2, 0, 1])}
+
+
+def _turns(rotations: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Turn of the shape between consecutive samples, in the body frame:
+    the logarithm of rotations[j] @ rotations[j + 1].T, an angle (k, 1) in
+    the plane and a rotation vector (k, 3) in space.  Raises
+    DegenerateAlignment when a turn is within HALF_TURN_TOL of half a turn.
+    """
+    m = rotations.shape[-1]
+    steps = rotations[:-1] @ rotations[1:].transpose(0, 2, 1)
+    a, b = _SKEW_PAIRS[m]
+    sine = 0.5 * (steps[:, b, a] - steps[:, a, b])
+    norm = np.linalg.norm(sine, axis=1)
+    # A turn by angle fixes dim - 2 axes: its trace is 2 cos(angle) + dim - 2.
+    angle = np.arctan2(norm, 0.5 * (np.trace(steps, axis1=1, axis2=2) - (m - 2)))
+    j = int(np.argmax(angle))
+    if angle[j] > np.pi - HALF_TURN_TOL:
+        raise DegenerateAlignment(f"the shape turned by about half a turn ({angle[j]:.6g} rad) "
+                                  f"between the samples at t={times[j]:.6g} and "
+                                  f"t={times[j + 1]:.6g}; record samples more often")
+    return sine * np.divide(angle, norm, out=np.zeros_like(norm), where=norm > 0.0)[:, None]
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray):
@@ -412,10 +448,13 @@ def _line_fit(x: np.ndarray, y: np.ndarray):
     return float(slope), float(intercept), rms
 
 
-def _frame_angles(rotations: np.ndarray) -> np.ndarray:
-    """Unwrapped planar orientation of the shape per sample."""
-    # rotations map current onto reference; the shape orientation is the inverse.
-    return np.unwrap(np.arctan2(rotations[:, 0, 1], rotations[:, 0, 0]))
+def _rate_fit(times: np.ndarray, increments: np.ndarray):
+    """Slopes (k,) of line fits over times to the running sums of the
+    increments (samples - 1, k), started at zero, and the largest of
+    their rms residuals."""
+    path = np.vstack([np.zeros(increments.shape[1]), np.cumsum(increments, axis=0)])
+    fits = [_line_fit(times, column) for column in path.T]
+    return np.array([fit[0] for fit in fits]), max(fit[2] for fit in fits)
 
 
 def decay_rate_fit(times: np.ndarray, error_norms: np.ndarray):
@@ -452,8 +491,7 @@ def _body_motion(traj: Trajectory, window):
     """The samples of traj inside a time window, as views, and the
     body-frame velocity, the scale-weighted spin and their fit residuals
     over them.  Raises InsufficientDecay when the window holds fewer than
-    three samples."""
-    ref = traj.reference
+    three samples, and DegenerateAlignment as _turns does."""
     t0, t1 = float(window[0]), float(window[1])
     # Times increase, so the window is one slice and sub holds views.
     start = int(np.searchsorted(traj.times, t0, side="left"))
@@ -461,51 +499,20 @@ def _body_motion(traj: Trajectory, window):
     if stop - start < 3:
         raise InsufficientDecay("window must contain at least three samples")
     sub = _subsample(traj, slice(start, stop))
-    rotations = _frame_rotations(sub.positions, ref)
-    m = ref.dim
-
-    centroids = sub.positions.reshape(sub.sample_count, -1, m).mean(axis=1)
-    increments = np.diff(centroids, axis=0)
+    rotations = _frame_rotations(sub.positions, traj.reference)
+    turns = _turns(rotations, sub.times)
+    # The mid frame of two samples, their geodesic midpoint, is the rotation
+    # nearest their sum.
+    mids = _nearest_rotations((rotations[:-1] + rotations[1:]).transpose(0, 2, 1))
+    centroids = sub.positions.reshape(sub.sample_count, -1, traj.reference.dim).mean(axis=1)
+    rotated = (mids @ np.diff(centroids, axis=0)[:, :, None])[:, :, 0]
+    v_body, v_rms = _rate_fit(sub.times, rotated)
     # At scale factor 1 + s the offsets spin the shape at omega / (1 + s), so
-    # each spin increment is weighted by its mid-sample factor (1 when flat).
-    mid = 0.5 * (sub.scale[1:] + sub.scale[:-1])
-    omega_out: float | np.ndarray
-    if m == 2:
-        # Global-to-body mapping is the rotation by minus the shape angle.
-        angles = _frame_angles(rotations)
-        mid_angles = 0.5 * (angles[1:] + angles[:-1])
-        cos_a, sin_a = np.cos(mid_angles), np.sin(mid_angles)
-        rotated = np.stack(
-            [cos_a * increments[:, 0] + sin_a * increments[:, 1],
-             -sin_a * increments[:, 0] + cos_a * increments[:, 1]], axis=1,
-        )
-        weighted = angles + np.concatenate([[0.0], np.cumsum(np.diff(angles) * (mid - 1.0))])
-        omega_out, _, omega_rms = _line_fit(sub.times, weighted)
-    else:
-        # Imported here, not at module load, so that planar runs never pay
-        # for loading SciPy.
-        from scipy.spatial.transform import Rotation
-
-        first = Rotation.from_matrix(rotations[:-1])
-        mids = first * (first.inv() * Rotation.from_matrix(rotations[1:])) ** 0.5
-        # A matmul keeps the bits of applying one rotation at a time; a
-        # stacked apply moves them.
-        rotated = (mids.as_matrix() @ increments[:, :, None])[:, :, 0]
-        # The shape's orientation is rotations[j].T, so its increment
-        # between consecutive samples, in the body frame, is
-        # rotations[j] @ rotations[j + 1].T.
-        steps = Rotation.from_matrix(rotations[:-1] @ rotations[1:].transpose(0, 2, 1))
-        rates = steps.as_rotvec() / np.diff(sub.times)[:, None] * mid[:, None]
-        omega_out = rates.mean(axis=0)
-        omega_rms = float(np.linalg.norm(rates - omega_out, axis=1).mean())
-    displacement = np.vstack([np.zeros(m), np.cumsum(rotated, axis=0)])
-    v_body = np.empty(m)
-    v_rms = 0.0
-    for axis in range(m):
-        slope, _, rms = _line_fit(sub.times, displacement[:, axis])
-        v_body[axis] = slope
-        v_rms = max(v_rms, rms)
-    return sub, v_body, omega_out, {"v_fit_rms": v_rms, "omega_fit_rms": float(omega_rms)}
+    # each turn is weighted by its mid-sample factor (1 when flat).
+    mid_scale = 0.5 * (sub.scale[1:] + sub.scale[:-1])
+    omega, omega_rms = _rate_fit(sub.times, turns * mid_scale[:, None])
+    omega_out = float(omega[0]) if omega.size == 1 else omega
+    return sub, v_body, omega_out, {"v_fit_rms": v_rms, "omega_fit_rms": omega_rms}
 
 
 def steady_state_report(traj: Trajectory, window) -> SteadyStateReport:

@@ -142,6 +142,18 @@ def unit_edge_vectors(fw):
     return vecs / norms[:, None]
 
 
+def distance_rates(fw, pv):
+    """Rate of change of every edge length, u_k . (v_tail - v_head), when
+    the offsets pv act at fw's bearings: each edge end moves its agent
+    along u_k by its offset.  The ends are read from the graph's edge list."""
+    tails, heads = (np.array(fw.graph.edges) - 1).T
+    units = unit_edge_vectors(fw)
+    velocities = np.zeros_like(fw.points)
+    np.add.at(velocities, tails, pv.tail[:, None] * units)
+    np.add.at(velocities, heads, pv.head[:, None] * units)
+    return np.sum(units * (velocities[tails] - velocities[heads]), axis=1)
+
+
 def bearing_gram(fw):
     """Per-agent Gram blocks of the bearings, (n, dim, dim), summed with
     np.add.at over the tail ends in edge order, then the head ends."""

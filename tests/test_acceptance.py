@@ -30,7 +30,7 @@ from formsim import (
     scaling_params,
     translation_params,
 )
-from formsim.simulate import _frame_angles, _frame_rotations
+from formsim.simulate import _frame_rotations
 from conftest import (
     SCALE_PATTERN,
     SPIN_PATTERN,
@@ -218,7 +218,10 @@ def test_criterion_08_periodic_scaling_reproduction(bundled_trajectory):
     mask = traj.times >= transient
     rel_tracking = float((np.abs(traj.errors(mask)) / ref.distances[None, :]).max())
 
-    angles = _frame_angles(_frame_rotations(traj.positions, ref))
+    # The rotations map the shape onto the reference; its orientation
+    # angle is that of their transpose, unwrapped to follow the spin.
+    rotations = _frame_rotations(traj.positions, ref)
+    angles = np.unwrap(np.arctan2(rotations[:, 0, 1], rotations[:, 0, 0]))
     sample_pts = traj.positions.reshape(traj.sample_count, 4, 2)
     tails = np.array([e[0] - 1 for e in ref.graph.edges])
     heads = np.array([e[1] - 1 for e in ref.graph.edges])

@@ -161,15 +161,6 @@ class TestAnalyze:
         assert main(["simulate", str(path), "--duration", "0.1",
                      "-o", str(tmp_path / "run")]) == 0
 
-    def test_import_leaves_scipy_unloaded(self):
-        # SciPy serves only the spatial steady-state fit.
-        code = "import sys, formsim.cli; print('scipy' in sys.modules)"
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, check=True)
-        assert out.stdout.strip() == "False"
-
 
 class TestDesign:
     def test_space_dimensions_and_spin_direction(self, tmp_path, capsys):
@@ -596,6 +587,39 @@ class TestSpatialScenario:
         assert code == 0, out
         assert out.count("PASS") == 7
         assert "steady-velocity" in out
+
+    @pytest.mark.parametrize("schedule", [FLAT, TETRA_SWING], ids=["flat", "swing"])
+    def test_runs_without_scipy(self, tmp_path, schedule):
+        # formsim depends on NumPy alone: with every import of SciPy
+        # refused, simulate and verify write what they write with it.
+        path = tmp_path / "tetra.json"
+        path.write_text(json.dumps(ci_tetrahedron_doc(schedule)))
+        commands = [["simulate", str(path), "--duration", "4", "-o", "run"],
+                    ["verify", str(path), "--duration", "4"]]
+        child = ("import json, sys\n"
+                 "if sys.argv[1] == 'blocked':\n"
+                 "    sys.modules['scipy'] = None\n"
+                 "from formsim.cli import main\n"
+                 "for argv in json.loads(sys.argv[2]):\n"
+                 "    print('exit', main(argv), flush=True)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        outputs = {}
+        for mode in ("blocked", "open"):
+            cwd = tmp_path / mode
+            cwd.mkdir()
+            done = subprocess.run([sys.executable, "-c", child, mode, json.dumps(commands)],
+                                  cwd=cwd, env=env, capture_output=True, timeout=300)
+            outputs[mode] = {"returncode": done.returncode, "stdout": done.stdout,
+                             "stderr": done.stderr,
+                             **{f.name: f.read_bytes() for f in cwd.iterdir()}}
+        blocked, open_ = outputs["blocked"], outputs["open"]
+        assert blocked["returncode"] == 0, blocked["stderr"].decode()
+        assert sorted(blocked) == sorted(open_) == [
+            "returncode", "run.csv", "run.json", "stderr", "stdout"]
+        assert [name for name in blocked if blocked[name] != open_[name]] == []
+        assert blocked["stdout"].count(b"exit ") == 2
 
     def test_design_reports_spatial_dimensions(self, tmp_path, capsys):
         path = self.write_tetra(tmp_path)

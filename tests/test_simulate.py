@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formsim import (
     ControllerConfig,
@@ -35,7 +37,15 @@ from formsim import (
     translation_params,
 )
 from formsim.rigidity import control_kernel
-from formsim.simulate import _CHUNK_ELEMENTS, _frame_rotations, _line_fit, make_rhs
+from formsim.simulate import (
+    _CHUNK_ELEMENTS,
+    HALF_TURN_TOL,
+    _frame_rotations,
+    _line_fit,
+    _nearest_rotations,
+    _turns,
+    make_rhs,
+)
 from conftest import (
     SQUARE_POINTS,
     distance_errors,
@@ -570,31 +580,91 @@ class TestFrameRotations:
 
         traj = tetra_run(tetra_ref)
         report = steady_state_report(traj, (2.0, 6.0))
-        # The body-frame fit with one SciPy rotation per sample.
+        # The body-frame fit with one SciPy rotation per sample: slerp mid
+        # frames and rotation-vector turns, then line fits of running sums.
         keep = (traj.times >= 2.0) & (traj.times <= 6.0)
         times, positions, scale = traj.times[keep], traj.positions[keep], traj.scale[keep]
         rotations = kabsch_rotations(positions, tetra_ref)
         centroids = positions.reshape(times.size, -1, 3).mean(axis=1)
         increments = np.diff(centroids, axis=0)
         rotated = np.empty_like(increments)
-        rates = np.empty_like(increments)
+        turns = np.empty_like(increments)
         for j in range(increments.shape[0]):
             first = Rotation.from_matrix(rotations[j])
             second = Rotation.from_matrix(rotations[j + 1])
             rotated[j] = (first * (first.inv() * second) ** 0.5).apply(increments[j])
             step = Rotation.from_matrix(rotations[j] @ rotations[j + 1].T)
-            # Each spin increment is weighted by its mid-sample scale factor.
-            mid = 0.5 * (scale[j] + scale[j + 1])
-            rates[j] = step.as_rotvec() / (times[j + 1] - times[j]) * mid
-        displacement = np.vstack([np.zeros(3), np.cumsum(rotated, axis=0)])
-        fits = [_line_fit(times, displacement[:, axis]) for axis in range(3)]
-        omega = rates.mean(axis=0)
+            # Each turn is weighted by its mid-sample scale factor.
+            turns[j] = step.as_rotvec() * 0.5 * (scale[j] + scale[j + 1])
+        fits = {}
+        for name, steps in (("v", rotated), ("omega", turns)):
+            path = np.vstack([np.zeros(3), np.cumsum(steps, axis=0)])
+            fits[name] = [_line_fit(times, path[:, axis]) for axis in range(3)]
 
-        np.testing.assert_array_equal(report.v_body, [fit[0] for fit in fits])
-        np.testing.assert_array_equal(report.omega, omega)
-        assert report.residuals["v_fit_rms"] == max(fit[2] for fit in fits)
-        assert report.residuals["omega_fit_rms"] == float(
-            np.linalg.norm(rates - omega, axis=1).mean())
+        np.testing.assert_allclose(report.v_body, [fit[0] for fit in fits["v"]], rtol=1e-12)
+        np.testing.assert_allclose(report.omega, [fit[0] for fit in fits["omega"]], rtol=1e-12)
+        for name in ("v", "omega"):
+            assert report.residuals[f"{name}_fit_rms"] == pytest.approx(
+                max(fit[2] for fit in fits[name]), rel=1e-6)
+
+
+def turning_run(ref, angle, axis=(0.0, 0.0, 1.0), samples=12):
+    """The reference shape turned about its centroid by angle more at every
+    sample, one sample per half time unit, about axis in space."""
+    from scipy.spatial.transform import Rotation
+
+    centered = ref.centered_points()
+    turns = Rotation.from_rotvec(np.outer(np.arange(samples) * angle, axis)).as_matrix()
+    turns = turns[:, :ref.dim, :ref.dim]
+    positions = (centered @ turns.transpose(0, 2, 1)).reshape(samples, -1)
+    return Trajectory(0.5 * np.arange(samples), positions, np.ones(samples), ref)
+
+
+class TestTurns:
+    """Turns and mid frames come from the frames alone, with no exponential
+    map, and agree with SciPy's logarithm and slerp."""
+
+    # Turns up to just under the half-turn refusal; the computed angle
+    # may round up by about 1e-15.
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1),
+           angle=st.floats(0.0, np.pi - HALF_TURN_TOL - 1e-12))
+    def test_turns_and_mid_frames_match_scipy(self, dim, seed, angle):
+        from scipy.spatial.transform import Rotation
+
+        rng = np.random.default_rng(seed)
+        if dim == 2:
+            # Planar frames are turns about z; their top-left blocks.
+            first = Rotation.from_rotvec([0.0, 0.0, rng.uniform(-np.pi, np.pi)])
+            axis = np.array([0.0, 0.0, rng.choice([-1.0, 1.0])])
+        else:
+            first = Rotation.random(rng=rng)
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+        second = first * Rotation.from_rotvec(angle * axis)
+        frames = np.stack([first.as_matrix(), second.as_matrix()])
+        rotations = frames[:, :dim, :dim]
+
+        turn = Rotation.from_matrix(frames[0] @ frames[1].T).as_rotvec()
+        np.testing.assert_allclose(_turns(rotations, np.arange(2.0))[0],
+                                   turn[2:] if dim == 2 else turn, rtol=0.0, atol=1e-12)
+        mid = (first * (first.inv() * second) ** 0.5).as_matrix()[:dim, :dim]
+        mids = _nearest_rotations((rotations[:1] + rotations[1:]).transpose(0, 2, 1))
+        np.testing.assert_allclose(mids[0], mid, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("angle", [np.pi, np.pi - 0.5 * HALF_TURN_TOL])
+    def test_half_turn_between_samples_is_refused(self, tetra_ref, angle):
+        traj = turning_run(tetra_ref, angle, axis=(0.6, 0.0, 0.8))
+        with pytest.raises(DegenerateAlignment, match="about half a turn"):
+            steady_state_report(traj, (0.0, 6.0))
+
+    def test_planar_turns_of_3_rad_fit_as_unwrapped_angles(self, square_ref):
+        traj = turning_run(square_ref, 3.0)
+        report = steady_state_report(traj, (0.0, 6.0))
+        rotations = kabsch_rotations(traj.positions, square_ref)
+        angles = np.unwrap(np.arctan2(rotations[:, 0, 1], rotations[:, 0, 0]))
+        assert report.omega == pytest.approx(np.polyfit(traj.times, angles, 1)[0], rel=1e-12)
+        assert report.omega == pytest.approx(6.0, rel=1e-12)
 
 
 class TestSteadyStateReport:
