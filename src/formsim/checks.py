@@ -7,7 +7,6 @@ they are fixed, not calibrated per run.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -30,7 +29,6 @@ from .simulate import (
     _body_motion,
     _chunks,
     _subsample,
-    apply_perturbation,
     decay_rate_fit,
     integrate_batch,
     perturb_to_error_norm,
@@ -176,7 +174,7 @@ def check_motion_tracking(scenario: Scenario, run) -> CheckResult:
     """The fitted body-frame motion of run against the designed one, and
     distance tracking as well for scaling runs.
 
-    run starts from the scenario's initial positions.
+    run starts at the scenario's initial framework.
     """
     if scenario.schedule.kind == "none":
         return _check_steady_velocities(scenario, run)
@@ -243,22 +241,18 @@ def _closed_loop_runs(scenario: Scenario):
 
     The runs are integrated as one batch.  In order: from the reference
     shape, cut at min(duration, 20); from a perturbation of a tenth of
-    the shortest distance; from the scenario's initial positions.  Each
+    the shortest distance; from the scenario's initial framework.  Each
     entry is a Trajectory or the FormsimError that ended that run.
     """
     try:
         ref = scenario.reference_shape()
         cfg = scenario.controller_config()
         sim = scenario.sim
-        seed = sim.perturbation.seed if sim.perturbation else 7
+        seed = scenario.perturbation.seed if scenario.perturbation else 7
         converging = perturb_to_error_norm(ref.framework, ref.distances, seed,
                                            0.1 * float(ref.distances.min()))
-        tracking = scenario.initial_framework()
-        if sim.perturbation is not None:
-            tracking = apply_perturbation(tracking, sim.perturbation.seed,
-                                          sim.perturbation.magnitude)
-        runs = integrate_batch([ref.framework, converging, tracking], ref, cfg,
-                               dataclasses.replace(sim, perturbation=None))
+        runs = integrate_batch([ref.framework, converging, scenario.initial_framework()],
+                               ref, cfg, sim)
     except FormsimError as exc:
         return [exc] * 3
     if isinstance(runs[0], Trajectory):

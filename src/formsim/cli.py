@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> Scenario:
     scenario = load_scenario(args.scenario)
-    sim = scenario.sim
     overrides = {}
     if args.dt is not None:
         overrides["dt"] = args.dt
@@ -87,12 +86,12 @@ def _load(args) -> Scenario:
         overrides["duration"] = args.duration
     try:
         if args.seed is not None:
-            if sim.perturbation is None:
+            if scenario.perturbation is None:
                 log.warning("--seed ignored: scenario has no perturbation")
             else:
-                overrides["perturbation"] = Perturbation(args.seed, sim.perturbation.magnitude)
+                scenario.perturbation = Perturbation(args.seed, scenario.perturbation.magnitude)
         if overrides:
-            scenario.sim = dataclasses.replace(sim, **overrides)
+            scenario.sim = dataclasses.replace(scenario.sim, **overrides)
     except ValueError as exc:
         raise SchemaError(f"command-line override: {exc}") from None
     # parse_scenario has already refused a schedule that fails on the

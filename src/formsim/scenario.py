@@ -24,9 +24,8 @@ Distances and positions are in an abstract length unit; angles are in
 radians and rates are per unit time.  "omega" is a number for planar
 scenarios and a 3-vector for spatial ones.  Schedule kinds are "none",
 "linear" (field "rate"), and "periodic" (fields "amplitude" and
-"frequency"; the scale factor swings by twice the amplitude).  When
-"initial_positions" is null the run starts from the reference positions
-plus the configured perturbation.
+"frequency"; the scale factor swings by twice the amplitude).
+Scenario.initial_framework says where a run starts.
 
 Parsing validates the document eagerly: schema problems raise
 SchemaError with the offending JSON path, non-minimally-rigid reference
@@ -58,7 +57,7 @@ from .motion import (
     translation_params,
 )
 from .rigidity import Framework, SensingGraph, control_kernel
-from .simulate import Perturbation, SimConfig, Trajectory
+from .simulate import Perturbation, SimConfig, Trajectory, apply_perturbation
 
 _AXES = "xyz"
 
@@ -71,6 +70,7 @@ class Scenario:
     name: str
     reference: ReferenceShape
     initial_positions: np.ndarray | None
+    perturbation: Perturbation | None
     gain: float
     v_body: np.ndarray
     omega: float | np.ndarray
@@ -86,9 +86,14 @@ class Scenario:
         return self.reference
 
     def initial_framework(self) -> Framework:
-        if self.initial_positions is None:
-            return self.reference.framework
-        return Framework.from_points(self.reference.graph, self.initial_positions)
+        """Where a run starts: the initial positions, or the reference shape
+        when there are none, with every agent moved by the perturbation
+        when there is one."""
+        start = self.reference.framework if self.initial_positions is None \
+            else Framework.from_points(self.reference.graph, self.initial_positions)
+        if self.perturbation is None:
+            return start
+        return apply_perturbation(start, self.perturbation.seed, self.perturbation.magnitude)
 
     def controller_config(self, parts: dict | None = None) -> ControllerConfig:
         """This scenario's controller with the offset parts of a design, as
@@ -239,7 +244,6 @@ def parse_scenario(text: str) -> Scenario:
             duration=_expect(raw_sim, "duration", float, "$.sim"),
             record_stride=_expect(raw_sim, "record_stride", int, "$.sim")
             if "record_stride" in raw_sim else 1,
-            perturbation=perturbation,
         )
     except ValueError as exc:
         raise SchemaError(f"$.sim: {exc}") from None
@@ -249,6 +253,7 @@ def parse_scenario(text: str) -> Scenario:
         name=str(doc.get("name", "scenario")),
         reference=ReferenceShape(Framework.from_points(graph, reference)),
         initial_positions=initial,
+        perturbation=perturbation,
         gain=gain,
         v_body=v_body,
         omega=omega,
@@ -326,7 +331,7 @@ def write_trajectory_csv(traj: Trajectory, dim: int, fh) -> None:
                     else f"was killed by signal {-code}"
                 raise OSError(f"CSV writer for the rows from {lo} {cause}")
             out.seek(0)
-            shutil.copyfileobj(out, fh, 1 << 20)
+            shutil.copyfileobj(out, fh, 1 << 16)
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)

@@ -1,7 +1,7 @@
 """Fixed-step integration of the formation dynamics and run diagnostics.
 
-Runs are deterministic: identical inputs (including the perturbation
-seed) produce bit-identical trajectories on the same platform.  The
+Runs are deterministic: identical starts and settings produce
+bit-identical trajectories on the same platform.  The
 body-frame view subtracts the centroid and removes the best-fit
 rotation against the reference shape, which makes steady translation,
 spin, and scaling rates directly measurable by line fits.
@@ -47,12 +47,11 @@ class Perturbation:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Step, horizon, record stride and start perturbation of an RK4 run."""
+    """Step, horizon and record stride of an RK4 run."""
 
     dt: float
     duration: float
     record_stride: int = 1
-    perturbation: Perturbation | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -275,7 +274,7 @@ def make_rhs(ref: ReferenceShape, cfg: ControllerConfig):
 
 def integrate(fw0: Framework, ref: ReferenceShape, cfg: ControllerConfig,
               sim: SimConfig) -> Trajectory:
-    """Integrate the controlled single-integrator dynamics.
+    """Integrate the controlled single-integrator dynamics from fw0 as given.
 
     Time-varying offsets and scheduled distances are evaluated at every
     integrator stage time.  Halts with EdgeCollapse as soon as any edge
@@ -293,9 +292,8 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
                     sim: SimConfig) -> list[Trajectory | FormsimError]:
     """Integrate one run per start framework, all in one step loop.
 
-    Every run shares the controller and the simulation settings; the
-    perturbation, if any, is applied to each start.  Entry i is
-    bit-identical to integrate(starts[i], ...).  A run whose edge
+    Every run shares the controller and the simulation settings.  Entry
+    i is bit-identical to integrate(starts[i], ...).  A run whose edge
     collapses or whose state stops being finite leaves the batch: its
     entry holds the EdgeCollapse or Divergence instead of a Trajectory,
     and the other runs carry on.  Raises FormsimError when the recorded
@@ -303,9 +301,6 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
     """
     if cfg.schedule.min_scale_factor(sim.horizon) <= 0.0:
         raise PositivityError("schedule drives the scale factor to zero within the horizon")
-    if sim.perturbation is not None:
-        starts = [apply_perturbation(fw, sim.perturbation.seed, sim.perturbation.magnitude)
-                  for fw in starts]
     step = _stepper(make_rhs(ref, cfg), sim.dt)
 
     dt, stride, steps = sim.dt, sim.record_stride, sim.steps

@@ -363,9 +363,9 @@ def serialize_scenario(scenario):
             "duration": scenario.sim.duration,
             "integrator": "rk4",
             "record_stride": scenario.sim.record_stride,
-            "perturbation": None if scenario.sim.perturbation is None else {
-                "seed": scenario.sim.perturbation.seed,
-                "magnitude": scenario.sim.perturbation.magnitude,
+            "perturbation": None if scenario.perturbation is None else {
+                "seed": scenario.perturbation.seed,
+                "magnitude": scenario.perturbation.magnitude,
             },
         },
     }

@@ -808,6 +808,21 @@ class TestOverrides:
         main(["simulate", str(path), "--duration", "0.5", "--seed", "8", "-o", "s8"])
         assert Path("s7.csv").read_bytes() != Path("s8.csv").read_bytes()
 
+    def test_seed_override_matches_the_seed_in_the_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        seven = write_scenario(tmp_path)
+        doc = json.loads(seven.read_text())
+        doc["sim"]["perturbation"]["seed"] = 8
+        eight = write_scenario(tmp_path, "eight.json", sim=doc["sim"])
+        runs = {}
+        for prefix, argv in (("override", [str(seven), "--seed", "8"]), ("file", [str(eight)])):
+            assert main(["simulate", *argv, "--duration", "2", "-o", prefix]) == 0
+            capsys.readouterr()
+            main(["verify", *argv, "--duration", "2"])
+            runs[prefix] = (Path(f"{prefix}.csv").read_bytes(), Path(f"{prefix}.json").read_bytes(),
+                            capsys.readouterr().out)
+        assert runs["override"] == runs["file"]
+
 
 TETRA_SCENARIO = {
     "dimension": 3,

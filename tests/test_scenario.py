@@ -13,6 +13,7 @@ from formsim import (
     PositivityError,
     RigidityError,
     SchemaError,
+    apply_perturbation,
     bundled_scenario_path,
     load_scenario,
     parse_scenario,
@@ -153,6 +154,19 @@ class TestParseScenario:
         assert scenario.dimension == 3
 
 
+class TestInitialFramework:
+    @pytest.mark.parametrize("initial", [None, [[1, 0], [16, 1], [14, 15], [0, 14]]],
+                             ids=["reference", "given"])
+    def test_perturbation_moves_the_start(self, initial):
+        doc = minimal_doc(initial_positions=initial)
+        start = parse_scenario(json.dumps(doc)).initial_framework()
+        assert np.array_equal(start.points, initial or doc["reference_positions"])
+        doc["sim"]["perturbation"] = {"seed": 3, "magnitude": 0.4}
+        moved = parse_scenario(json.dumps(doc)).initial_framework()
+        assert np.array_equal(moved.positions, apply_perturbation(start, 3, 0.4).positions)
+        assert not np.array_equal(moved.positions, start.positions)
+
+
 class TestRoundTrip:
     def test_parse_serialize_parse(self):
         original = load_scenario(bundled_scenario_path("square"))
@@ -165,6 +179,7 @@ class TestRoundTrip:
         assert np.array_equal(again.v_body, original.v_body)
         assert again.omega == original.omega
         assert again.schedule == original.schedule
+        assert again.perturbation == original.perturbation
         assert again.sim == original.sim
 
 
@@ -172,17 +187,16 @@ def flat_trajectory(square_ref, duration=0.5, stride=5):
     from formsim import (
         ControllerConfig,
         MotionParameters,
-        Perturbation,
         ScalingSchedule,
         SimConfig,
+        apply_perturbation,
         integrate,
     )
 
     zero = MotionParameters.zero(5)
     cfg = ControllerConfig(5.0, zero, zero, zero, ScalingSchedule.none())
-    sim = SimConfig(dt=1e-2, duration=duration, record_stride=stride,
-                    perturbation=Perturbation(3, 0.4))
-    return integrate(square_ref.framework, square_ref, cfg, sim)
+    sim = SimConfig(dt=1e-2, duration=duration, record_stride=stride)
+    return integrate(apply_perturbation(square_ref.framework, 3, 0.4), square_ref, cfg, sim)
 
 
 def linear_trajectory(square_ref):
@@ -190,9 +204,9 @@ def linear_trajectory(square_ref):
     from formsim import (
         ControllerConfig,
         MotionParameters,
-        Perturbation,
         ScalingSchedule,
         SimConfig,
+        apply_perturbation,
         integrate,
         scaling_params,
     )
@@ -200,8 +214,8 @@ def linear_trajectory(square_ref):
     zero = MotionParameters.zero(5)
     cfg = ControllerConfig(5.0, zero, zero, scaling_params(square_ref, 1.0),
                            ScalingSchedule.linear(0.05))
-    sim = SimConfig(dt=1e-2, duration=1.0, record_stride=2, perturbation=Perturbation(3, 0.4))
-    return integrate(square_ref.framework, square_ref, cfg, sim)
+    sim = SimConfig(dt=1e-2, duration=1.0, record_stride=2)
+    return integrate(apply_perturbation(square_ref.framework, 3, 0.4), square_ref, cfg, sim)
 
 
 def periodic_trajectory():
@@ -220,9 +234,9 @@ def periodic_trajectory():
 def spatial_trajectory(tetra_ref):
     from formsim import (
         ControllerConfig,
-        Perturbation,
         ScalingSchedule,
         SimConfig,
+        apply_perturbation,
         integrate,
         rotation_params,
         scaling_params,
@@ -232,9 +246,8 @@ def spatial_trajectory(tetra_ref):
     cfg = ControllerConfig(2.0, translation_params(tetra_ref, [0.1, 0.0, 0.2]),
                            rotation_params(tetra_ref, [0.0, 0.3, 0.5]),
                            scaling_params(tetra_ref, 1.0), ScalingSchedule.linear(0.05))
-    return integrate(tetra_ref.framework, tetra_ref, cfg,
-                     SimConfig(dt=1e-2, duration=1.0, record_stride=4,
-                               perturbation=Perturbation(5, 0.1)))
+    return integrate(apply_perturbation(tetra_ref.framework, 5, 0.1), tetra_ref, cfg,
+                     SimConfig(dt=1e-2, duration=1.0, record_stride=4))
 
 
 def special_trajectory():

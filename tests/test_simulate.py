@@ -16,7 +16,6 @@ from formsim import (
     Framework,
     InsufficientDecay,
     MotionParameters,
-    Perturbation,
     ReferenceShape,
     ScalingSchedule,
     SensingGraph,
@@ -116,9 +115,10 @@ class TestIntegrate:
             assert np.array_equal(errors, distance_errors(Framework(square_ref.graph, 2, row), d_t))
 
     def test_deterministic_given_seed(self, square_ref):
-        sim = SimConfig(dt=1e-3, duration=0.5, perturbation=Perturbation(11, 0.4))
-        one = integrate(square_ref.framework, square_ref, quiet_config(square_ref), sim)
-        two = integrate(square_ref.framework, square_ref, quiet_config(square_ref), sim)
+        sim = SimConfig(dt=1e-3, duration=0.5)
+        start = apply_perturbation(square_ref.framework, 11, 0.4)
+        one = integrate(start, square_ref, quiet_config(square_ref), sim)
+        two = integrate(start, square_ref, quiet_config(square_ref), sim)
         assert np.array_equal(one.positions, two.positions)
         assert np.array_equal(one.errors(), two.errors())
 
@@ -192,6 +192,7 @@ class TestIntegrateBatch:
                   apply_perturbation(square_ref.framework, 3, 1.0)]
         runs = integrate_batch(starts, square_ref, cfg, sim)
         for start, run in zip(starts, runs):
+            assert np.array_equal(run.positions[0], start.positions)
             assert_same_run(run, integrate(start, square_ref, cfg, sim))
 
     def test_rows_match_single_runs_tetrahedron(self, tetra_ref):
@@ -202,10 +203,12 @@ class TestIntegrateBatch:
             MotionParameters.zero(6),
             ScalingSchedule.none(),
         )
-        sim = SimConfig(dt=1e-3, duration=0.5, record_stride=5, perturbation=Perturbation(4, 0.1))
-        starts = [tetra_ref.framework, apply_perturbation(tetra_ref.framework, 9, 0.2)]
+        sim = SimConfig(dt=1e-3, duration=0.5, record_stride=5)
+        starts = [apply_perturbation(fw, 4, 0.1)
+                  for fw in (tetra_ref.framework, apply_perturbation(tetra_ref.framework, 9, 0.2))]
         runs = integrate_batch(starts, tetra_ref, cfg, sim)
         for start, run in zip(starts, runs):
+            assert np.array_equal(run.positions[0], start.positions)
             assert_same_run(run, integrate(start, tetra_ref, cfg, sim))
 
     # Under the periodic schedule the stage arrays change at every stage,
@@ -517,9 +520,8 @@ def tetra_run(tetra_ref):
         scaling_params(tetra_ref, 1.0),
         ScalingSchedule.periodic(0.1, 1.0),
     )
-    return integrate(tetra_ref.framework, tetra_ref, cfg,
-                     SimConfig(dt=0.002, duration=6.0, record_stride=5,
-                               perturbation=Perturbation(4, 0.05)))
+    return integrate(apply_perturbation(tetra_ref.framework, 4, 0.05), tetra_ref, cfg,
+                     SimConfig(dt=0.002, duration=6.0, record_stride=5))
 
 
 def rotated_stack(ref, samples, seed):
@@ -547,8 +549,8 @@ class TestFrameRotations:
         ref = ReferenceShape(henneberg_framework(64, 2, 3))
         cfg = motion_config(ref, v=(0.5, 0.3), omega=0.2,
                             schedule=ScalingSchedule.periodic(0.1, 1.0))
-        traj = integrate(ref.framework, ref, cfg,
-                         SimConfig(dt=0.01, duration=3.0, perturbation=Perturbation(1, 0.3)))
+        traj = integrate(apply_perturbation(ref.framework, 1, 0.3), ref, cfg,
+                         SimConfig(dt=0.01, duration=3.0))
         np.testing.assert_array_equal(_frame_rotations(traj.positions, ref),
                                       kabsch_rotations(traj.positions, ref))
 
@@ -793,11 +795,12 @@ class TestRunMemory:
         ref = ReferenceShape(henneberg_framework(128, 2, 3))
         rows = _CHUNK_ELEMENTS // (ref.dim * ref.graph.edge_count)
         dt = 5e-3
-        sim = SimConfig(dt=dt, duration=8 * rows * dt, perturbation=Perturbation(3, 0.5))
+        sim = SimConfig(dt=dt, duration=8 * rows * dt)
+        start = apply_perturbation(ref.framework, 3, 0.5)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            traj = integrate(ref.framework, ref, quiet_config(ref, gain=1.0), sim)
+            traj = integrate(start, ref, quiet_config(ref, gain=1.0), sim)
             held, integrate_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             steady_state_report(traj, (0.5 * sim.duration, sim.duration))
