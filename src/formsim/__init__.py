@@ -2,7 +2,8 @@
 
 The package splits into graph/rigidity primitives, offset-parameter
 design, the control law with distance schedules, a fixed-step
-simulator with steady-state estimators, and scenario I/O plus a CLI.
+simulator with steady-state estimators, the per-sample record of a run,
+and scenario I/O plus a CLI.
 """
 
 from .control import (
@@ -42,6 +43,7 @@ from .rigidity import (
     rigidity_report,
 )
 from .scenario import (
+    CsvRows,
     Scenario,
     bundled_scenario_path,
     load_scenario,
@@ -52,7 +54,6 @@ from .simulate import (
     Perturbation,
     SimConfig,
     SteadyStateReport,
-    Trajectory,
     apply_perturbation,
     decay_rate_fit,
     integrate,
@@ -60,5 +61,6 @@ from .simulate import (
     perturb_to_error_norm,
     steady_state_report,
 )
+from .trajectory import Trajectory
 
 __version__ = "0.1.0"

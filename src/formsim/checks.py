@@ -25,14 +25,12 @@ from .rigidity import Framework, control_kernel
 from .scenario import Scenario
 from .simulate import (
     DECAY_FLOOR,
-    Trajectory,
     _body_motion,
-    _chunks,
-    _subsample,
     decay_rate_fit,
     integrate_batch,
     perturb_to_error_norm,
 )
+from .trajectory import Trajectory, _chunks
 
 MEMBERSHIP_TOL = 1e-10
 IDENTITY_TOL = 1e-12
@@ -144,7 +142,7 @@ def check_shape_invariance(scenario: Scenario, run):
     """run starts on the reference shape and lasts at most 20 time units."""
     traj = _trajectory(run)
     horizon = min(scenario.sim.duration, INVARIANCE_HORIZON)
-    worst = max(float(np.abs(traj.errors(rows)).max()) for rows in traj.chunks())
+    worst = float(traj.peak_errors.max())
     return worst <= INVARIANCE_TOL, (
         f"max distance error {worst:.2e} over {horizon:g} time units")
 
@@ -209,14 +207,12 @@ def _motion_mismatch(scenario: Scenario, run) -> float | None:
 
 @_check("distance-tracking")
 def _check_distance_tracking(scenario: Scenario, run):
-    ref = scenario.reference_shape()
     traj = _trajectory(run)
     # Times increase, so the samples past the transient are one slice.
     start = int(np.searchsorted(traj.times, TRACKING_TRANSIENT))
     if start == traj.sample_count:
         return False, "horizon shorter than the transient window"
-    worst = max(float((np.abs(traj.errors(rows)) / ref.distances).max())
-                for rows in traj.chunks(start))
+    worst = float(traj.peak_relative_errors[start:].max())
     ok = worst <= TRACKING_REL_TOL
     detail = f"max |length - scheduled| = {worst * 100:.3f}% of reference"
     miss = _motion_mismatch(scenario, traj)
@@ -257,7 +253,7 @@ def _closed_loop_runs(scenario: Scenario):
         return [exc] * 3
     if isinstance(runs[0], Trajectory):
         horizon_steps = min(sim.steps, int(round(INVARIANCE_HORIZON / sim.dt)))
-        runs[0] = _subsample(runs[0], slice(0, horizon_steps // sim.record_stride + 1))
+        runs[0] = runs[0].window(slice(0, horizon_steps // sim.record_stride + 1))
     return runs
 
 

@@ -28,6 +28,7 @@ from .errors import (
 from .checks import run_verification
 from .motion import field_residual, rotation_field
 from .scenario import (
+    CsvRows,
     Scenario,
     design_to_document,
     load_scenario,
@@ -169,10 +170,19 @@ def cmd_simulate(args) -> int:
         parts = parse_design(Path(args.params).read_text(), ref.graph.edge_count)
     cfg = scenario.controller_config(parts)
     log.info("integrating %s for %g time units", scenario.name, scenario.sim.duration)
-    traj = integrate(scenario.initial_framework(), ref, cfg, scenario.sim)
-
-    with csv_path.open("w") as fh:
-        write_trajectory_csv(traj, scenario.dimension, fh)
+    # The rows go to a file beside the CSV while the run integrates; it
+    # replaces the CSV only once the run has succeeded.
+    partial = csv_path.with_name(f".{csv_path.name}.{os.getpid()}.partial")
+    fh = partial.open("x")
+    try:
+        with fh, CsvRows(fh, scenario.dimension) as rows:
+            traj = integrate(scenario.initial_framework(), ref, cfg, scenario.sim,
+                             on_chunk=rows)
+            write_trajectory_csv(traj, scenario.dimension, rows)
+        partial.replace(csv_path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
     report_doc: dict = {
         "scenario": scenario.name,

@@ -57,7 +57,8 @@ from .motion import (
     translation_params,
 )
 from .rigidity import Framework, SensingGraph, control_kernel
-from .simulate import Perturbation, SimConfig, Trajectory, apply_perturbation
+from .simulate import Perturbation, SimConfig, apply_perturbation
+from .trajectory import Trajectory
 
 _AXES = "xyz"
 
@@ -285,103 +286,152 @@ def trajectory_csv_header(dim: int, vertex_count: int) -> list[str]:
     return columns
 
 
-# A file of fewer values than two blocks of this size is written by the
-# caller alone: a block formats in about 0.13 s at 1 us per value, and
-# forking, reaping and appending a worker costs a few ms.
+# A file of fewer values than two of these is formatted by the caller
+# alone: that many format in about 0.26 s at 1 us per value, and each
+# chunk's worker costs a few ms to fork, reap and append.
 MIN_BLOCK_VALUES = 1 << 17
 MAX_BLOCKS = 8
 
 
-def write_trajectory_csv(traj: Trajectory, dim: int, fh) -> None:
-    """Write a trajectory as CSV: t, positions, scale factor, potential.
+class CsvRows:
+    """The trajectory CSV of one run, written while the run integrates.
 
-    The distance errors and scheduled distances are not written: they
-    are recomputed exactly from a row's positions and scale factor.
-    Floats are rendered with shortest round-trip formatting, so repeated
-    runs of the same scenario produce byte-identical files.  A large run
-    is cut into contiguous row blocks, one per usable CPU: the caller
-    writes the first block into the text stream fh while forked workers
-    write the others into unnamed temporary files, which the caller then
-    reads back and writes into fh in order.  The temporary files sit in
-    the directory of the file fh names, or in the default temporary
-    directory when fh names no existing file.  Every block formats its
-    rows as the serial loop does, so the bytes are the same for any
-    block count.  A worker that fails raises OSError; when the caller's
-    own block raises, it kills and reaps every worker first.
+    Pass it to integrate as on_chunk, then to write_trajectory_csv,
+    which completes the file in fh.  The header goes out with the first
+    chunk.  When the run holds at least two blocks' worth of values and
+    more than one CPU is usable, each chunk of rows is formatted by a
+    worker forked for it, which reads the chunk copy-on-write while the
+    caller integrates the next one and writes into an unnamed temporary
+    file.  At most min(usable CPUs, MAX_BLOCKS) workers are alive: when
+    that many are, the oldest is waited for and its block appended to fh
+    before the next is forked.  Otherwise the caller formats every row
+    itself.  The temporary files sit in the directory of the file fh
+    names, or in the default temporary directory when fh names no
+    existing file.  Every row is formatted the same way by whoever
+    formats it, so the bytes are the same for any worker count.  A
+    worker that fails raises OSError; close kills and reaps every worker
+    still alive.
     """
-    vertex_count = traj.positions.shape[1] // dim
-    header = trajectory_csv_header(dim, vertex_count)
-    fh.write(",".join(header) + "\n")
-    starts = _block_starts(traj.sample_count, len(header))
-    name = getattr(fh, "name", None)
-    directory = os.path.dirname(os.path.abspath(name)) \
-        if isinstance(name, str) and os.path.isfile(name) else None
-    pids, outs = [], []
-    try:
-        for lo, hi in zip(starts[1:-1], starts[2:]):
-            outs.append(tempfile.TemporaryFile("w+", encoding="ascii", dir=directory))
-            pids.append(_fork_rows(traj, lo, hi, outs[-1]))
-        _write_rows(traj, starts[0], starts[1], fh)
-        for lo, out in zip(starts[1:-1], outs):
-            _, status = os.waitpid(pids[0], 0)
-            del pids[0]
+
+    def __init__(self, fh, dim: int):
+        self.fh, self.dim, self.rows, self.workers = fh, dim, 0, 0
+        name = getattr(fh, "name", None)
+        self.directory = os.path.dirname(os.path.abspath(name)) \
+            if isinstance(name, str) and os.path.isfile(name) else None
+        self.pending: list[tuple[int, int, object]] = []  # (pid, first row, file)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def tell(self) -> int:
+        return self.fh.tell()
+
+    def __call__(self, traj: Trajectory, rows: slice, positions: np.ndarray) -> None:
+        if self.rows == 0:
+            header = trajectory_csv_header(self.dim, positions.shape[1] // self.dim)
+            self.fh.write(",".join(header) + "\n")
+            self.workers = _worker_count(traj.sample_count * len(header))
+        self.rows += rows.stop - rows.start
+        if not self.workers:
+            _write_rows(traj, rows, positions, self.fh)
+            return
+        if len(self.pending) == self.workers:
+            self._append_oldest()
+        out = tempfile.TemporaryFile("w+", encoding="ascii", dir=self.directory)
+        try:
+            pid = _fork_rows(traj, rows, positions, out)
+        except BaseException:
+            out.close()
+            raise
+        self.pending.append((pid, rows.start, out))
+
+    def _append_oldest(self) -> None:
+        pid, first, out = self.pending[0]
+        _, status = os.waitpid(pid, 0)
+        del self.pending[0]
+        try:
             code = os.waitstatus_to_exitcode(status)
             if code:
                 cause = f"exited with status {code}" if code > 0 \
                     else f"was killed by signal {-code}"
-                raise OSError(f"CSV writer for the rows from {lo} {cause}")
+                raise OSError(f"CSV writer for the rows from {first} {cause}")
             out.seek(0)
-            shutil.copyfileobj(out, fh, 1 << 16)
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for out in outs:
+            shutil.copyfileobj(out, self.fh, 1 << 16)
+        finally:
             out.close()
 
+    def finish(self) -> None:
+        """Append every block still being formatted, in order, and flush."""
+        while self.pending:
+            self._append_oldest()
+        self.fh.flush()
 
-def _write_rows(traj: Trajectory, lo: int, hi: int, fh) -> None:
-    """Write rows lo to hi - 1 of the CSV body; the errors behind V are
-    formed one chunk of rows at a time."""
-    for rows in traj.chunks(lo, hi):
-        errors = traj.errors(rows)
-        potential = 0.5 * (errors * errors).sum(axis=1)
-        for t, positions, scale, row_potential in zip(
-                traj.times[rows].tolist(), traj.positions[rows], traj.scale[rows].tolist(),
-                potential.tolist()):
-            fh.write(",".join(map(repr, [t, *positions.tolist(), scale, row_potential])))
-            fh.write("\n")
-
-
-def _block_starts(samples: int, width: int) -> list[int]:
-    """First row of each block, then samples: one block unless the file
-    holds at least two blocks' worth of values and more than one CPU is
-    usable."""
-    blocks = min(samples * width // MIN_BLOCK_VALUES, samples, MAX_BLOCKS)
-    if blocks > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        blocks = min(blocks, len(os.sched_getaffinity(0)))
-    else:
-        blocks = 1
-    return [samples * b // blocks for b in range(blocks + 1)]
+    def close(self) -> None:
+        """Kill and reap every worker still alive and drop its block."""
+        for pid, _, out in self.pending:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            out.close()
+        self.pending.clear()
 
 
-def _fork_rows(traj: Trajectory, lo: int, hi: int, out) -> int:
-    """Fork a worker that writes rows lo to hi - 1 into out; return its pid.
+def write_trajectory_csv(traj: Trajectory, dim: int, fh: CsvRows) -> None:
+    """Complete the CSV of traj, t, positions, scale factor and potential
+    per row, whose rows fh took in while traj integrated.
 
-    The worker reads the trajectory copy-on-write and never returns: it
-    leaves through os._exit, with status 0 once its rows are flushed.
-    It prints nothing, so a failure reaches the user only through the
-    caller's OSError.  It runs only Python, tolist, take,
-    elementwise ufuncs and add.reduce, none of which takes a lock another
-    thread of the caller may have held at the fork; no BLAS call runs
-    in it.
+    The distance errors and scheduled distances are not written: they
+    are recomputed exactly from a row's positions and scale factor.
+    Floats are rendered with shortest round-trip formatting, so repeated
+    runs of the same scenario produce byte-identical files.  Raises
+    ValueError when fh holds another run's rows.
+    """
+    if fh.dim != dim or fh.rows != traj.sample_count:
+        raise ValueError(f"the CSV holds {fh.rows} rows in {fh.dim} dimensions, not the "
+                         f"{traj.sample_count} of this {dim}-dimensional run")
+    fh.finish()
+
+
+def _write_rows(traj: Trajectory, rows: slice, positions: np.ndarray, fh) -> None:
+    """Write the CSV rows of the samples rows picks, whose positions are
+    given; V is half the run's recorded sum of squared errors."""
+    for t, row, scale, potential in zip(
+            traj.times[rows].tolist(), positions, traj.scale[rows].tolist(),
+            (0.5 * traj.squared_errors[rows]).tolist()):
+        fh.write(",".join(map(repr, [t, *row.tolist(), scale, potential])))
+        fh.write("\n")
+
+
+def _worker_count(values: int) -> int:
+    """Workers alive at once for a file of the given number of values:
+    min(usable CPUs, MAX_BLOCKS), and none unless the file holds at least
+    two blocks' worth and more than one CPU is usable."""
+    if values < 2 * MIN_BLOCK_VALUES or not hasattr(os, "fork") \
+            or not hasattr(os, "sched_getaffinity"):
+        return 0
+    workers = min(len(os.sched_getaffinity(0)), MAX_BLOCKS)
+    return workers if workers > 1 else 0
+
+
+def _fork_rows(traj: Trajectory, rows: slice, positions: np.ndarray, out) -> int:
+    """Fork a worker that writes the CSV rows of the samples rows picks
+    into out; return its pid.
+
+    The worker reads the run and the positions copy-on-write and never
+    returns: it leaves through os._exit, with status 0 once its rows are
+    flushed.  It prints nothing, so a failure reaches the user only
+    through the caller's OSError.  It runs only Python, tolist and an
+    elementwise ufunc, none of which takes a lock another thread of the
+    caller may have held at the fork; no BLAS call runs in it.
     """
     pid = os.fork()
     if pid:
         return pid
     status = 1
     try:
-        _write_rows(traj, lo, hi, out)
+        _write_rows(traj, rows, positions, out)
         out.flush()
         status = 0
     finally:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .errors import (
 )
 from .motion import ReferenceShape
 from .rigidity import ControlKernel, Framework, control_kernel
+from .trajectory import _CHUNK_ELEMENTS, _SUMMARIES, Trajectory
 
 # Error norms below this are treated as already converged.
 DECAY_FLOOR = 1e-8
@@ -78,65 +78,10 @@ class SimConfig:
         return self.steps * self.dt
 
 
-# Elements per post-processing temporary, about 1 MiB of float64 at any n.
-_CHUNK_ELEMENTS = 1 << 17
-
-
-def _chunks(stop: int, width: int, start: int = 0):
-    """Row slices from start to stop of an array width elements wide,
-    each about _CHUNK_ELEMENTS elements."""
-    step = max(1, _CHUNK_ELEMENTS // width)
-    for lo in range(start, stop, step):
-        yield slice(lo, min(lo + step, stop))
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Uniformly sampled record of one run against its reference shape.
-
-    positions holds stacked agent coordinates per sample and scale the
-    factor 1 + s(t) per sample, so the scheduled distances of sample j
-    are scale[j] * reference.distances.  A run holds nothing it can
-    recompute: errors() gives the distance errors of any samples, and
-    error_norms, one per sample, is formed once on first use.
-    """
-
-    times: np.ndarray
-    positions: np.ndarray
-    scale: np.ndarray
-    reference: ReferenceShape
-
-    @property
-    def sample_count(self) -> int:
-        return self.times.size
-
-    def chunks(self, start: int = 0, stop: int | None = None):
-        """Row slices from start to stop (default: the last sample) whose
-        errors() temporaries are each about 1 MiB."""
-        ref = self.reference
-        stop = self.sample_count if stop is None else stop
-        # The gather's temporaries are dim * E wide.
-        return _chunks(stop, ref.dim * ref.distances.size, start)
-
-    def errors(self, rows=slice(None)) -> np.ndarray:
-        """Distance errors (samples, E) of the samples rows picks, computed
-        with a take, elementwise ufuncs and add.reduce: no BLAS call."""
-        ref = self.reference
-        lengths = control_kernel(ref.graph, ref.dim).lengths(self.positions[rows])
-        return lengths - self.scale[rows, None] * ref.distances
-
-    @cached_property
-    def error_norms(self) -> np.ndarray:
-        norms = np.empty(self.sample_count)
-        for rows in self.chunks():
-            norms[rows] = np.linalg.norm(self.errors(rows), axis=1)
-        return norms
-
-
-def _subsample(traj: Trajectory, idx) -> Trajectory:
-    """The samples of traj that idx (an index array or a slice) picks; a
-    slice gives views, not copies."""
-    return Trajectory(traj.times[idx], traj.positions[idx], traj.scale[idx], traj.reference)
+# A run is recorded in at least this many chunks.  On a shape as small as
+# the square, a sample's summaries outweigh its positions, and the buffer
+# and the temporaries that summarize it then hold an eighth of the run.
+_MIN_RUN_CHUNKS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,31 +218,40 @@ def make_rhs(ref: ReferenceShape, cfg: ControllerConfig):
 
 
 def integrate(fw0: Framework, ref: ReferenceShape, cfg: ControllerConfig,
-              sim: SimConfig) -> Trajectory:
+              sim: SimConfig, on_chunk=None) -> Trajectory:
     """Integrate the controlled single-integrator dynamics from fw0 as given.
 
     Time-varying offsets and scheduled distances are evaluated at every
     integrator stage time.  Halts with EdgeCollapse as soon as any edge
     drops below the collapse tolerance, and with Divergence when the
     state stops being finite (checked at every recorded step and the
-    last one) or a recorded sample's edge lengths overflow.
+    last one) or a recorded sample's edge lengths overflow.  on_chunk
+    is integrate_batch's.
     """
-    (out,) = integrate_batch([fw0], ref, cfg, sim)
+    (out,) = integrate_batch([fw0], ref, cfg, sim, on_chunk=on_chunk)
     if isinstance(out, FormsimError):
         raise out
     return out
 
 
 def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
-                    sim: SimConfig) -> list[Trajectory | FormsimError]:
+                    sim: SimConfig, on_chunk=None) -> list[Trajectory | FormsimError]:
     """Integrate one run per start framework, all in one step loop.
 
     Every run shares the controller and the simulation settings.  Entry
     i is bit-identical to integrate(starts[i], ...).  A run whose edge
     collapses or whose state stops being finite leaves the batch: its
     entry holds the EdgeCollapse or Divergence instead of a Trajectory,
-    and the other runs carry on.  Raises FormsimError when the recorded
-    trajectory cannot be allocated.
+    and the other runs carry on.
+
+    Recorded samples collect in one buffer of at most about 1 MiB and
+    an eighth of a run's samples.  Whenever it fills, and at the end,
+    each run still in the batch records its part, and then
+    on_chunk(traj, rows, positions), when given, sees it: the run's
+    Trajectory, the slice of its samples, and their positions (samples,
+    vertex_count * dim), a view that is overwritten once on_chunk
+    returns.  Raises FormsimError when the summaries of the runs cannot
+    be allocated.
     """
     if cfg.schedule.min_scale_factor(sim.horizon) <= 0.0:
         raise PositivityError("schedule drives the scale factor to zero within the horizon")
@@ -305,14 +259,24 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
 
     dt, stride, steps = sim.dt, sim.record_stride, sim.steps
     p = np.array([fw.positions for fw in starts])
+    samples = steps // stride + 1
     try:
-        positions = np.empty((p.shape[0], steps // stride + 1, p.shape[1]))
+        times = (np.arange(samples) * stride) * dt
+        scale = np.array([1.0 + cfg.schedule.value(t) for t in times])
+        runs = [Trajectory.allocate(times, scale, ref) for _ in starts]
+        rows = max(1, min(_CHUNK_ELEMENTS // p.size, -(-samples // _MIN_RUN_CHUNKS)))
+        buffer = np.empty((p.shape[0], rows, p.shape[1]))
     except (MemoryError, ValueError) as exc:
         raise FormsimError(f"{steps} steps at record stride {stride} do not fit "
                            f"in memory: {exc}") from None
-    positions[:, 0] = p
+    # Read-only, as Framework.positions is, so that error_norms stays valid.
+    for array in (times, scale):
+        array.setflags(write=False)
+    buffer[:, 0] = p
+    first, filled = 0, 1
     live = np.arange(p.shape[0])
     failures: dict[int, FormsimError] = {}
+    overflows: dict[int, float] = {}
 
     def drop(rows, error: type, message: str):
         nonlocal p, live
@@ -321,6 +285,21 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
         keep = np.ones(live.size, dtype=bool)
         keep[list(rows)] = False
         p, live = p[keep], live[keep]
+
+    def flush():
+        nonlocal first, filled
+        rows = slice(first, first + filled)
+        for row in live:
+            traj, positions = runs[row], buffer[row, :filled]
+            traj.record(rows, positions)
+            # A finite state whose squared edge lengths overflow has diverged
+            # too; it ends as such if its state stays finite to the end.
+            overflow = np.flatnonzero(~np.isfinite(traj.squared_errors[rows]))
+            if overflow.size:
+                overflows.setdefault(int(row), float(times[first + overflow[0]]))
+            if on_chunk is not None:
+                on_chunk(traj, rows, positions)
+        first, filled = first + filled, 0
 
     # Overflow in a diverging run is caught by the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -337,27 +316,25 @@ def integrate_batch(starts, ref: ReferenceShape, cfg: ControllerConfig,
             p = p_next
             recorded = (k + 1) % stride == 0
             if recorded:
-                positions[live, (k + 1) // stride] = p
+                if filled == buffer.shape[1]:
+                    flush()
+                buffer[live, filled] = p
+                filled += 1
             if recorded or k + 1 == steps:
                 finite = np.isfinite(p).all(axis=1)
                 if not finite.all():
                     drop(np.flatnonzero(~finite), Divergence,
                          f"state is not finite at t={(k + 1) * dt:.6g}")
+        if live.size:
+            flush()
 
-    times = (np.arange(positions.shape[1]) * stride) * dt
-    scale = np.array([1.0 + cfg.schedule.value(t) for t in times])
-    # Read-only, as Framework.positions is, so that error_norms stays valid.
-    for array in (times, positions, scale):
-        array.setflags(write=False)
     out: list[Trajectory | FormsimError] = [failures.get(i) for i in range(len(starts))]
     for row in live:
-        traj = Trajectory(times, positions[row], scale, ref)
-        # A finite state whose squared edge lengths overflow has diverged too.
-        with np.errstate(over="ignore"):
-            overflow = np.flatnonzero(~np.isfinite(traj.error_norms))
-        out[row] = traj
-        if overflow.size:
-            out[row] = Divergence(f"edge lengths overflow at t={times[overflow[0]]:.6g}")
+        out[row] = runs[row]
+        for name in _SUMMARIES:
+            getattr(runs[row], name).setflags(write=False)
+        if row in overflows:
+            out[row] = Divergence(f"edge lengths overflow at t={overflows[row]:.6g}")
     return out
 
 
@@ -387,24 +364,6 @@ def _nearest_rotations(cov: np.ndarray) -> np.ndarray:
     flip = np.tile(np.eye(cov.shape[-1]), (cov.shape[0], 1, 1))
     flip[:, -1, -1] = np.sign(np.linalg.det(v @ ut))
     return v @ flip @ ut
-
-
-def _frame_rotations(positions: np.ndarray, ref: ReferenceShape) -> np.ndarray:
-    """Per-sample rotation (samples, dim, dim) mapping the centered agents
-    onto the centered reference shape: the Kabsch rotation of every
-    sample, from one SVD of the stacked alignment covariances.
-
-    The covariances are formed one chunk of samples at a time.  Raises
-    DegenerateAlignment when any sample's covariance is rank deficient.
-    """
-    ref_centered = ref.centered_points()
-    n, m = ref_centered.shape
-    cov = np.empty((positions.shape[0], m, m))
-    for rows in _chunks(*positions.shape):
-        pts = positions[rows].reshape(-1, n, m)
-        centered = pts - pts.mean(axis=1, keepdims=True)
-        np.matmul(centered.transpose(0, 2, 1), ref_centered, out=cov[rows])
-    return _nearest_rotations(cov)
 
 
 # Within this many radians of half a turn, a turn has no reliable sense or
@@ -485,22 +444,23 @@ def decay_rate_fit(times: np.ndarray, error_norms: np.ndarray):
 def _body_motion(traj: Trajectory, window):
     """The samples of traj inside a time window, as views, and the
     body-frame velocity, the scale-weighted spin and their fit residuals
-    over them.  Raises InsufficientDecay when the window holds fewer than
-    three samples, and DegenerateAlignment as _turns does."""
+    over them.  The frames are the Kabsch rotations of the samples, the
+    rotations nearest their covariances.  Raises InsufficientDecay when
+    the window holds fewer than three samples, and DegenerateAlignment
+    when a covariance is rank deficient or as _turns does."""
     t0, t1 = float(window[0]), float(window[1])
     # Times increase, so the window is one slice and sub holds views.
     start = int(np.searchsorted(traj.times, t0, side="left"))
     stop = int(np.searchsorted(traj.times, t1, side="right"))
     if stop - start < 3:
         raise InsufficientDecay("window must contain at least three samples")
-    sub = _subsample(traj, slice(start, stop))
-    rotations = _frame_rotations(sub.positions, traj.reference)
+    sub = traj.window(slice(start, stop))
+    rotations = _nearest_rotations(sub.covariances)
     turns = _turns(rotations, sub.times)
     # The mid frame of two samples, their geodesic midpoint, is the rotation
     # nearest their sum.
     mids = _nearest_rotations((rotations[:-1] + rotations[1:]).transpose(0, 2, 1))
-    centroids = sub.positions.reshape(sub.sample_count, -1, traj.reference.dim).mean(axis=1)
-    rotated = (mids @ np.diff(centroids, axis=0)[:, :, None])[:, :, 0]
+    rotated = (mids @ np.diff(sub.centroids, axis=0)[:, :, None])[:, :, 0]
     v_body, v_rms = _rate_fit(sub.times, rotated)
     # At scale factor 1 + s the offsets spin the shape at omega / (1 + s), so
     # each turn is weighted by its mid-sample factor (1 when flat).
@@ -517,16 +477,8 @@ def steady_state_report(traj: Trajectory, window) -> SteadyStateReport:
     is fitted on the whole trajectory regardless of the window; when that
     fit fails, lambda_fit is None and note says why.
     """
-    ref = traj.reference
     sub, v_body, omega_out, residuals = _body_motion(traj, window)
-    kernel = control_kernel(ref.graph, ref.dim)
-    measured = np.empty(sub.sample_count)
-    for rows in sub.chunks():
-        ratios = kernel.lengths(sub.positions[rows]) / ref.distances
-        # Edge-major, so the mean adds one edge at a time in edge order; a
-        # pairwise sum along each row would move scale_rate in its last bits.
-        measured[rows] = np.ascontiguousarray(ratios.T).mean(axis=0)
-    scale_rate, _, scale_rms = _line_fit(sub.times, measured)
+    scale_rate, _, scale_rms = _line_fit(sub.times, sub.length_ratios)
     residuals["scale_fit_rms"] = scale_rms
 
     norms = traj.error_norms

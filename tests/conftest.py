@@ -13,11 +13,14 @@ from formsim import (
     PositivityError,
     ReferenceShape,
     SensingGraph,
+    Trajectory,
     ZeroEdge,
+    integrate,
     rigidity_matrix,
 )
 from formsim.motion import RANK_TOL, ZERO_EDGE_TOL
 from formsim.rigidity import control_kernel
+from formsim.simulate import _nearest_rotations
 
 SQUARE_EDGES = ((1, 2), (2, 3), (3, 1), (4, 3), (4, 1))
 SQUARE_POINTS = np.array([[0.0, 0.0], [15.0, 0.0], [15.0, 15.0], [0.0, 15.0]])
@@ -53,50 +56,122 @@ def square_ref(square_framework):
     return ReferenceShape(square_framework)
 
 
+class Forks(list):
+    """Pids of the forked CSV workers, in fork order, and the most of
+    them alive, forked and not yet reaped, at any one time."""
+
+    most_alive = 0
+
+
 @pytest.fixture
 def csv_blocks(monkeypatch):
-    """Make trajectory CSVs on regular files split into a set number of
-    row blocks, whatever this machine's CPU count, and record the pid of
-    every forked block writer.
+    """Make every trajectory CSV fork its workers, whatever its size and
+    this machine's CPU count, and record the pid of every forked worker.
 
-    Call the fixture's value with the block count; it returns the list
-    the pids land in.
+    Call the fixture's value with the most workers alive at once,
+    MAX_BLOCKS, and optionally the usable CPU count (8 by default); it
+    returns the Forks the pids land in.
     """
     import formsim.scenario as scenario
 
-    forks = []
-    fork = os.fork
+    forks = Forks()
+    alive = set()
+    fork, waitpid = os.fork, os.waitpid
 
     def counted_fork():
         pid = fork()
         if pid:
             forks.append(pid)
+            alive.add(pid)
+            forks.most_alive = max(forks.most_alive, len(alive))
         return pid
 
+    def counted_waitpid(pid, options):
+        reaped = waitpid(pid, options)
+        alive.discard(reaped[0])
+        return reaped
+
     monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(os, "waitpid", counted_waitpid)
     monkeypatch.setattr(scenario, "MIN_BLOCK_VALUES", 1)
 
-    def set_blocks(count):
+    def set_blocks(count, cpus=8):
         monkeypatch.setattr(scenario, "MAX_BLOCKS", count)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
         forks.clear()
+        forks.most_alive = 0
         return forks
 
     return set_blocks
 
 
 def fail_csv_workers(monkeypatch, action):
-    """Call action at the start of every CSV block writer but the caller's."""
+    """Call action in every CSV worker before it writes its rows."""
     import formsim.scenario as scenario
 
     write_rows = scenario._write_rows
+    caller = os.getpid()
 
-    def rows(traj, lo, hi, fh):
-        if lo > 0:
+    def rows(*args):
+        if os.getpid() != caller:
             action()
-        write_rows(traj, lo, hi, fh)
+        write_rows(*args)
 
     monkeypatch.setattr(scenario, "_write_rows", rows)
+
+
+class PositionCollector:
+    """A chunk consumer for integrate that keeps the positions of every
+    run it sees, so a test can read what a Trajectory does not hold."""
+
+    def __init__(self):
+        self.parts = {}
+
+    def __call__(self, traj, rows, positions):
+        self.parts.setdefault(traj, []).append(positions.copy())
+
+    def positions(self, traj):
+        """The recorded positions (samples, vertex_count * dim) of traj."""
+        return np.concatenate(self.parts[traj])
+
+
+def integrate_positions(fw0, ref, cfg, sim):
+    """integrate's run and its recorded positions."""
+    collect = PositionCollector()
+    traj = integrate(fw0, ref, cfg, sim, on_chunk=collect)
+    return traj, collect.positions(traj)
+
+
+def run_errors(traj, positions):
+    """Distance errors (samples, E) of recorded positions: edge lengths
+    minus scale * reference distances, as Trajectory.record forms them."""
+    ref = traj.reference
+    return (control_kernel(ref.graph, ref.dim).lengths(positions)
+            - traj.scale[:, None] * ref.distances)
+
+
+def recorded_run(times, positions, scale, ref, on_chunk=None, chunk_rows=None):
+    """A Trajectory recorded from given positions, chunk_rows samples at
+    a time (default: all), each chunk handed to on_chunk as integrate
+    hands it."""
+    times, scale, positions = (np.asarray(a, dtype=float) for a in (times, scale, positions))
+    traj = Trajectory.allocate(times, scale, ref)
+    step = chunk_rows or times.size
+    for lo in range(0, times.size, step):
+        rows = slice(lo, min(lo + step, times.size))
+        traj.record(rows, positions[rows])
+        if on_chunk is not None:
+            on_chunk(traj, rows, positions[rows])
+    return traj
+
+
+def frame_rotations(positions, ref):
+    """The simulator's Kabsch rotations (samples, dim, dim) of stacked
+    positions: the rotations nearest their recorded covariances."""
+    samples = positions.shape[0]
+    traj = recorded_run(np.arange(samples), positions, np.ones(samples), ref)
+    return _nearest_rotations(traj.covariances)
 
 
 def assert_no_children():
@@ -312,7 +387,7 @@ def trajectory_distances(traj):
     return traj.scale[:, None] * traj.reference.distances
 
 
-def error_columns_csv(traj, dim):
+def error_columns_csv(traj, positions, dim):
     """The trajectory CSV as formsim wrote it while it still had per-edge
     columns: t, positions, the distance errors e_k, V and the scheduled
     distances d_k.  The oracle for recomputing e_k and d_k from a row's
@@ -324,15 +399,13 @@ def error_columns_csv(traj, dim):
     header = [*trajectory_csv_header(dim, ref.graph.vertex_count)[:-2],
               *(f"e_{k}" for k in edges), "V", *(f"d_{k}" for k in edges)]
     lines = [",".join(header)]
-    for rows in traj.chunks():
-        errors = traj.errors(rows)
-        potential = 0.5 * (errors * errors).sum(axis=1)
-        for t, positions, row_errors, row_potential, scale in zip(
-                traj.times[rows].tolist(), traj.positions[rows], errors,
-                potential.tolist(), traj.scale[rows]):
-            distances = scale * ref.distances
-            lines.append(",".join(map(repr, [t, *positions.tolist(), *row_errors.tolist(),
-                                             row_potential, *distances.tolist()])))
+    errors = run_errors(traj, positions)
+    potential = 0.5 * (errors * errors).sum(axis=1)
+    for t, row, row_errors, row_potential, scale in zip(
+            traj.times.tolist(), positions, errors, potential.tolist(), traj.scale):
+        distances = scale * ref.distances
+        lines.append(",".join(map(repr, [t, *row.tolist(), *row_errors.tolist(),
+                                         row_potential, *distances.tolist()])))
     return "\n".join(lines) + "\n"
 
 

@@ -30,13 +30,15 @@ from formsim import (
     scaling_params,
     translation_params,
 )
-from formsim.simulate import _frame_rotations
 from conftest import (
     SCALE_PATTERN,
     SPIN_PATTERN,
     elastic_potential,
+    frame_rotations,
+    integrate_positions,
     kabsch_rotations,
     null_space,
+    run_errors,
     unit_edge_vectors,
 )
 
@@ -67,7 +69,8 @@ def bundled_scenario():
 def bundled_trajectory(bundled_scenario):
     ref = bundled_scenario.reference_shape()
     cfg = bundled_scenario.controller_config()
-    return ref, integrate(bundled_scenario.initial_framework(), ref, cfg, bundled_scenario.sim)
+    return (ref, *integrate_positions(bundled_scenario.initial_framework(), ref, cfg,
+                                      bundled_scenario.sim))
 
 
 def test_criterion_01_rigidity_ranks(square_framework, tetra_framework):
@@ -146,8 +149,8 @@ def test_criterion_04_reference_offset_vectors(square_ref):
 
 def test_criterion_05_shape_invariance(square_ref, full_config):
     sim = SimConfig(dt=1e-3, duration=20.0, record_stride=10)
-    traj = integrate(square_ref.framework, square_ref, full_config, sim)
-    worst = float(np.abs(traj.errors()).max())
+    traj, positions = integrate_positions(square_ref.framework, square_ref, full_config, sim)
+    worst = float(np.abs(run_errors(traj, positions)).max())
     _report(5, "shape invariance", worst <= 1e-6,
             f"max distance error {worst:.2e} over 20 time units")
 
@@ -189,19 +192,19 @@ def test_criterion_07_steady_state_velocity(square_ref):
     )
     start = perturb_to_error_norm(square_ref.framework, square_ref.distances, 11,
                                   0.1 * float(square_ref.distances.min()))
-    traj = integrate(start, square_ref, cfg,
-                     SimConfig(dt=1e-3, duration=10.0, record_stride=10))
+    traj, positions = integrate_positions(start, square_ref, cfg,
+                                          SimConfig(dt=1e-3, duration=10.0, record_stride=10))
     converged = np.nonzero(traj.error_norms < 1e-6)[0]
     assert converged.size > 0, "error norm never fell below 1e-6"
     # Each converged sample's agent velocities, from central differences
     # of the recorded positions, seen from the body frame.
     idx = converged[converged + 1 < traj.sample_count]
-    rotations = kabsch_rotations(traj.positions[idx], square_ref)
+    rotations = kabsch_rotations(positions[idx], square_ref)
     designed = (np.tile(v_target, 4)
                 + rotation_field(square_ref.centered_points(), omega_target)).reshape(4, 2)
     worst = 0.0
     for j, rot in zip(idx, rotations):
-        velocity = ((traj.positions[j + 1] - traj.positions[j - 1])
+        velocity = ((positions[j + 1] - positions[j - 1])
                     / (traj.times[j + 1] - traj.times[j - 1]))
         measured = velocity.reshape(4, 2) @ rot.T
         for i in range(4):
@@ -213,16 +216,17 @@ def test_criterion_07_steady_state_velocity(square_ref):
 
 
 def test_criterion_08_periodic_scaling_reproduction(bundled_trajectory):
-    ref, traj = bundled_trajectory
+    ref, traj, positions = bundled_trajectory
     transient = 3.0
     mask = traj.times >= transient
-    rel_tracking = float((np.abs(traj.errors(mask)) / ref.distances[None, :]).max())
+    rel_tracking = float((np.abs(run_errors(traj, positions)[mask])
+                          / ref.distances[None, :]).max())
 
     # The rotations map the shape onto the reference; its orientation
     # angle is that of their transpose, unwrapped to follow the spin.
-    rotations = _frame_rotations(traj.positions, ref)
+    rotations = frame_rotations(positions, ref)
     angles = np.unwrap(np.arctan2(rotations[:, 0, 1], rotations[:, 0, 0]))
-    sample_pts = traj.positions.reshape(traj.sample_count, 4, 2)
+    sample_pts = positions.reshape(traj.sample_count, 4, 2)
     tails = np.array([e[0] - 1 for e in ref.graph.edges])
     heads = np.array([e[1] - 1 for e in ref.graph.edges])
     lengths = np.linalg.norm(sample_pts[:, tails] - sample_pts[:, heads], axis=2)
@@ -299,10 +303,10 @@ def test_criterion_11_integrator_order(bundled_scenario):
     horizon = 2.0
 
     def final_state(dt):
-        traj = integrate(start, ref, cfg,
-                         SimConfig(dt=dt, duration=horizon,
-                                   record_stride=int(round(horizon / dt))))
-        return traj.positions[-1]
+        _, positions = integrate_positions(start, ref, cfg,
+                                           SimConfig(dt=dt, duration=horizon,
+                                                     record_stride=int(round(horizon / dt))))
+        return positions[-1]
 
     reference = final_state(2e-3)
     err_coarse = np.linalg.norm(final_state(1.6e-2) - reference)

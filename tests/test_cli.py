@@ -12,7 +12,7 @@ from formsim import MotionParameters, bundled_scenario_path, load_scenario
 from formsim.cli import main
 from formsim.rigidity import control_kernel
 
-from conftest import assert_no_children, elastic_potential, fail_csv_workers
+from conftest import assert_no_children, elastic_potential, fail_csv_workers, recorded_run
 
 
 def write_scenario(tmp_path, name="quick.json", **overrides):
@@ -351,9 +351,11 @@ class TestSimulate:
                      "-o", str(tmp_path / "run")]) == 1
         captured = capfd.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: CSV writer for the rows from ")
+        assert captured.err.startswith("error: CSV writer for the rows from 0 ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-        assert len(forks) == 1
+        # The third chunk waits for the first worker, which failed.
+        assert len(forks) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["quick.json"]
         assert_no_children()
 
     def test_equilibrium_rows_constant(self, tmp_path, monkeypatch, capsys):
@@ -482,7 +484,7 @@ class TestVerify:
         (0.05, False),  # drifting invariant run: floor 0.5 leaves 0.1 decades
     ])
     def test_convergence_floor_comes_from_the_invariant_run(self, invariant_peak, passed):
-        from formsim import Divergence, Framework, ReferenceShape, SensingGraph, Trajectory
+        from formsim import Divergence, Framework, ReferenceShape, SensingGraph
         from formsim.checks import check_exponential_convergence
 
         segment = ReferenceShape(Framework.from_points(SensingGraph(2, ((1, 2),)),
@@ -493,7 +495,7 @@ class TestVerify:
             # length, sqrt(norm ** 2), which rounds back to norm.
             zeros = np.zeros_like(times)
             positions = np.stack([zeros, zeros, norms, zeros], axis=1)
-            return Trajectory(times, positions, zeros, segment)
+            return recorded_run(times, positions, zeros, segment)
 
         times = np.linspace(0.0, 6.0, 241)
         plateau = 1.2e-7 * (1.0 + 0.2 * np.sin(37.0 * times))
@@ -626,6 +628,71 @@ class TestSpatialScenario:
         assert main(["design", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["space_dimensions"] == {"translation": 3, "rotation": 3, "scaling": 1}
+
+
+def closing_segment(tmp_path):
+    """A scenario of two agents 1 apart whose offsets close them in at unit
+    speed each, so the edge collapses at t=0.49, mid-run, and its design
+    file: the gain is too small to move any bit."""
+    path = write_scenario(tmp_path, name="segment.json", edges=[[1, 2]],
+                          reference_positions=[[0.0, 0.0], [1.0, 0.0]], gain=2.0 ** -60,
+                          targets={"v_body": [0.0, 0.0], "omega": 0.0,
+                                   "schedule": {"kind": "none"}},
+                          sim={"dt": 0.01, "duration": 1.0, "record_stride": 1,
+                               "perturbation": None})
+    zero = {"tail": [0.0], "head": [0.0]}
+    design = tmp_path / "closing.json"
+    design.write_text(json.dumps({"parameters": {
+        "translation": {"tail": [-1.0], "head": [1.0]}, "rotation": zero,
+        "scaling_unit_rate": zero}}))
+    return [str(path), "--params", str(design)]
+
+
+class TestFailedRunsLeaveNoOutput:
+    """simulate writes its rows beside the CSV while it integrates and
+    puts them in place only once the run has succeeded."""
+
+    @pytest.mark.parametrize("kept", [None, b"kept\n"], ids=["new", "existing"])
+    @pytest.mark.parametrize("failure", ["EdgeCollapse", "Divergence"])
+    def test_run_that_fails_mid_run_leaves_no_output(self, tmp_path, capsys, csv_blocks,
+                                                     failure, kept):
+        if failure == "EdgeCollapse":
+            argv, message = closing_segment(tmp_path), "edge collapsed at t=0.49"
+        else:
+            # RK4 is unstable at this gain and step: 81 samples, in chunks
+            # of 11, and the state overflows at the 33rd.
+            argv = [str(write_scenario(tmp_path, gain=200.0, sim={
+                "dt": 0.05, "duration": 4.0, "record_stride": 1,
+                "perturbation": {"seed": 7, "magnitude": 0.5}}))]
+            message = "state is not finite at t=1.6"
+        prefix = tmp_path / "run"
+        if kept is not None:
+            Path(f"{prefix}.csv").write_bytes(kept)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        forks = csv_blocks(2)
+        assert main(["simulate", *argv, "-o", str(prefix)]) == 2
+        assert capsys.readouterr().err == f"error: {failure}: {message}\n"
+        # Two workers at a time formatted chunks while the run integrated.
+        assert forks.most_alive == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        if kept is not None:
+            assert Path(f"{prefix}.csv").read_bytes() == kept
+        assert_no_children()
+
+    def test_output_in_a_missing_directory_is_refused_before_integrating(self, tmp_path,
+                                                                         capsys, monkeypatch):
+        import formsim.cli as cli
+
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated a run whose output cannot be written")
+
+        monkeypatch.setattr(cli, "integrate", integrate)
+        path = write_scenario(tmp_path)
+        assert main(["simulate", str(path), "-o", str(tmp_path / "missing" / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "No such file or directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["quick.json"]
 
 
 class TestNumericalFailures:

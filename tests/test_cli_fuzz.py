@@ -4,7 +4,7 @@ Each example mutates the bundled square scenario (drops a key, or sets a
 value to a wrong type, zero, a negative number, +-1e300, an empty list,
 an integrator name other than "rk4" or a record stride longer than the run)
 and runs `design` and a short `simulate` on it.  The step count stays at
-or below 1000: simulate allocates the whole trajectory up front.
+or below 1000, so that each example takes a fraction of a second.
 """
 
 import copy

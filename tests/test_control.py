@@ -16,6 +16,8 @@ from conftest import (
     SQUARE_POINTS,
     distance_errors,
     elastic_potential,
+    integrate_positions,
+    run_errors,
     scheduled_distances,
     stiffness_matrix,
     time_varying_params,
@@ -260,17 +262,18 @@ class TestErrorDynamics:
         np.testing.assert_allclose(rhs, expected, atol=1e-12)
 
     def test_matches_error_derivative_along_simulation(self, square_ref):
-        from formsim import SimConfig, integrate
+        from formsim import SimConfig
 
         cfg = full_config(square_ref, schedule=ScalingSchedule.none())
         start = Framework(square_ref.graph, 2,
                           square_ref.framework.positions
                           + np.array([0.2, -0.1, 0.1, 0.15, -0.2, 0.1, 0.05, -0.1]))
         dt = 1e-4
-        traj = integrate(start, square_ref, cfg, SimConfig(dt=dt, duration=0.02))
-        errors = traj.errors()
+        traj, positions = integrate_positions(start, square_ref, cfg,
+                                              SimConfig(dt=dt, duration=0.02))
+        errors = run_errors(traj, positions)
         for j in (50, 100, 150):
-            fw = Framework(square_ref.graph, 2, traj.positions[j])
+            fw = Framework(square_ref.graph, 2, positions[j])
             t = traj.times[j]
             d_t, ddot = scheduled_distances(square_ref, cfg.schedule, t)
             rhs = error_rates(fw, d_t, ddot, time_varying_params(cfg, t), cfg.gain)
@@ -285,7 +288,7 @@ class TestErrorDynamics:
 
 class TestEnergyDecay:
     def test_potential_non_increasing_without_offsets(self, square_ref):
-        from formsim import SimConfig, integrate
+        from formsim import SimConfig
 
         cfg = ControllerConfig(
             gain=3.0,
@@ -297,7 +300,8 @@ class TestEnergyDecay:
         rng = np.random.default_rng(17)
         start = Framework(square_ref.graph, 2,
                           square_ref.framework.positions + rng.uniform(-1.5, 1.5, 8))
-        traj = integrate(start, square_ref, cfg, SimConfig(dt=1e-3, duration=3.0))
-        errors = traj.errors()
+        traj, positions = integrate_positions(start, square_ref, cfg,
+                                              SimConfig(dt=1e-3, duration=3.0))
+        errors = run_errors(traj, positions)
         diffs = np.diff(0.5 * (errors * errors).sum(axis=1))
         assert diffs.max() <= 1e-12

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import os
@@ -20,13 +21,15 @@ from formsim import (
     write_trajectory_csv,
 )
 from formsim.rigidity import control_kernel
-from formsim.scenario import parse_design, trajectory_csv_header
+from formsim.scenario import CsvRows, parse_design, trajectory_csv_header
 
 from conftest import (
     assert_no_children,
     edge_lengths,
     error_columns_csv,
+    PositionCollector,
     fail_csv_workers,
+    recorded_run,
     serialize_scenario,
     trajectory_distances,
 )
@@ -183,7 +186,7 @@ class TestRoundTrip:
         assert again.sim == original.sim
 
 
-def flat_trajectory(square_ref, duration=0.5, stride=5):
+def flat_trajectory(square_ref, duration=0.5, stride=5, on_chunk=None):
     from formsim import (
         ControllerConfig,
         MotionParameters,
@@ -196,10 +199,11 @@ def flat_trajectory(square_ref, duration=0.5, stride=5):
     zero = MotionParameters.zero(5)
     cfg = ControllerConfig(5.0, zero, zero, zero, ScalingSchedule.none())
     sim = SimConfig(dt=1e-2, duration=duration, record_stride=stride)
-    return integrate(apply_perturbation(square_ref.framework, 3, 0.4), square_ref, cfg, sim)
+    return integrate(apply_perturbation(square_ref.framework, 3, 0.4), square_ref, cfg, sim,
+                     on_chunk=on_chunk)
 
 
-def linear_trajectory(square_ref):
+def linear_trajectory(square_ref, on_chunk=None):
     """The square scaled at a constant rate: every row's scale differs."""
     from formsim import (
         ControllerConfig,
@@ -215,10 +219,11 @@ def linear_trajectory(square_ref):
     cfg = ControllerConfig(5.0, zero, zero, scaling_params(square_ref, 1.0),
                            ScalingSchedule.linear(0.05))
     sim = SimConfig(dt=1e-2, duration=1.0, record_stride=2)
-    return integrate(apply_perturbation(square_ref.framework, 3, 0.4), square_ref, cfg, sim)
+    return integrate(apply_perturbation(square_ref.framework, 3, 0.4), square_ref, cfg, sim,
+                     on_chunk=on_chunk)
 
 
-def periodic_trajectory():
+def periodic_trajectory(on_chunk=None):
     """The bundled square's periodic schedule: every row's scale differs."""
     import dataclasses
 
@@ -228,10 +233,11 @@ def periodic_trajectory():
     assert scenario.schedule.kind == "periodic"
     ref = scenario.reference_shape()
     sim = dataclasses.replace(scenario.sim, dt=1e-2, duration=2.0, record_stride=3)
-    return integrate(scenario.initial_framework(), ref, scenario.controller_config(), sim)
+    return integrate(scenario.initial_framework(), ref, scenario.controller_config(), sim,
+                     on_chunk=on_chunk)
 
 
-def spatial_trajectory(tetra_ref):
+def spatial_trajectory(tetra_ref, on_chunk=None):
     from formsim import (
         ControllerConfig,
         ScalingSchedule,
@@ -247,28 +253,32 @@ def spatial_trajectory(tetra_ref):
                            rotation_params(tetra_ref, [0.0, 0.3, 0.5]),
                            scaling_params(tetra_ref, 1.0), ScalingSchedule.linear(0.05))
     return integrate(apply_perturbation(tetra_ref.framework, 5, 0.1), tetra_ref, cfg,
-                     SimConfig(dt=1e-2, duration=1.0, record_stride=4))
+                     SimConfig(dt=1e-2, duration=1.0, record_stride=4), on_chunk=on_chunk)
 
 
-def special_trajectory():
+def special_trajectory(on_chunk=None):
     """Scale factors repeat, then change only in the sign of a zero, which
     compares equal as a float but prints differently.  The errors run
-    from 1e16 down to -1e-05, whose square is near the bottom of V."""
-    from formsim import Framework, ReferenceShape, SensingGraph, Trajectory
+    from 1e16 down to -1e-05, whose square is near the bottom of V.
+    Recorded one row per chunk, so a chunk starts at row 2, between the
+    -0.0 and 0.0 scale factors."""
+    from formsim import Framework, ReferenceShape, SensingGraph
 
     segment = Framework.from_points(SensingGraph(2, ((1, 2),)), [[0.0, 0.0], [1.0, 0.0]])
-    return Trajectory(
-        times=np.array([0.0, 1e-05, 0.1, 1e16]),
-        positions=np.array([[-0.0, 5e-324, 1e16, 0.1],
-                            [0.0, -5e-324, -1e16, -0.1],
-                            [-0.0, 0.0, 1e-05, -0.0],
-                            [2.0, 1e-300, 2.0, 1e-300]]),
-        scale=np.array([-0.0, -0.0, 0.0, 1e-05]),
-        reference=ReferenceShape(segment),
+    return recorded_run(
+        times=[0.0, 1e-05, 0.1, 1e16],
+        positions=[[-0.0, 5e-324, 1e16, 0.1],
+                   [0.0, -5e-324, -1e16, -0.1],
+                   [-0.0, 0.0, 1e-05, -0.0],
+                   [2.0, 1e-300, 2.0, 1e-300]],
+        scale=[-0.0, -0.0, 0.0, 1e-05],
+        ref=ReferenceShape(segment),
+        on_chunk=on_chunk,
+        chunk_rows=1,
     )
 
 
-def per_value_csv(traj, dim):
+def per_value_csv(traj, positions, dim):
     """The oracle writer: every value of every row through repr(float(v)).
 
     V is half the sum of squares of a row's errors, its edge-vector norms
@@ -280,30 +290,45 @@ def per_value_csv(traj, dim):
     buf.write(",".join(header) + "\n")
     distances = trajectory_distances(traj)
     for j in range(traj.sample_count):
-        errors = edge_lengths(Framework(graph, dim, traj.positions[j])) - distances[j]
-        row = [traj.times[j], *traj.positions[j], traj.scale[j],
+        errors = edge_lengths(Framework(graph, dim, positions[j])) - distances[j]
+        row = [traj.times[j], *positions[j], traj.scale[j],
                0.5 * np.add.reduce(errors * errors)]
         buf.write(",".join(repr(float(v)) for v in row) + "\n")
     return buf.getvalue()
 
 
-# Trajectory builders by name, each with its dimension.
+# Runs by name, each a function of the chunk consumer, with its dimension.
 TRAJECTORIES = {
-    "flat": (lambda request: flat_trajectory(request.getfixturevalue("square_ref"),
-                                             duration=1.0, stride=2), 2),
-    "periodic": (lambda request: periodic_trajectory(), 2),
-    "linear": (lambda request: linear_trajectory(request.getfixturevalue("square_ref")), 2),
-    "tetrahedron": (lambda request: spatial_trajectory(request.getfixturevalue("tetra_ref")), 3),
-    # Every split of its 4 rows in 2 to 4 blocks starts a block at row
-    # 2, between the -0.0 and 0.0 scale factors.
-    "special": (lambda request: special_trajectory(), 2),
+    "flat": (lambda request: functools.partial(
+        flat_trajectory, request.getfixturevalue("square_ref"), duration=1.0, stride=2), 2),
+    "periodic": (lambda request: periodic_trajectory, 2),
+    "linear": (lambda request: functools.partial(
+        linear_trajectory, request.getfixturevalue("square_ref")), 2),
+    "tetrahedron": (lambda request: functools.partial(
+        spatial_trajectory, request.getfixturevalue("tetra_ref")), 3),
+    "special": (lambda request: special_trajectory, 2),
 }
 
 
-def csv_text(traj, dim):
+def write_csv(run, dim, fh):
+    """Stream the rows of run(on_chunk) into a CSV in fh and complete it;
+    return the run, its recorded positions and its chunk count."""
+    collect = PositionCollector()
+    with CsvRows(fh, dim) as rows:
+        def consume(traj, chunk, positions):
+            collect(traj, chunk, positions)
+            rows(traj, chunk, positions)
+
+        traj = run(on_chunk=consume)
+        write_trajectory_csv(traj, dim, rows)
+    return traj, collect.positions(traj), len(collect.parts[traj])
+
+
+def csv_text(run, dim):
+    """The CSV of run(on_chunk) as text, the run and its positions."""
     buf = io.StringIO()
-    write_trajectory_csv(traj, dim, buf)
-    return buf.getvalue()
+    traj, positions, _ = write_csv(run, dim, buf)
+    return buf.getvalue(), traj, positions
 
 
 class TestTrajectoryCsv:
@@ -316,37 +341,46 @@ class TestTrajectoryCsv:
                                                "p_2x", "p_2y", "p_2z", "scale", "V"]
 
     def test_row_count_and_round_trip(self, square_ref):
-        traj = flat_trajectory(square_ref)
-        lines = csv_text(traj, 2).strip().split("\n")
+        text, traj, positions = csv_text(functools.partial(flat_trajectory, square_ref), 2)
+        lines = text.strip().split("\n")
         assert len(lines) == int(0.5 / (1e-2 * 5)) + 1 + 1  # samples + header
         first = lines[1].split(",")
         assert float(first[0]) == traj.times[0]
-        assert float(first[1]) == traj.positions[0][0]
+        assert float(first[1]) == positions[0][0]
 
     def test_byte_identical_across_runs(self, square_ref):
-        assert csv_text(flat_trajectory(square_ref), 2) == csv_text(flat_trajectory(square_ref), 2)
+        run = functools.partial(flat_trajectory, square_ref)
+        assert csv_text(run, 2)[0] == csv_text(run, 2)[0]
 
     def test_flat_schedule_matches_per_value_writer(self, square_ref):
-        traj = flat_trajectory(square_ref, duration=1.0, stride=2)
+        text, traj, positions = csv_text(
+            functools.partial(flat_trajectory, square_ref, duration=1.0, stride=2), 2)
         assert (traj.scale == traj.scale[0]).all()
-        assert csv_text(traj, 2) == per_value_csv(traj, 2)
+        assert text == per_value_csv(traj, positions, 2)
 
     def test_periodic_schedule_matches_per_value_writer(self):
-        traj = periodic_trajectory()
+        text, traj, positions = csv_text(periodic_trajectory, 2)
         assert len({scale.tobytes() for scale in traj.scale}) == traj.sample_count
-        assert csv_text(traj, 2) == per_value_csv(traj, 2)
+        assert text == per_value_csv(traj, positions, 2)
 
     def test_spatial_trajectory_matches_per_value_writer(self, tetra_ref):
-        traj = spatial_trajectory(tetra_ref)
+        text, traj, positions = csv_text(functools.partial(spatial_trajectory, tetra_ref), 3)
         assert len({scale.tobytes() for scale in traj.scale}) == traj.sample_count
-        assert csv_text(traj, 3) == per_value_csv(traj, 3)
+        assert text == per_value_csv(traj, positions, 3)
 
     def test_special_values_match_per_value_writer(self):
-        traj = special_trajectory()
-        text = csv_text(traj, 2)
-        assert text == per_value_csv(traj, 2)
+        text, traj, positions = csv_text(special_trajectory, 2)
+        assert text == per_value_csv(traj, positions, 2)
         assert [line.split(",")[-2] for line in text.split("\n")[1:-1]] == [
             "-0.0", "-0.0", "0.0", "1e-05"]
+
+    def test_another_runs_rows_are_refused(self, square_ref):
+        buf = io.StringIO()
+        with CsvRows(buf, 2) as rows:
+            flat_trajectory(square_ref, on_chunk=rows)
+            with pytest.raises(ValueError, match="11 rows in 2 dimensions, not the 51"):
+                write_trajectory_csv(flat_trajectory(square_ref, duration=1.0, stride=2), 2,
+                                     rows)
 
 
 class TestRecomputedColumns:
@@ -357,9 +391,9 @@ class TestRecomputedColumns:
     @pytest.mark.parametrize("case", TRAJECTORIES)
     def test_recomputed_columns_match_the_error_column_writer(self, case, request):
         build, dim = TRAJECTORIES[case]
-        traj = build(request)
+        text, traj, positions = csv_text(build(request), dim)
         ref = traj.reference
-        rows = [line.split(",") for line in csv_text(traj, dim).split("\n")[1:-1]]
+        rows = [line.split(",") for line in text.split("\n")[1:-1]]
         data = np.array([[float(v) for v in row] for row in rows])
         distances = data[:, -2, None] * ref.distances
         errors = control_kernel(ref.graph, dim).lengths(data[:, 1:-2]) - distances
@@ -367,28 +401,60 @@ class TestRecomputedColumns:
                                 *map(repr, row_distances)])
                       for row, row_errors, row_distances
                       in zip(rows, errors.tolist(), distances.tolist())]
-        assert recomputed == error_columns_csv(traj, dim).split("\n")[1:-1]
+        assert recomputed == error_columns_csv(traj, positions, dim).split("\n")[1:-1]
+
+
+def failing_after(run, chunks):
+    """run, whose caller raises RuntimeError when handed its chunk
+    number chunks + 1."""
+    def failing(on_chunk):
+        seen = []
+
+        def consume(*chunk):
+            if len(seen) == chunks:
+                raise RuntimeError("caller fails")
+            seen.append(chunk[1])
+            on_chunk(*chunk)
+
+        return run(on_chunk=consume)
+
+    return failing
 
 
 class TestCsvBlocks:
-    """A large CSV is written in row blocks by forked workers, into any
-    text stream."""
+    """The chunks of a large CSV are formatted by forked workers while the
+    run integrates, into any text stream."""
 
     @pytest.mark.parametrize("case", TRAJECTORIES)
-    def test_any_block_count_writes_the_same_bytes(self, case, request, tmp_path, csv_blocks):
+    def test_any_worker_count_writes_the_same_bytes(self, case, request, tmp_path, csv_blocks):
         build, dim = TRAJECTORIES[case]
-        traj = build(request)
-        expected = per_value_csv(traj, dim).encode()
         for count in (1, 2, 3, 4):
             forks = csv_blocks(count)
             path = tmp_path / f"{count}.csv"
             with path.open("w") as fh:
-                write_trajectory_csv(traj, dim, fh)
+                traj, positions, chunks = write_csv(build(request), dim, fh)
+                expected = per_value_csv(traj, positions, dim).encode()
                 assert fh.tell() == len(expected)
-            assert len(forks) == count - 1
+            # One worker would only leave the caller idle: the caller
+            # formats every row itself.
+            assert len(forks) == (chunks if count > 1 else 0)
+            assert forks.most_alive == (min(count, chunks) if count > 1 else 0)
             assert path.read_bytes() == expected
         assert (tmp_path / "4.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["1.csv", "2.csv", "3.csv", "4.csv"]
+        assert_no_children()
+
+    @pytest.mark.parametrize("count, cpus, alive", [(8, 2, 2), (3, 8, 3), (8, 1, 0)])
+    def test_at_most_min_of_cpus_and_max_blocks_workers_are_alive(self, square_ref, tmp_path,
+                                                                  csv_blocks, count, cpus,
+                                                                  alive):
+        forks = csv_blocks(count, cpus)
+        with (tmp_path / "run.csv").open("w") as fh:
+            _, _, chunks = write_csv(functools.partial(flat_trajectory, square_ref,
+                                                       duration=1.0, stride=2), 2, fh)
+        assert chunks > min(count, cpus)
+        assert len(forks) == (chunks if alive else 0)
+        assert forks.most_alive == alive
         assert_no_children()
 
     def test_buffers_appends_and_wide_encodings_take_blocks(self, square_ref, tmp_path,
@@ -401,17 +467,17 @@ class TestCsvBlocks:
             return temporary(*args, **kwargs)
 
         monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
-        traj = flat_trajectory(square_ref)
-        expected = per_value_csv(traj, 2)
+        run = functools.partial(flat_trajectory, square_ref)
         count = 4
         forks = csv_blocks(count)
         buffer = io.StringIO()
         # A name that is no file's path leaves the temporary files where
         # they go by default.
         buffer.name = "<stdout>"
-        write_trajectory_csv(traj, 2, buffer)
+        traj, positions, chunks = write_csv(run, 2, buffer)
+        expected = per_value_csv(traj, positions, 2)
         assert buffer.getvalue() == expected
-        assert len(forks) == count - 1 and dirs == [None] * (count - 1)
+        assert len(forks) == chunks > count and dirs == [None] * chunks
         path = tmp_path / "run.csv"
         path.write_text("kept\n")
         for encoding, mode, text in (("utf-8", "a", "kept\n" + expected),
@@ -419,8 +485,8 @@ class TestCsvBlocks:
             forks.clear()
             dirs.clear()
             with path.open(mode, encoding=encoding) as fh:
-                write_trajectory_csv(traj, 2, fh)
-            assert len(forks) == count - 1 and dirs == [str(tmp_path)] * (count - 1)
+                write_csv(run, 2, fh)
+            assert len(forks) == chunks and dirs == [str(tmp_path)] * chunks
             assert path.read_bytes() == text.encode(encoding)
         assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
         assert_no_children()
@@ -432,9 +498,10 @@ class TestCsvBlocks:
         fail_csv_workers(monkeypatch, fail)
         forks = csv_blocks(3)
         with (tmp_path / "run.csv").open("w") as fh:
-            with pytest.raises(OSError, match="exited with status 1"):
-                write_trajectory_csv(flat_trajectory(square_ref), 2, fh)
-        assert len(forks) == 2
+            with pytest.raises(OSError, match="rows from 0 exited with status 1"):
+                write_csv(functools.partial(flat_trajectory, square_ref), 2, fh)
+        # The fourth chunk waits for the first worker, which failed.
+        assert len(forks) == 3
         assert_no_children()
 
     def test_killed_worker_raises_os_error(self, square_ref, tmp_path, csv_blocks, monkeypatch):
@@ -442,27 +509,22 @@ class TestCsvBlocks:
         forks = csv_blocks(2)
         with (tmp_path / "run.csv").open("w") as fh:
             with pytest.raises(OSError, match=f"killed by signal {int(signal.SIGKILL)}"):
-                write_trajectory_csv(flat_trajectory(square_ref), 2, fh)
-        assert len(forks) == 1
+                write_csv(functools.partial(flat_trajectory, square_ref), 2, fh)
+        assert len(forks) == 2
         assert_no_children()
 
     def test_caller_failure_kills_and_reaps_workers(self, square_ref, tmp_path, csv_blocks,
                                                     monkeypatch):
-        import formsim.scenario as scenario
-
-        def rows(traj, lo, hi, fh):
-            if lo > 0:
-                time.sleep(120)  # a worker that outlives the check below
-            raise RuntimeError("caller fails")
-
-        monkeypatch.setattr(scenario, "_write_rows", rows)
+        # Workers that outlive the check below.
+        fail_csv_workers(monkeypatch, lambda: time.sleep(120))
         forks = csv_blocks(3)
         start = time.monotonic()
         with (tmp_path / "run.csv").open("w") as fh:
             with pytest.raises(RuntimeError, match="caller fails"):
-                write_trajectory_csv(flat_trajectory(square_ref), 2, fh)
+                write_csv(failing_after(functools.partial(flat_trajectory, square_ref), 3),
+                          2, fh)
         assert time.monotonic() - start < 60
-        assert len(forks) == 2
+        assert len(forks) == 3
         assert_no_children()
 
 

@@ -20,7 +20,6 @@ from formsim import (
     ScalingSchedule,
     SensingGraph,
     SimConfig,
-    Trajectory,
     Unreachable,
     apply_perturbation,
     bundled_scenario_path,
@@ -36,10 +35,9 @@ from formsim import (
     translation_params,
 )
 from formsim.rigidity import control_kernel
+from formsim.trajectory import _CHUNK_ELEMENTS, _SUMMARIES
 from formsim.simulate import (
-    _CHUNK_ELEMENTS,
     HALF_TURN_TOL,
-    _frame_rotations,
     _line_fit,
     _nearest_rotations,
     _turns,
@@ -47,9 +45,14 @@ from formsim.simulate import (
 )
 from conftest import (
     SQUARE_POINTS,
+    PositionCollector,
     distance_errors,
+    frame_rotations,
     henneberg_framework,
+    integrate_positions,
     kabsch_rotations,
+    recorded_run,
+    run_errors,
     scheduled_distances,
     time_varying_params,
     trajectory_distances,
@@ -73,19 +76,21 @@ def motion_config(ref, gain=5.0, v=(0.0, 0.0), omega=0.0, schedule=None):
 
 class TestIntegrate:
     def test_equilibrium_is_exactly_stationary(self, square_ref):
-        traj = integrate(square_ref.framework, square_ref, quiet_config(square_ref),
-                         SimConfig(dt=1e-2, duration=1.0))
-        for row in traj.positions:
+        traj, positions = integrate_positions(square_ref.framework, square_ref,
+                                              quiet_config(square_ref),
+                                              SimConfig(dt=1e-2, duration=1.0))
+        for row in positions:
             np.testing.assert_array_equal(row, square_ref.framework.positions)
-        np.testing.assert_array_equal(traj.errors(), np.zeros((traj.sample_count, 5)))
+        np.testing.assert_array_equal(run_errors(traj, positions),
+                                      np.zeros((traj.sample_count, 5)))
 
     def test_pure_translation_moves_in_a_straight_line(self, square_ref):
         v = np.array([0.8, -0.3])
         cfg = motion_config(square_ref, v=v)
         horizon = 2.0
-        traj = integrate(square_ref.framework, square_ref, cfg,
-                         SimConfig(dt=1e-3, duration=horizon))
-        displacement = (traj.positions[-1] - traj.positions[0]).reshape(4, 2)
+        _, positions = integrate_positions(square_ref.framework, square_ref, cfg,
+                                           SimConfig(dt=1e-3, duration=horizon))
+        displacement = (positions[-1] - positions[0]).reshape(4, 2)
         np.testing.assert_allclose(
             displacement, np.tile(v * horizon, (4, 1)), atol=1e-8
         )
@@ -97,18 +102,20 @@ class TestIntegrate:
 
     def test_error_norms_match_errors(self, square_ref):
         start = apply_perturbation(square_ref.framework, 5, 0.5)
-        traj = integrate(start, square_ref, quiet_config(square_ref),
-                         SimConfig(dt=1e-3, duration=0.5))
+        traj, positions = integrate_positions(start, square_ref, quiet_config(square_ref),
+                                              SimConfig(dt=1e-3, duration=0.5))
+        errors = run_errors(traj, positions)
         np.testing.assert_allclose(
-            traj.error_norms ** 2, (traj.errors() ** 2).sum(axis=1), rtol=1e-14
+            traj.error_norms ** 2, (errors ** 2).sum(axis=1), rtol=1e-14
         )
-        assert np.array_equal(traj.error_norms, np.linalg.norm(traj.errors(), axis=1))
+        assert np.array_equal(traj.error_norms, np.linalg.norm(errors, axis=1))
 
     def test_errors_match_per_sample_reference(self, square_ref):
         cfg = motion_config(square_ref, omega=1.0, schedule=ScalingSchedule.periodic(0.25, 1.5))
         start = apply_perturbation(square_ref.framework, 5, 0.5)
-        traj = integrate(start, square_ref, cfg, SimConfig(dt=1e-3, duration=0.5, record_stride=7))
-        for t, row, errors, dists in zip(traj.times, traj.positions, traj.errors(),
+        traj, positions = integrate_positions(start, square_ref, cfg,
+                                              SimConfig(dt=1e-3, duration=0.5, record_stride=7))
+        for t, row, errors, dists in zip(traj.times, positions, run_errors(traj, positions),
                                          trajectory_distances(traj)):
             d_t, _ = scheduled_distances(square_ref, cfg.schedule, t)
             assert np.array_equal(dists, d_t)
@@ -117,10 +124,10 @@ class TestIntegrate:
     def test_deterministic_given_seed(self, square_ref):
         sim = SimConfig(dt=1e-3, duration=0.5)
         start = apply_perturbation(square_ref.framework, 11, 0.4)
-        one = integrate(start, square_ref, quiet_config(square_ref), sim)
-        two = integrate(start, square_ref, quiet_config(square_ref), sim)
-        assert np.array_equal(one.positions, two.positions)
-        assert np.array_equal(one.errors(), two.errors())
+        one, one_positions = integrate_positions(start, square_ref, quiet_config(square_ref), sim)
+        two, two_positions = integrate_positions(start, square_ref, quiet_config(square_ref), sim)
+        assert np.array_equal(one_positions, two_positions)
+        assert np.array_equal(run_errors(one, one_positions), run_errors(two, two_positions))
 
     def test_edge_collapse_detected(self):
         graph = SensingGraph(2, ((1, 2),))
@@ -164,10 +171,10 @@ class TestIntegrate:
         horizon = 2.0
 
         def final_state(dt):
-            traj = integrate(start, square_ref, cfg,
-                             SimConfig(dt=dt, duration=horizon,
-                                       record_stride=int(round(horizon / dt))))
-            return traj.positions[-1]
+            _, positions = integrate_positions(start, square_ref, cfg,
+                                               SimConfig(dt=dt, duration=horizon,
+                                                         record_stride=int(round(horizon / dt))))
+            return positions[-1]
 
         reference = final_state(2e-3)
         err_coarse = np.linalg.norm(final_state(1.6e-2) - reference)
@@ -175,11 +182,13 @@ class TestIntegrate:
         assert 8.0 <= err_coarse / err_fine <= 32.0
 
 
-def assert_same_run(batched, single):
-    for field in ("times", "positions", "scale"):
+def assert_same_run(batched, single, collect):
+    """batched and single hold the same samples, summaries and, as the
+    PositionCollector that saw both collected them, positions."""
+    for field in ("times", "scale", *_SUMMARIES):
         assert np.array_equal(getattr(batched, field), getattr(single, field)), field
     assert batched.reference is single.reference
-    assert np.array_equal(batched.errors(), single.errors())
+    assert np.array_equal(collect.positions(batched), collect.positions(single))
     assert np.array_equal(batched.error_norms, single.error_norms)
 
 
@@ -190,10 +199,12 @@ class TestIntegrateBatch:
         sim = SimConfig(dt=1e-3, duration=1.0, record_stride=10)
         starts = [square_ref.framework, apply_perturbation(square_ref.framework, 2, 0.5),
                   apply_perturbation(square_ref.framework, 3, 1.0)]
-        runs = integrate_batch(starts, square_ref, cfg, sim)
+        collect = PositionCollector()
+        runs = integrate_batch(starts, square_ref, cfg, sim, on_chunk=collect)
         for start, run in zip(starts, runs):
-            assert np.array_equal(run.positions[0], start.positions)
-            assert_same_run(run, integrate(start, square_ref, cfg, sim))
+            assert np.array_equal(collect.positions(run)[0], start.positions)
+            assert_same_run(run, integrate(start, square_ref, cfg, sim, on_chunk=collect),
+                            collect)
 
     def test_rows_match_single_runs_tetrahedron(self, tetra_ref):
         cfg = ControllerConfig(
@@ -206,10 +217,12 @@ class TestIntegrateBatch:
         sim = SimConfig(dt=1e-3, duration=0.5, record_stride=5)
         starts = [apply_perturbation(fw, 4, 0.1)
                   for fw in (tetra_ref.framework, apply_perturbation(tetra_ref.framework, 9, 0.2))]
-        runs = integrate_batch(starts, tetra_ref, cfg, sim)
+        collect = PositionCollector()
+        runs = integrate_batch(starts, tetra_ref, cfg, sim, on_chunk=collect)
         for start, run in zip(starts, runs):
-            assert np.array_equal(run.positions[0], start.positions)
-            assert_same_run(run, integrate(start, tetra_ref, cfg, sim))
+            assert np.array_equal(collect.positions(run)[0], start.positions)
+            assert_same_run(run, integrate(start, tetra_ref, cfg, sim, on_chunk=collect),
+                            collect)
 
     # Under the periodic schedule the stage arrays change at every stage,
     # and the dropped row makes make_rhs rebuild its per-batch buffers.
@@ -224,12 +237,14 @@ class TestIntegrateBatch:
         starts = [apply_perturbation(square_ref.framework, 5, 0.5),
                   Framework.from_points(square_graph, collapsed_pts),
                   apply_perturbation(square_ref.framework, 6, 0.5)]
-        runs = integrate_batch(starts, square_ref, cfg, sim)
+        collect = PositionCollector()
+        runs = integrate_batch(starts, square_ref, cfg, sim, on_chunk=collect)
         assert isinstance(runs[1], EdgeCollapse)
         with pytest.raises(EdgeCollapse):
             integrate(starts[1], square_ref, cfg, sim)
-        assert_same_run(runs[0], integrate(starts[0], square_ref, cfg, sim))
-        assert_same_run(runs[2], integrate(starts[2], square_ref, cfg, sim))
+        for row in (0, 2):
+            assert_same_run(runs[row], integrate(starts[row], square_ref, cfg, sim,
+                                                 on_chunk=collect), collect)
 
     def test_diverging_row_fails_alone(self, square_ref):
         # RK4 is unstable at this gain and step: any perturbation grows
@@ -239,10 +254,12 @@ class TestIntegrateBatch:
         perturbed = apply_perturbation(square_ref.framework, 1, 0.1)
         with pytest.raises(Divergence):
             integrate(perturbed, square_ref, cfg, sim)
+        collect = PositionCollector()
         still, diverged = integrate_batch([square_ref.framework, perturbed],
-                                          square_ref, cfg, sim)
+                                          square_ref, cfg, sim, on_chunk=collect)
         assert isinstance(diverged, Divergence)
-        assert_same_run(still, integrate(square_ref.framework, square_ref, cfg, sim))
+        assert_same_run(still, integrate(square_ref.framework, square_ref, cfg, sim,
+                                         on_chunk=collect), collect)
 
     def test_diverging_row_fails_alone_periodic(self, square_ref, square_graph):
         # The far row's squared lengths overflow, so its state is NaN after
@@ -254,12 +271,14 @@ class TestIntegrateBatch:
         far = Framework.from_points(square_graph, SQUARE_POINTS * 1e300)
         starts = [apply_perturbation(square_ref.framework, 5, 0.5), far,
                   apply_perturbation(square_ref.framework, 6, 0.5)]
-        runs = integrate_batch(starts, square_ref, cfg, sim)
+        collect = PositionCollector()
+        runs = integrate_batch(starts, square_ref, cfg, sim, on_chunk=collect)
         assert isinstance(runs[1], Divergence)
         with pytest.raises(Divergence):
             integrate(far, square_ref, cfg, sim)
-        assert_same_run(runs[0], integrate(starts[0], square_ref, cfg, sim))
-        assert_same_run(runs[2], integrate(starts[2], square_ref, cfg, sim))
+        for row in (0, 2):
+            assert_same_run(runs[row], integrate(starts[row], square_ref, cfg, sim,
+                                                 on_chunk=collect), collect)
 
     def test_not_finite_row_hides_no_collapse(self):
         # Two agents 1 apart close in at unit speed each; the gain is too
@@ -378,11 +397,11 @@ class TestRunState:
         cfg = scenario.controller_config()
         sim = dataclasses.replace(scenario.sim, duration=2.0)
         start = scenario.initial_framework()
-        solo = integrate(start, ref, cfg, sim).positions
+        solo = integrate_positions(start, ref, cfg, sim)[1]
         runs = [None, None]
 
         def run(slot):
-            runs[slot] = integrate(start, ref, cfg, sim).positions
+            runs[slot] = integrate_positions(start, ref, cfg, sim)[1]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -429,13 +448,15 @@ class TestRunState:
         traj = integrate(start, square_ref, quiet_config(square_ref),
                          SimConfig(dt=1e-2, duration=3.0))
         read = []
-        errors = Trajectory.errors
+        kernel = control_kernel(square_ref.graph, square_ref.dim)
+        lengths = kernel.lengths
 
-        def counted(self, rows=slice(None)):
-            read.append(rows)
-            return errors(self, rows)
+        def counted(p):
+            read.append(p.shape)
+            return lengths(p)
 
-        monkeypatch.setattr(Trajectory, "errors", counted)
+        # The report reads the run's summaries and forms no edge length.
+        monkeypatch.setattr(kernel, "lengths", counted)
         report = steady_state_report(traj, (1.0, 3.0))
         assert report.lambda_fit > 0.0
         assert read == []
@@ -455,18 +476,18 @@ class TestCentroid:
 
     def test_stationary_during_pure_spin(self, square_ref):
         cfg = motion_config(square_ref, omega=1.0)
-        traj = integrate(square_ref.framework, square_ref, cfg,
-                         SimConfig(dt=1e-3, duration=2.0, record_stride=10))
-        centroids = traj.positions.reshape(traj.sample_count, 4, 2).mean(axis=1)
+        traj, positions = integrate_positions(square_ref.framework, square_ref, cfg,
+                                              SimConfig(dt=1e-3, duration=2.0, record_stride=10))
+        centroids = positions.reshape(traj.sample_count, 4, 2).mean(axis=1)
         drift = np.linalg.norm(centroids - centroids[0], axis=1).max()
         assert drift <= 1e-6 * 2.0  # at most 1e-6 length units per unit time
 
 
-def body_points(traj, ref):
+def body_points(positions, ref):
     """Centered agents of every sample (samples, n, dim), rotated onto the
     reference orientation."""
-    pts = traj.positions.reshape(traj.sample_count, -1, ref.dim)
-    rotations = _frame_rotations(traj.positions, ref)
+    pts = positions.reshape(positions.shape[0], -1, ref.dim)
+    rotations = frame_rotations(positions, ref)
     return (pts - pts.mean(axis=1, keepdims=True)) @ rotations.transpose(0, 2, 1)
 
 
@@ -481,26 +502,23 @@ class TestBodyFrame:
             rot = np.array([[np.cos(angle), -np.sin(angle)],
                             [np.sin(angle), np.cos(angle)]])
             rows.append(((SQUARE_POINTS - center) @ rot.T + center).reshape(-1))
-        from formsim import Trajectory
-
-        traj = Trajectory(times, np.array(rows), np.ones(41), square_ref)
-        for pts in body_points(traj, square_ref):
+        for pts in body_points(np.array(rows), square_ref):
             np.testing.assert_allclose(pts, SQUARE_POINTS - center, atol=1e-9)
 
     def test_pure_translation_freezes_body_positions(self, square_ref):
         cfg = motion_config(square_ref, v=(1.0, 0.5))
-        traj = integrate(square_ref.framework, square_ref, cfg,
-                         SimConfig(dt=1e-3, duration=1.0, record_stride=20))
-        body = body_points(traj, square_ref)
+        _, positions = integrate_positions(square_ref.framework, square_ref, cfg,
+                                           SimConfig(dt=1e-3, duration=1.0, record_stride=20))
+        body = body_points(positions, square_ref)
         for pts in body:
             np.testing.assert_allclose(pts, body[0], atol=1e-8)
 
     def test_pure_scaling_scales_body_norms_and_keeps_bearings(self, square_ref):
         sched = ScalingSchedule.linear(0.05)
         cfg = motion_config(square_ref, schedule=sched)
-        traj = integrate(square_ref.framework, square_ref, cfg,
-                         SimConfig(dt=1e-3, duration=2.0, record_stride=40))
-        body = body_points(traj, square_ref)
+        traj, positions = integrate_positions(square_ref.framework, square_ref, cfg,
+                                              SimConfig(dt=1e-3, duration=2.0, record_stride=40))
+        body = body_points(positions, square_ref)
         for pts, t in zip(body, traj.times):
             factor = 1 + sched.value(t)
             np.testing.assert_allclose(pts, factor * body[0], atol=1e-6)
@@ -508,11 +526,12 @@ class TestBodyFrame:
     def test_collinear_shape_rejected(self, square_ref):
         collinear = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]).reshape(-1)
         with pytest.raises(DegenerateAlignment):
-            _frame_rotations(np.tile(collinear, (3, 1)), square_ref)
+            frame_rotations(np.tile(collinear, (3, 1)), square_ref)
 
 
 def tetra_run(tetra_ref):
-    """A perturbed tetrahedron that translates, spins and breathes."""
+    """A perturbed tetrahedron that translates, spins and breathes, and
+    its recorded positions."""
     cfg = ControllerConfig(
         5.0,
         translation_params(tetra_ref, [0.2, -0.1, 0.15]),
@@ -520,8 +539,8 @@ def tetra_run(tetra_ref):
         scaling_params(tetra_ref, 1.0),
         ScalingSchedule.periodic(0.1, 1.0),
     )
-    return integrate(apply_perturbation(tetra_ref.framework, 4, 0.05), tetra_ref, cfg,
-                     SimConfig(dt=0.002, duration=6.0, record_stride=5))
+    return integrate_positions(apply_perturbation(tetra_ref.framework, 4, 0.05), tetra_ref, cfg,
+                               SimConfig(dt=0.002, duration=6.0, record_stride=5))
 
 
 def rotated_stack(ref, samples, seed):
@@ -543,21 +562,22 @@ def rotated_stack(ref, samples, seed):
 
 
 class TestFrameRotations:
-    """The stacked alignment gives the per-sample Kabsch rotations bit for bit."""
+    """The rotations nearest a run's recorded covariances are the
+    per-sample Kabsch rotations bit for bit."""
 
     def test_planar_run_matches_per_sample_kabsch(self):
         ref = ReferenceShape(henneberg_framework(64, 2, 3))
         cfg = motion_config(ref, v=(0.5, 0.3), omega=0.2,
                             schedule=ScalingSchedule.periodic(0.1, 1.0))
-        traj = integrate(apply_perturbation(ref.framework, 1, 0.3), ref, cfg,
-                         SimConfig(dt=0.01, duration=3.0))
-        np.testing.assert_array_equal(_frame_rotations(traj.positions, ref),
-                                      kabsch_rotations(traj.positions, ref))
+        traj, positions = integrate_positions(apply_perturbation(ref.framework, 1, 0.3), ref,
+                                              cfg, SimConfig(dt=0.01, duration=3.0))
+        np.testing.assert_array_equal(_nearest_rotations(traj.covariances),
+                                      kabsch_rotations(positions, ref))
 
     def test_tetrahedron_run_matches_per_sample_kabsch(self, tetra_ref):
-        traj = tetra_run(tetra_ref)
-        np.testing.assert_array_equal(_frame_rotations(traj.positions, tetra_ref),
-                                      kabsch_rotations(traj.positions, tetra_ref))
+        traj, positions = tetra_run(tetra_ref)
+        np.testing.assert_array_equal(_nearest_rotations(traj.covariances),
+                                      kabsch_rotations(positions, tetra_ref))
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_stack_of_several_chunks_matches_per_sample_kabsch(self, dim):
@@ -566,7 +586,7 @@ class TestFrameRotations:
         positions = rotated_stack(ref, 2 * chunk_rows + 7, 11)
         # Mirror images, whose best orthogonal fit is a reflection.
         positions.reshape(positions.shape[0], -1, dim)[::3, :, 0] *= -1.0
-        rotations = _frame_rotations(positions, ref)
+        rotations = frame_rotations(positions, ref)
         np.testing.assert_array_equal(rotations, kabsch_rotations(positions, ref))
         np.testing.assert_allclose(np.linalg.det(rotations), 1.0, atol=1e-12)
 
@@ -575,17 +595,17 @@ class TestFrameRotations:
         positions[4] = [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
         kabsch_rotations(np.delete(positions, 4, axis=0), square_ref)
         with pytest.raises(DegenerateAlignment, match="rank deficient"):
-            _frame_rotations(positions, square_ref)
+            frame_rotations(positions, square_ref)
 
     def test_tetrahedron_steady_state_matches_per_sample_rotations(self, tetra_ref):
         from scipy.spatial.transform import Rotation
 
-        traj = tetra_run(tetra_ref)
+        traj, run_positions = tetra_run(tetra_ref)
         report = steady_state_report(traj, (2.0, 6.0))
         # The body-frame fit with one SciPy rotation per sample: slerp mid
         # frames and rotation-vector turns, then line fits of running sums.
         keep = (traj.times >= 2.0) & (traj.times <= 6.0)
-        times, positions, scale = traj.times[keep], traj.positions[keep], traj.scale[keep]
+        times, positions, scale = traj.times[keep], run_positions[keep], traj.scale[keep]
         rotations = kabsch_rotations(positions, tetra_ref)
         centroids = positions.reshape(times.size, -1, 3).mean(axis=1)
         increments = np.diff(centroids, axis=0)
@@ -612,14 +632,15 @@ class TestFrameRotations:
 
 def turning_run(ref, angle, axis=(0.0, 0.0, 1.0), samples=12):
     """The reference shape turned about its centroid by angle more at every
-    sample, one sample per half time unit, about axis in space."""
+    sample, one sample per half time unit, about axis in space, and its
+    positions."""
     from scipy.spatial.transform import Rotation
 
     centered = ref.centered_points()
     turns = Rotation.from_rotvec(np.outer(np.arange(samples) * angle, axis)).as_matrix()
     turns = turns[:, :ref.dim, :ref.dim]
     positions = (centered @ turns.transpose(0, 2, 1)).reshape(samples, -1)
-    return Trajectory(0.5 * np.arange(samples), positions, np.ones(samples), ref)
+    return recorded_run(0.5 * np.arange(samples), positions, np.ones(samples), ref), positions
 
 
 class TestTurns:
@@ -656,14 +677,14 @@ class TestTurns:
 
     @pytest.mark.parametrize("angle", [np.pi, np.pi - 0.5 * HALF_TURN_TOL])
     def test_half_turn_between_samples_is_refused(self, tetra_ref, angle):
-        traj = turning_run(tetra_ref, angle, axis=(0.6, 0.0, 0.8))
+        traj, _ = turning_run(tetra_ref, angle, axis=(0.6, 0.0, 0.8))
         with pytest.raises(DegenerateAlignment, match="about half a turn"):
             steady_state_report(traj, (0.0, 6.0))
 
     def test_planar_turns_of_3_rad_fit_as_unwrapped_angles(self, square_ref):
-        traj = turning_run(square_ref, 3.0)
+        traj, positions = turning_run(square_ref, 3.0)
         report = steady_state_report(traj, (0.0, 6.0))
-        rotations = kabsch_rotations(traj.positions, square_ref)
+        rotations = kabsch_rotations(positions, square_ref)
         angles = np.unwrap(np.arctan2(rotations[:, 0, 1], rotations[:, 0, 0]))
         assert report.omega == pytest.approx(np.polyfit(traj.times, angles, 1)[0], rel=1e-12)
         assert report.omega == pytest.approx(6.0, rel=1e-12)
@@ -766,6 +787,23 @@ class TestSteadyStateReport:
         assert report.note == str(raised.value)
         assert np.isfinite(report.scale_rate) and "decay_r_squared" not in report.residuals
 
+    def test_scale_fit_sums_edges_in_order_whatever_the_chunk_rows(self):
+        # A window of 2 * rows + 1 samples is recorded in chunks of rows,
+        # rows and 1 sample.  A pairwise mean of the one-row chunk would
+        # differ from the edge-order mean in its last bits.
+        ref = ReferenceShape(henneberg_framework(512, 2, 5))
+        rows = _CHUNK_ELEMENTS // (ref.dim * ref.graph.edge_count)
+        samples = 2 * rows + 1
+        _, positions = integrate_positions(
+            apply_perturbation(ref.framework, 5, 0.5), ref, quiet_config(ref, gain=1.0),
+            SimConfig(dt=0.005, duration=(samples - 1) * 0.005))
+        traj = recorded_run(np.arange(samples), positions, np.ones(samples), ref)
+        ratios = control_kernel(ref.graph, ref.dim).lengths(positions) / ref.distances
+        # Edge-major: the mean adds one edge at a time in edge order.
+        whole = np.ascontiguousarray(ratios.T).mean(axis=0)
+        assert traj.length_ratios.tobytes() == whole.tobytes()
+        assert np.ascontiguousarray(ratios[-1:].T).mean(axis=0)[0] != whole[-1]
+
     def test_decay_fit_recovers_known_rate(self):
         times = np.linspace(0.0, 10.0, 400)
         norms = 2.0 * np.exp(-1.7 * times)
@@ -782,20 +820,22 @@ class TestSteadyStateReport:
 
 
 class TestRunMemory:
-    """A run holds its positions; the rest is views and chunks."""
+    """A run keeps its summaries; its positions pass through one buffer
+    of recorded samples, and the rest is chunks."""
 
     # A chunk's gather holds about three temporaries of _CHUNK_ELEMENTS
     # float64 values at once.
     CHUNK_BUDGET = 4 * 8 * _CHUNK_ELEMENTS
 
-    @pytest.fixture(scope="class")
-    def traced_run(self):
-        """A 2D n=128 run of at least 8 chunks, with the traced peaks of
-        integrate and of the post-processing above what the run holds."""
+    @pytest.fixture(scope="class", params=[8, 32], ids=["8-chunks", "32-chunks"])
+    def traced_run(self, request):
+        """A 2D n=128 run of at least 8 or 32 chunks, with the traced peaks
+        of integrate and of the post-processing above what the run keeps,
+        and the bytes of its summaries and of its positions."""
         ref = ReferenceShape(henneberg_framework(128, 2, 3))
         rows = _CHUNK_ELEMENTS // (ref.dim * ref.graph.edge_count)
         dt = 5e-3
-        sim = SimConfig(dt=dt, duration=8 * rows * dt)
+        sim = SimConfig(dt=dt, duration=request.param * rows * dt)
         start = apply_perturbation(ref.framework, 3, 0.5)
         tracemalloc.start()
         try:
@@ -807,16 +847,19 @@ class TestRunMemory:
             post_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert traj.sample_count > 8 * rows
-        return traj, integrate_peak - before, post_peak - held
+        assert traj.sample_count > request.param * rows
+        kept = sum(getattr(traj, name).nbytes for name in ("times", "scale", *_SUMMARIES))
+        positions = traj.sample_count * start.positions.nbytes
+        return integrate_peak - before, post_peak - held, kept, positions
 
-    def test_integrate_holds_positions_and_one_chunk(self, traced_run):
-        traj, integrate_peak, _ = traced_run
-        assert integrate_peak <= traj.positions.nbytes + self.CHUNK_BUDGET
+    def test_integrate_holds_summaries_one_buffer_and_one_chunk(self, traced_run):
+        integrate_peak, _, kept, _ = traced_run
+        # The buffer holds about _CHUNK_ELEMENTS float64 values.
+        assert integrate_peak <= kept + 8 * _CHUNK_ELEMENTS + self.CHUNK_BUDGET
 
     def test_post_processing_peaks_below_one_positions_array(self, traced_run):
-        traj, _, post_peak = traced_run
-        assert post_peak <= traj.positions.nbytes
+        _, post_peak, _, positions = traced_run
+        assert post_peak <= positions
 
     def test_distances_equal_the_scheduled_matrix(self, square_ref):
         schedule = ScalingSchedule.periodic(0.25, 1.5)
